@@ -14,11 +14,12 @@ which every other problem runs with spans installed (``spans.py``).
 The environment header, each metric with its unit, and per-problem
 records go to the lines before it and to ``perfbench/out/``.
 
-Every time is reported at reference-machine speed: a fixed BLAS kernel
-(``Reference``) is timed before each problem, and wall times are scaled
-by its nominal time over its median measured time, so the drift in
-speed of a shared machine cancels.  Raw wall times are kept in the
-detail file.
+Every time is reported at reference-machine speed: two fixed kernels,
+one BLAS-bound and one interpreter-bound, are timed in a helper process
+(``reference.py``) before each set-up and each problem, and wall times
+are scaled by the geometric mean of their nominal over median measured
+times, so the drift in speed of a shared machine cancels.  Raw wall
+times are kept in the detail file.
 """
 
 import sys
@@ -36,6 +37,7 @@ import platform
 import resource
 import statistics
 import subprocess
+import threading
 import time
 from pathlib import Path
 
@@ -50,10 +52,12 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 
 NPROC = len(os.sched_getaffinity(0))
-SETUP_SAMPLES = 3  # setup_s is the median of this many fresh set-ups
+SETUP_SAMPLES = 5  # setup_s is the median of this many fresh set-ups
 IMPORT_SAMPLES = 5  # startup and import times are medians of this many imports
+ORACLE_PROBLEMS = 3  # oracle_err_max covers the warm-up and timed problems 1..this
 CHILD_TIMEOUT_S = 60
-REFERENCE_REPEATS = 3  # reference kernel timings before each problem
+IDLE_WAIT_LIMIT_S = 1.0  # BLAS threads spin for about 0.1 s after a call
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class SetupError(Exception):
@@ -63,7 +67,7 @@ class SetupError(Exception):
 def pin_threads() -> dict:
     """Pin BLAS to nproc threads through DROPCAP_THREADS for us and our children."""
     os.environ["DROPCAP_THREADS"] = str(NPROC)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in THREAD_VARS:
         os.environ.pop(var, None)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
@@ -137,22 +141,25 @@ def child_setup_sample(args, env) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_library(args, env) -> dict:
+def run_library(args, env, reference) -> dict:
+    reference.measure()
     samples = [setup_sample(args.workload, args.seed)]
-    samples += [child_setup_sample(args, env) for _ in range(SETUP_SAMPLES - 1)]
+    for _ in range(SETUP_SAMPLES - 1):
+        reference.measure()
+        samples.append(child_setup_sample(args, env))
     dc = sys.modules["dropcap"]
 
     def step(i, tracer):
         return library_problem(dc, args.workload, args.seed, i, tracer)
 
-    records, speed, tracer = timed_loop(args.seconds, step, args.trace)
+    records, tracer = timed_loop(args.seconds, step, args.trace, reference, min_problems=ORACLE_PROBLEMS)
     imports = [s["import_s"] for s in samples]
     imports += [fresh_import_s(env) for _ in range(IMPORT_SAMPLES - len(imports))]
     import_s = statistics.median(imports)
     return {
         "setup": samples,
         "records": records,
-        "speed": speed,
+        "oracle_problems": ORACLE_PROBLEMS,
         "tracer": tracer,
         "setup_s": statistics.median(s["setup_s"] for s in samples),
         "import_s": import_s,
@@ -202,13 +209,14 @@ def fresh_import_s(env) -> float:
     return float(proc.stdout.strip().splitlines()[-1])
 
 
-def run_cli(args, env) -> dict:
+def run_cli(args, env, reference) -> dict:
     setup = []
     for _ in range(SETUP_SAMPLES):
+        reference.measure()
         rc, out, wall = cli_subprocess(["--version"], env)
         chk = workloads.Checks()
         workloads.check_version(rc, out, chk)
-        setup.append(record(chk, wall, False, name="setup_version"))
+        setup.append(record(chk, wall, False, index=0, name="setup_version"))
     commands = workloads.cli_round(args.seed)
     first_output: dict[str, str] = {}
 
@@ -228,7 +236,7 @@ def run_cli(args, env) -> dict:
         cmd["check"](rc, out, chk)
         if first_output.setdefault(cmd["name"], out) != out:
             chk.require("output differs from the first round's", False)
-        return record(chk, wall, tracer is not None, name=cmd["name"], numeric=cmd["numeric"], round=round_no)
+        return record(chk, wall, tracer is not None, index=i, name=cmd["name"], numeric=cmd["numeric"], round=round_no)
 
     import_s = None
     if args.trace:
@@ -238,11 +246,11 @@ def run_cli(args, env) -> dict:
         for i in range(1, len(commands) + 1):  # in-process warm-up round, untimed
             step(i, None)
         first_output.clear()
-    records, speed, tracer = timed_loop(args.seconds, step, args.trace, round_len=len(commands))
+    records, tracer = timed_loop(args.seconds, step, args.trace, reference, round_len=len(commands))
     return {
         "setup": setup,
         "records": records,
-        "speed": speed,
+        "oracle_problems": len(commands),
         "tracer": tracer,
         "setup_s": statistics.median(r["wall_s"] for r in setup),
         "import_s": import_s,
@@ -256,43 +264,90 @@ def run_cli(args, env) -> dict:
 # timing and metrics
 
 
-class Reference:
-    """A fixed BLAS-bound kernel that does not touch dropcap.
+def wait_for_idle_threads() -> None:
+    """Wait until no other thread of this process is running.
 
-    Timed between problems, it measures how fast the machine is running
-    right now.  speed() is the nominal time over the median measured
-    time: 1 on an idle reference machine, below 1 while neighbours slow
-    this one down.
+    BLAS worker threads spin for a while after a call returns; left
+    alone they would slow the reference kernel by as much as they spin.
+    """
+    own = str(threading.get_native_id())
+    deadline = time.perf_counter() + IDLE_WAIT_LIMIT_S
+    while time.perf_counter() < deadline:
+        try:
+            tasks = [t for t in os.listdir("/proc/self/task") if t != own]
+            states = [Path(f"/proc/self/task/{t}/stat").read_text().rsplit(")", 1)[1].split()[0] for t in tasks]
+        except OSError:  # no procfs, or a thread ended while we looked
+            return
+        if "R" not in states:
+            return
+        time.sleep(0.005)
+
+
+class Reference:
+    """The machine-speed kernels of ``reference.py``, in a helper process.
+
+    The helper gets an explicit BLAS thread count (nproc) and neither
+    dropcap nor its thread setting, so nothing dropcap does to its own
+    threads or heap reaches the kernels.  Its idle BLAS threads sleep at
+    once rather than spin into the next problem.  measure() runs the
+    kernels while the driver waits; speed() is the geometric mean over
+    the kernels of nominal time / median measured time: about 1 on an
+    idle reference machine, below 1 while neighbours slow this one down.
     """
 
-    def __init__(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((spec.REFERENCE_N, spec.REFERENCE_N))
-        self._solve = np.linalg.solve
-        self._a = a
-        self._m = a + spec.REFERENCE_N * np.eye(spec.REFERENCE_N)
-        self.times: list[float] = []
+    def __init__(self, env):
+        env = {k: v for k, v in env.items() if k not in ("PYTHONPATH", "DROPCAP_THREADS")}
+        env.update({var: str(NPROC) for var in THREAD_VARS}, OPENBLAS_THREAD_TIMEOUT="4")
+        self.times: dict[str, list[float]] = {name: [] for name in spec.REFERENCE_NOMINAL_S}
+        self._proc = subprocess.Popen(
+            [sys.executable, str(HERE / "reference.py")],
+            cwd=ROOT,
+            env=env,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        if self._proc.stdout.readline().strip() != "ready":
+            self.close()
+            raise SetupError("reference kernel process did not start")
 
     def measure(self) -> None:
-        for _ in range(REFERENCE_REPEATS):
-            t0 = time.perf_counter()
-            self._solve(self._m, self._a @ self._a)
-            self.times.append(time.perf_counter() - t0)
+        wait_for_idle_threads()
+        self._proc.stdin.write("\n")
+        self._proc.stdin.flush()
+        line = self._proc.stdout.readline()
+        if not line:
+            raise SetupError(f"reference kernel process exited ({self._proc.poll()})")
+        for name, times in json.loads(line).items():
+            self.times[name].extend(times)
+
+    def speeds(self) -> dict:
+        """Nominal over median measured time, per kernel."""
+        return {name: spec.REFERENCE_NOMINAL_S[name] / statistics.median(t) for name, t in self.times.items()}
 
     def speed(self) -> float:
-        return spec.REFERENCE_NOMINAL_S / statistics.median(self.times)
+        return statistics.geometric_mean(self.speeds().values())
+
+    def close(self) -> None:
+        self._proc.stdin.close()
+        try:
+            self._proc.wait(timeout=CHILD_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._proc.stdout.close()
 
 
-def timed_loop(seconds: float, step, trace: bool, round_len: int = 1):
+def timed_loop(seconds: float, step, trace: bool, reference: Reference, round_len: int = 1, min_problems: int = 1):
     """Closed loop of problems until `seconds` have passed at a round boundary.
 
-    The reference kernel runs before every problem, outside its timing.
-    A traced run alternates untraced and traced rounds, starting
-    untraced, and always runs at least one of each.
+    At least `min_problems` run, so the problems oracle_err_max covers
+    run on any commit.  The reference kernel runs before every problem,
+    outside its timing.  A traced run alternates untraced and traced
+    rounds, starting untraced, and always runs at least one of each.
     """
-    reference = Reference()
+    if trace:
+        min_problems = max(min_problems, 2 * round_len)
     tracer = spans.Tracer() if trace else None
     records = []
     i = 1
@@ -302,22 +357,21 @@ def timed_loop(seconds: float, step, trace: bool, round_len: int = 1):
         traced = trace and ((i - 1) // round_len) % 2 == 1
         records.append(step(i, tracer if traced else None))
         i += 1
-        if (i - 1) % round_len == 0 and time.perf_counter() - t0 >= seconds and (not trace or i > 2 * round_len):
+        if (i - 1) % round_len == 0 and i > min_problems and time.perf_counter() - t0 >= seconds:
             break
-    return records, reference.speed(), tracer
+    return records, tracer
 
 
 def end_to_end(run: dict) -> tuple[dict, dict]:
     records = run["records"]
     walls = [r["wall_s"] for r in records]
     tail_value, tail_label = stats.tail(walls)
-    every = records + run["extra_records"]
     metrics = {
         "problems_per_s": sum(r["ok"] for r in records) / sum(walls),
         "problem_s_p50": statistics.median(walls),
         "problem_s_tail": tail_value,
         "peak_rss_mb": run["peak_rss_mb"],
-        "oracle_err_max": max(max(r["errors"].values(), default=0.0) for r in every),
+        "oracle_err_max": stats.oracle_err_max(records + run["extra_records"], run["oracle_problems"]),
         "startup_s_p50": run["startup_s"],
         "setup_s": run["setup_s"],
     }
@@ -356,7 +410,8 @@ def environment(args) -> dict:
         "seconds": args.seconds,
         "trace": int(args.trace),
         "nproc": NPROC,
-        "threads": {v: os.environ.get(v) for v in ("DROPCAP_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "threads": {v: os.environ.get(v) for v in ("DROPCAP_THREADS", *THREAD_VARS)},
+        "reference_threads": NPROC,
         "blas": blas,
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
@@ -382,7 +437,13 @@ def main(argv=None) -> int:
         if args.setup_probe:
             print(json.dumps(setup_sample(args.workload, args.seed)))
             return 0
-        run = (run_cli if args.workload == "cli_roundtrip" else run_library)(args, env)
+        reference = Reference(env)
+        try:
+            run = (run_cli if args.workload == "cli_roundtrip" else run_library)(args, env, reference)
+        finally:
+            reference.close()
+        run["speed"] = reference.speed()
+        run["kernel_speeds"] = reference.speeds()
     except (SetupError, ImportError, subprocess.SubprocessError) as err:
         print(f"perfbench: {err}", file=sys.stderr)
         return 2
@@ -413,6 +474,7 @@ def main(argv=None) -> int:
         "metrics": metrics,
         "raw_metrics": raw,
         "machine_speed": run["speed"],
+        "kernel_speeds": run["kernel_speeds"],
         "notes": notes,
         "setup": run["setup"],
         "records": run["records"],

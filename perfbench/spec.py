@@ -19,16 +19,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_PATH = ROOT / "BENCHMARK.json"
 
-RUN_SECONDS = 16
+RUN_SECONDS = 12
 
-# Reference kernel: solve(A + n I, A @ A) for a fixed n x n Gaussian A.
-# Every time metric is reported at reference-machine speed, wall time x
-# REFERENCE_NOMINAL_S / (median reference time measured during the run),
-# so drift in the speed of a shared machine cancels.  The nominal time is
-# this kernel's median on a 2-core Xeon VM at 2.1 GHz with OpenBLAS
-# 0.3.31 and 2 threads; there, an idle machine reads as speed 1.
+# Reference kernels (reference.py): a BLAS kernel, solve(A + n I, A @ A)
+# for a fixed n x n Gaussian A, and an interpreter-bound one, each run
+# REFERENCE_REPEATS times before every set-up and problem in a helper
+# process with BLAS pinned to nproc threads.  Every time metric is
+# reported at reference-machine speed: wall time x the geometric mean,
+# over the two kernels, of nominal time / median time measured during
+# the run.  So drift in the speed of a shared machine cancels.  Under
+# load the BLAS kernel slows more than the workloads do (its short
+# parallel calls wait on a descheduled thread) and the interpreter
+# kernel less; their geometric mean tracked the workloads better than
+# either alone (perfbench/README.md).  The nominal times are medians on a
+# 2-core Xeon VM at 2.1 GHz with OpenBLAS 0.3.31 and 2 threads: the BLAS
+# kernel's on the idle VM, the interpreter kernel's over 40 runs of the
+# benchmark.
 REFERENCE_N = 600
-REFERENCE_NOMINAL_S = 0.025
+REFERENCE_NOMINAL_S = {"blas": 0.025, "python": 0.033}
+REFERENCE_REPEATS = 3
 
 # Relative-error tolerances of the closed-form oracles.  Each is a few
 # times the error the seed commit shows at the workload's resolution
@@ -53,14 +62,27 @@ TOLERANCES = {
     "residual": 1e-8,
 }
 
+# How each workload's why names a tolerance.
+TOLERANCE_LABELS = {
+    "capacity_boundary": "1/R bdry",
+    "capacity_volume": "1/R vol",
+    "field_energy": "F",
+    "entropic_energy": "J",
+    "rayleigh_threshold": "threshold",
+    "fuglede_expansion": "fuglede",
+    "inner_mass": "inner mass",
+    "residual": "resid",
+}
+
 WORKLOADS = [
     {
         "name": "dense_solve",
         "why": (
             "3 dense solve paths (bordered LU, lu_factor+2 solves, entropic "
             "bordered) at M=4000 where n^2 memory binds; loads operators, "
-            "equilibrium; shapes flat; tol 1/R 2e-2 F 5e-2 J 2e-3"
+            "equilibrium; shapes flat"
         ),
+        "tolerances": ["capacity_boundary", "field_energy", "entropic_energy", "residual"],
         "detail": (
             "One problem: a unit-sphere boundary cloud at M = 4000, "
             "equilibrium_measure (oracle I = 1/R), then solve_external on the "
@@ -78,10 +100,10 @@ WORKLOADS = [
     {
         "name": "support_collapse",
         "why": (
-            "repeated restricted solves on shrinking active sets: alpha=2 "
-            "volume ball (5 iters) + annulus (2 iters); loads equilibrium; "
-            "shapes flat; tol 1/R 5e-2 vol 2e-2 bdry, inner mass 1e-3"
+            "restricted solves on shrinking active sets: alpha=2 volume "
+            "ball (5 iters), annulus (2 iters); loads equilibrium; shapes flat"
         ),
+        "tolerances": ["capacity_volume", "capacity_boundary", "inner_mass", "residual"],
         "detail": (
             "One problem: an alpha = 2 volume ball of about 2550 nodes and an "
             "annulus boundary cloud at M = 2000 (r_in = R/2), both with seeded "
@@ -97,10 +119,11 @@ WORKLOADS = [
     {
         "name": "shape_scan",
         "why": (
-            "many small problems: lemma ratio, Rayleigh scan, 2d convex scan; "
-            "loads shapes, harmonics, instability; dense factorization minor; "
-            "tol threshold 5e-2, disk ranks first"
+            "many small problems: lemma ratio, Rayleigh scan, 2d convex scan "
+            "(disk ranks first); loads shapes, harmonics, instability; dense "
+            "factorization minor"
         ),
+        "tolerances": ["rayleigh_threshold", "capacity_boundary"],
         "detail": (
             "One problem: lemma_ratio_check(20, 0.3, n_nodes=600, seed=s), "
             "then rayleigh_scan(l, (-0.08, 0, 0.08), (0, 6), n_nodes=1200) "
@@ -117,10 +140,13 @@ WORKLOADS = [
     {
         "name": "cli_roundtrip",
         "why": (
-            "python -m dropcap.cli subprocesses one at a time, 7 subcommands; "
-            "loads cli, reports and the eager import; solvers as at M=2000; "
-            "checks exit codes, byte-identical reruns, oracles"
+            "python -m dropcap.cli runs one at a time, 7 subcommands; loads "
+            "cli, reports, eager import; shapes flat; checks exit codes, "
+            "same reruns"
         ),
+        "tolerances": [
+            "capacity_boundary", "field_energy", "entropic_energy", "fuglede_expansion", "residual",
+        ],
         "detail": (
             "Runs python -m dropcap.cli subprocesses one at a time: --version, "
             "capacity --M x (expect exit 2), capacity --M 2000, energy --Q 2 "
@@ -190,16 +216,28 @@ UNITS.update({name: unit for name, unit, _ in PER_LAYER})
 WORKLOAD_NAMES = [w["name"] for w in WORKLOADS]
 
 
+def _short(x: float) -> str:
+    """1e-08 -> 1e-8, 0.02 -> 2e-2."""
+    mantissa, exponent = f"{x:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+def why(workload: dict) -> str:
+    """The workload's why with the tolerances of the oracles it checks."""
+    tols = ", ".join(f"{TOLERANCE_LABELS[k]} {_short(TOLERANCES[k])}" for k in workload["tolerances"])
+    text = f"{workload['why']}; tol {tols}"
+    if len(text) > 200 or "\n" in text:
+        raise ValueError(f"why of {workload['name']} must be one line of <= 200 chars")
+    return text
+
+
 def render() -> dict:
     """The BENCHMARK.json document."""
-    for w in WORKLOADS:
-        if len(w["why"]) > 200 or "\n" in w["why"]:
-            raise ValueError(f"why of {w['name']} must be one line of <= 200 chars")
     return {
         "command": ["python3", "perfbench/run.py"],
         "paths": ["perfbench"],
         "run_seconds": RUN_SECONDS,
-        "workloads": [{"name": w["name"], "why": w["why"]} for w in WORKLOADS],
+        "workloads": [{"name": w["name"], "why": why(w)} for w in WORKLOADS],
         "end_to_end": END_TO_END,
         "per_layer": [
             {"name": name, "unit": unit, "better": better}

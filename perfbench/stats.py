@@ -31,6 +31,15 @@ def tail(values) -> tuple[float, str]:
     return max(values), "max"
 
 
+def oracle_err_max(records, last_index: int) -> float:
+    """Largest oracle error of the problems with index <= last_index.
+
+    Set-up problems have index 0.  Counting a fixed set of problems keeps
+    the value independent of how many problems a run gets through.
+    """
+    return max(max(r["errors"].values(), default=0.0) for r in records if r["index"] <= last_index)
+
+
 def calibrate(metrics: dict, units: dict, speed: float) -> dict:
     """Times at reference-machine speed: seconds x speed, rates / speed."""
     scale = {"s": speed, "1/s": 1.0 / speed}
@@ -54,18 +63,17 @@ def worsening(first, second, better: str) -> float:
 def verdict(first, second, metric: dict) -> dict:
     """Whether two sets of runs of one commit agree within the metric's bound.
 
-    Each set's spread must stay within the bound (setup_s is exempt), and
-    the second median may not be worse than the first by more than it.
+    Each set's spread must stay within the bound, and the second median
+    may not be worse than the first by more than it.
     """
     bound = metric["bound"]
     spreads = [spread(first), spread(second)]
     worse = worsening(first, second, metric["better"])
-    spread_ok = metric["name"] == "setup_s" or max(spreads) <= bound
     return {
         "metric": metric["name"],
         "bound": bound,
         "spread": spreads,
         "worsening": worse,
-        "ok": spread_ok and worse <= bound,
+        "ok": max(spreads) <= bound and worse <= bound,
         "steady": max(spreads) < bound / 3.0,
     }

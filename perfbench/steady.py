@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Steadiness self-check: run every workload on this commit in two sets and compare.
 
-    python3 perfbench/steady.py [--seeds 10] [--sets 2] [--workloads a,b] [--first-seed 1]
+    python3 perfbench/steady.py [--seeds 10] [--workloads a,b] [--first-seed 1]
 
 Writes BENCHMARK.json from ``spec.py``, then runs ``run.py --trace 0``
-once per (set, workload, seed), one run at a time, workloads interleaved
-so slow drift of the machine touches all of them alike.  The second set
-uses the next block of seeds.  For each workload and end-to-end metric
-it prints both sets' medians, each set's interquartile spread as a share
-of its median, and how much worse the second median is than the first,
-against the metric's bound.  A metric passes when each spread is within
-the bound (setup_s is exempt) and the second median is not worse by more
-than the bound; it is steady when every spread is below a third of the
-bound.  Exits 1 if any metric fails or any run reports a failed problem.
+once per (set, workload, seed) for the benchmark's run_seconds, one run
+at a time, workloads interleaved so slow drift of the machine touches
+all of them alike.  The second set uses the next block of seeds.  For
+each workload and end-to-end metric it prints both sets' medians, each
+set's interquartile spread as a share of its median, and how much worse
+the second median is than the first, against the metric's bound.  A
+metric passes when each spread is within the bound and the second
+median is not worse by more than the bound; it is steady when every
+spread is below a third of the bound.  Exits 1 if any metric fails or any run reports a failed problem.
 The raw results go to perfbench/out/steady.json.
 """
 
@@ -32,11 +32,11 @@ HERE = Path(__file__).resolve().parent
 RUN_TIMEOUT_S = 900  # the first run in a fresh checkout compiles bytecode
 
 
-def run_once(workload: str, seed: int, seconds: int) -> dict:
+def run_once(workload: str, seed: int) -> dict:
     cmd = [
         sys.executable, str(HERE / "run.py"),
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(spec.RUN_SECONDS), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=HERE.parent, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
@@ -47,14 +47,12 @@ def run_once(workload: str, seed: int, seconds: int) -> dict:
 def summarize(results: dict) -> list[dict]:
     """Verdict per workload and metric from {workload: [set1 runs, set2 runs]}."""
     rows = []
-    for workload, sets in results.items():
+    for workload, (first, second) in results.items():
         for metric in spec.END_TO_END:
-            values = [[r["metrics"][metric["name"]]["value"] for r in runs] for runs in sets]
+            values = [[r["metrics"][metric["name"]]["value"] for r in runs] for runs in (first, second)]
             row = {"workload": workload, "unit": metric["unit"]}
             row["medians"] = [statistics.median(v) for v in values]
-            row.update(stats.verdict(values[0], values[-1], metric))
-            if len(values) == 1:
-                row.update(spread=row["spread"][:1], worsening=None)
+            row.update(stats.verdict(*values, metric))
             rows.append(row)
     return rows
 
@@ -64,20 +62,17 @@ def print_rows(rows: list[dict]) -> None:
     for r in rows:
         medians = " / ".join(f"{m:.4g}" for m in r["medians"])
         spreads = " / ".join(f"{s:.3f}" for s in r["spread"])
-        worse = "" if r["worsening"] is None else f"{r['worsening']:+.3f}"
         flag = "ok" if r["ok"] else "FAIL"
         if r["ok"] and not r["steady"]:
             flag += " (spread above bound/3)"
-        print(f"{r['workload']:17s} {r['metric']:15s} {medians:>25s} {r['unit']:6s} {spreads:>15s} {worse:>7s} {r['bound']:5.2f} {flag}")
+        print(f"{r['workload']:17s} {r['metric']:15s} {medians:>25s} {r['unit']:6s} {spreads:>15s} {r['worsening']:+7.3f} {r['bound']:5.2f} {flag}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, default=10, help="runs per workload and set (>= 2)")
-    parser.add_argument("--sets", type=int, choices=(1, 2), default=2)
     parser.add_argument("--workloads", default=",".join(spec.WORKLOAD_NAMES))
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=spec.RUN_SECONDS)
     args = parser.parse_args(argv)
     names = args.workloads.split(",")
     unknown = set(names) - set(spec.WORKLOAD_NAMES)
@@ -85,13 +80,13 @@ def main(argv=None) -> int:
         parser.error(f"need known workloads and >= 2 seeds (unknown: {sorted(unknown)})")
 
     spec.main([])
-    results = {w: [[] for _ in range(args.sets)] for w in names}
+    results = {w: [[], []] for w in names}
     incorrect = []
-    for k in range(args.sets):
+    for k in range(2):
         for j in range(args.seeds):
             seed = args.first_seed + k * args.seeds + j
             for w in names:
-                res = run_once(w, seed, args.seconds)
+                res = run_once(w, seed)
                 results[w][k].append(res)
                 shown = " ".join(f"{n}={m['value']:.4g}" for n, m in res["metrics"].items())
                 print(f"set {k + 1} {w} seed {seed}: correct={res['correct']} {shown}", flush=True)
