@@ -1,53 +1,45 @@
 #!/usr/bin/env python3
-"""Machine-speed reference: two fixed kernels in a process of its own.
+"""Machine-speed reference: a fixed kernel in a process of its own.
 
     python3 perfbench/reference.py
 
 ``run.py`` starts one of these per run, with the BLAS thread count set
-explicitly and without dropcap on the path, and sends it a line before
-each problem.  It answers every line with the wall times of
-``REFERENCE_REPEATS`` runs of each kernel as a JSON object, and exits
-when its input closes:
-
-- ``blas``: solve(A + n I, A @ A) for a fixed n x n Gaussian A;
-- ``python``: compiling a fixed generated module and sorting a fixed
-  list of strings, interpreter-bound like ``import dropcap`` and the
-  orchestration between solves.
+explicitly and without dropcap on the path, and sends it a line every
+``spec.REFERENCE_EVERY_S`` seconds between problems.  It answers every
+line with the kernel's wall time in seconds, and exits when its input
+closes.  The kernel is the dense pipeline in plain numpy/scipy: it builds
+the 1/r matrix of a fixed cloud of ``spec.REFERENCE_N`` points, LU-factors
+it and solves once.  That is elementwise work on an n^2 array, then
+BLAS-3, the same mix as an assemble and a dense solve.
 
 It shares no thread pool, heap or environment setting with the
 benchmarked code, so only the machine can move its times.
 """
 
-import json
 import sys
 import time
 
 import numpy as np
+import scipy.linalg
 
 import spec
 
-SOURCE = "\n".join(f"def f{i}(x, y={i}):\n    return [x * y + k for k in range({i})]" for i in range(400))
-
-
-def python_kernel() -> None:
-    compile(SOURCE, "<reference>", "exec")
-    sorted(str(i * 7919 % 10007) for i in range(20000))
-
 
 def main() -> int:
-    n = spec.REFERENCE_N
-    a = np.random.default_rng(0).standard_normal((n, n))
-    m = a + n * np.eye(n)
-    kernels = {"blas": lambda: np.linalg.solve(m, a @ a), "python": python_kernel}
+    points = np.random.default_rng(0).standard_normal((spec.REFERENCE_N, 3))
+    rhs = np.ones(spec.REFERENCE_N)
+
+    def kernel():
+        dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+        np.fill_diagonal(dist, 1.0)
+        scipy.linalg.lu_solve(scipy.linalg.lu_factor(1.0 / dist), rhs)
+
+    kernel()  # untimed: starts the BLAS threads and maps the buffers
     print("ready", flush=True)
     for _ in sys.stdin:
-        times = {name: [] for name in kernels}
-        for name, kernel in kernels.items():
-            for _ in range(spec.REFERENCE_REPEATS):
-                t0 = time.perf_counter()
-                kernel()
-                times[name].append(time.perf_counter() - t0)
-        print(json.dumps(times), flush=True)
+        t0 = time.perf_counter()
+        kernel()
+        print(time.perf_counter() - t0, flush=True)
     return 0
 
 

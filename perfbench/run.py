@@ -14,12 +14,13 @@ which every other problem runs with spans installed (``spans.py``).
 The environment header, each metric with its unit, and per-problem
 records go to the lines before it and to ``perfbench/out/``.
 
-Every time is reported at reference-machine speed: two fixed kernels,
-one BLAS-bound and one interpreter-bound, are timed in a helper process
-(``reference.py``) before each set-up and each problem, and wall times
-are scaled by the geometric mean of their nominal over median measured
-times, so the drift in speed of a shared machine cancels.  Raw wall
-times are kept in the detail file.
+Every time is reported at reference-machine speed: a fixed kernel, the
+dense pipeline in plain numpy/scipy, is timed in a helper process
+(``reference.py``) before each set-up and every
+``spec.REFERENCE_EVERY_S`` seconds between problems, and wall times are
+scaled by its nominal over its median measured time, so slow drift in
+the speed of a shared machine cancels.  Raw wall times are kept in the
+detail file.
 """
 
 import sys
@@ -32,6 +33,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import platform
 import resource
@@ -52,8 +54,8 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 
 NPROC = len(os.sched_getaffinity(0))
-SETUP_SAMPLES = 5  # setup_s is the median of this many fresh set-ups
-IMPORT_SAMPLES = 5  # startup and import times are medians of this many imports
+SETUP_SAMPLES = 3  # setup_s is the median of this many fresh set-ups
+IMPORT_SAMPLES = 9  # startup and import times are medians of this many imports
 ORACLE_PROBLEMS = 3  # oracle_err_max covers the warm-up and timed problems 1..this
 CHILD_TIMEOUT_S = 60
 IDLE_WAIT_LIMIT_S = 1.0  # BLAS threads spin for about 0.1 s after a call
@@ -107,7 +109,7 @@ def record(chk: workloads.Checks, wall: float, traced: bool, **extra) -> dict:
 
 def library_problem(dc, name: str, seed: int, index: int, tracer=None) -> dict:
     draw, solve = workloads.LIBRARY[name]
-    params = draw(workloads.problem_rng(seed, index))
+    params = draw(seed, index)
     chk = workloads.Checks()
     ctx = tracer.installed() if tracer else contextlib.nullcontext()
     with ctx:
@@ -284,21 +286,23 @@ def wait_for_idle_threads() -> None:
 
 
 class Reference:
-    """The machine-speed kernels of ``reference.py``, in a helper process.
+    """The machine-speed kernel of ``reference.py``, in a helper process.
 
     The helper gets an explicit BLAS thread count (nproc) and neither
     dropcap nor its thread setting, so nothing dropcap does to its own
-    threads or heap reaches the kernels.  Its idle BLAS threads sleep at
+    threads or heap reaches the kernel.  Its idle BLAS threads sleep at
     once rather than spin into the next problem.  measure() runs the
-    kernels while the driver waits; speed() is the geometric mean over
-    the kernels of nominal time / median measured time: about 1 on an
-    idle reference machine, below 1 while neighbours slow this one down.
+    kernel while the driver waits, due() says whether REFERENCE_EVERY_S
+    have passed since the last measurement, and speed() is nominal time /
+    median measured time: about 1 on the reference machine, below 1 while
+    neighbours slow this one down.
     """
 
     def __init__(self, env):
         env = {k: v for k, v in env.items() if k not in ("PYTHONPATH", "DROPCAP_THREADS")}
         env.update({var: str(NPROC) for var in THREAD_VARS}, OPENBLAS_THREAD_TIMEOUT="4")
-        self.times: dict[str, list[float]] = {name: [] for name in spec.REFERENCE_NOMINAL_S}
+        self.times: list[float] = []
+        self._last = -math.inf
         self._proc = subprocess.Popen(
             [sys.executable, str(HERE / "reference.py")],
             cwd=ROOT,
@@ -318,15 +322,14 @@ class Reference:
         line = self._proc.stdout.readline()
         if not line:
             raise SetupError(f"reference kernel process exited ({self._proc.poll()})")
-        for name, times in json.loads(line).items():
-            self.times[name].extend(times)
+        self.times.append(float(line))
+        self._last = time.perf_counter()
 
-    def speeds(self) -> dict:
-        """Nominal over median measured time, per kernel."""
-        return {name: spec.REFERENCE_NOMINAL_S[name] / statistics.median(t) for name, t in self.times.items()}
+    def due(self) -> bool:
+        return time.perf_counter() - self._last >= spec.REFERENCE_EVERY_S
 
     def speed(self) -> float:
-        return statistics.geometric_mean(self.speeds().values())
+        return spec.REFERENCE_NOMINAL_S / statistics.median(self.times)
 
     def close(self) -> None:
         self._proc.stdin.close()
@@ -342,8 +345,11 @@ def timed_loop(seconds: float, step, trace: bool, reference: Reference, round_le
     """Closed loop of problems until `seconds` have passed at a round boundary.
 
     At least `min_problems` run, so the problems oracle_err_max covers
-    run on any commit.  The reference kernel runs before every problem,
-    outside its timing.  A traced run alternates untraced and traced
+    run on any commit.  The reference kernel runs between problems when
+    due, outside the problems' timing.  An untraced loop of rounds of
+    mixed problems stops only after an odd number of rounds: then the
+    median of the pooled problems falls on one problem's time, not midway
+    between two kinds.  A traced run alternates untraced and traced
     rounds, starting untraced, and always runs at least one of each.
     """
     if trace:
@@ -353,12 +359,15 @@ def timed_loop(seconds: float, step, trace: bool, reference: Reference, round_le
     i = 1
     t0 = time.perf_counter()
     while True:
-        reference.measure()
+        if reference.due():
+            reference.measure()
         traced = trace and ((i - 1) // round_len) % 2 == 1
         records.append(step(i, tracer if traced else None))
         i += 1
-        if (i - 1) % round_len == 0 and i > min_problems and time.perf_counter() - t0 >= seconds:
-            break
+        rounds, partial = divmod(i - 1, round_len)
+        if partial == 0 and i > min_problems and time.perf_counter() - t0 >= seconds:
+            if trace or round_len == 1 or rounds % 2 == 1:
+                break
     return records, tracer
 
 
@@ -443,7 +452,6 @@ def main(argv=None) -> int:
         finally:
             reference.close()
         run["speed"] = reference.speed()
-        run["kernel_speeds"] = reference.speeds()
     except (SetupError, ImportError, subprocess.SubprocessError) as err:
         print(f"perfbench: {err}", file=sys.stderr)
         return 2
@@ -474,7 +482,7 @@ def main(argv=None) -> int:
         "metrics": metrics,
         "raw_metrics": raw,
         "machine_speed": run["speed"],
-        "kernel_speeds": run["kernel_speeds"],
+        "reference_times_s": reference.times,
         "notes": notes,
         "setup": run["setup"],
         "records": run["records"],

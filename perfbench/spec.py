@@ -19,25 +19,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_PATH = ROOT / "BENCHMARK.json"
 
-RUN_SECONDS = 12
+RUN_SECONDS = 20
 
-# Reference kernels (reference.py): a BLAS kernel, solve(A + n I, A @ A)
-# for a fixed n x n Gaussian A, and an interpreter-bound one, each run
-# REFERENCE_REPEATS times before every set-up and problem in a helper
-# process with BLAS pinned to nproc threads.  Every time metric is
-# reported at reference-machine speed: wall time x the geometric mean,
-# over the two kernels, of nominal time / median time measured during
-# the run.  So drift in the speed of a shared machine cancels.  Under
-# load the BLAS kernel slows more than the workloads do (its short
-# parallel calls wait on a descheduled thread) and the interpreter
-# kernel less; their geometric mean tracked the workloads better than
-# either alone (perfbench/README.md).  The nominal times are medians on a
-# 2-core Xeon VM at 2.1 GHz with OpenBLAS 0.3.31 and 2 threads: the BLAS
-# kernel's on the idle VM, the interpreter kernel's over 40 runs of the
-# benchmark.
-REFERENCE_N = 600
-REFERENCE_NOMINAL_S = {"blas": 0.025, "python": 0.033}
-REFERENCE_REPEATS = 3
+# Reference kernel (reference.py): the dense pipeline in plain
+# numpy/scipy (1/r matrix, LU, solve) on a fixed cloud of REFERENCE_N
+# points.  A helper process with BLAS pinned to nproc threads runs it
+# before each set-up and then between problems, at most once per
+# REFERENCE_EVERY_S seconds.  Every time metric is reported at
+# reference-machine speed: wall time x nominal time / median time
+# measured during the run, so slow drift in the speed of a shared
+# machine cancels (perfbench/README.md).  The nominal time is the median
+# over 44 runs on a 2-core Xeon VM with OpenBLAS 0.3.31 and 2 threads.
+REFERENCE_N = 1500
+REFERENCE_NOMINAL_S = 0.19
+REFERENCE_EVERY_S = 2.0
 
 # Relative-error tolerances of the closed-form oracles.  Each is a few
 # times the error the seed commit shows at the workload's resolution

@@ -196,9 +196,11 @@ def test_closed_forms():
 
 def test_inputs_follow_the_seed():
     draw = workloads.draw_dense_solve
-    assert draw(workloads.problem_rng(3, 1)) == draw(workloads.problem_rng(3, 1))
-    assert draw(workloads.problem_rng(3, 1)) != draw(workloads.problem_rng(3, 2))
-    assert draw(workloads.problem_rng(3, 1)) != draw(workloads.problem_rng(4, 1))
+    assert draw(3, 1) == draw(3, 1)
+    assert draw(3, 1) != draw(3, 2)
+    assert draw(3, 1) != draw(4, 1)
+    modes = [workloads.draw_shape_scan(3, i)["l"] for i in range(6)]
+    assert sorted(modes[:3]) == [2, 3, 4] and modes[3:] == modes[:3]
     argv = [c["argv"] for c in workloads.cli_round(5)]
     assert argv == [c["argv"] for c in workloads.cli_round(5)]
     assert any(a.startswith("--field=") for a in argv[4])
@@ -266,8 +268,7 @@ def test_reference_kernel_answers_each_line_and_exits_on_eof():
     assert proc.returncode == 0
     ready, *answers = proc.stdout.splitlines()
     assert ready == "ready" and len(answers) == 2
-    for answer in map(json.loads, answers):
-        assert {k: len(v) for k, v in answer.items()} == {k: spec.REFERENCE_REPEATS for k in spec.REFERENCE_NOMINAL_S}
+    assert all(float(t) > 0 for t in answers)
 
 
 def test_refuses_when_numpy_is_loaded_first():

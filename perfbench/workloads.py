@@ -95,7 +95,8 @@ def _field(rng: random.Random) -> tuple[float, float, float]:
 # library workloads
 
 
-def draw_dense_solve(rng: random.Random) -> dict:
+def draw_dense_solve(seed: int, index: int) -> dict:
+    rng = problem_rng(seed, index)
     return {"R": rng.uniform(0.8, 1.25), "field": _field(rng), "R_volume": rng.uniform(0.8, 1.25)}
 
 
@@ -116,7 +117,8 @@ def solve_dense_solve(dc, p: dict, chk: Checks) -> None:
     chk.residual("entropic EL residual", en.el_residual, en.multiplier)
 
 
-def draw_support_collapse(rng: random.Random) -> dict:
+def draw_support_collapse(seed: int, index: int) -> dict:
+    rng = problem_rng(seed, index)
     return {"R_volume": rng.uniform(0.8, 1.25), "R_annulus": rng.uniform(0.8, 1.25)}
 
 
@@ -136,8 +138,10 @@ def solve_support_collapse(dc, p: dict, chk: Checks) -> None:
     chk.require(f"annulus inner mass {inner:.3g} > {TOL['inner_mass']:g}", inner <= TOL["inner_mass"])
 
 
-def draw_shape_scan(rng: random.Random) -> dict:
-    return {"seed": rng.randrange(2**31), "l": rng.choice((2, 3, 4))}
+def draw_shape_scan(seed: int, index: int) -> dict:
+    """l cycles through 2, 3, 4 in a seeded order, so every run has the same mix."""
+    modes = random.Random(f"{seed}:l").sample((2, 3, 4), 3)
+    return {"seed": problem_rng(seed, index).randrange(2**31), "l": modes[index % 3]}
 
 
 def solve_shape_scan(dc, p: dict, chk: Checks) -> None:
