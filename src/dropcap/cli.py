@@ -21,7 +21,7 @@ import numpy as np
 
 from . import shapes as shp
 from .clouds import default_role, discretize
-from .entropic import entropic_energy, solve_entropic
+from .entropic import EntropicEnergy, solve_entropic
 from .equilibrium import (
     drop_energy,
     equilibrium_measure,
@@ -226,7 +226,7 @@ def _run_entropic(args):
     res = solve_entropic(cloud)
     result = res.summary()
     if args.Q is not None:
-        total = entropic_energy(shape, args.Q, n_nodes=args.M)
+        total = EntropicEnergy.of(shape, args.Q, res)
         result["charge"] = args.Q
         result["total_energy"] = total.total
         result["perimeter"] = total.perimeter

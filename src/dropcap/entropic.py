@@ -12,7 +12,8 @@ on volume clouds with cell volumes V:
 
     minimize m.T G m,  G = K/(4 pi) + diag(1/V),  sum(m) = 1,
 
-one bordered linear solve with the sign left unconstrained; the true
+with the sign left unconstrained: one unit-charge solve against the
+positive definite 2G by Cholesky, m = (2G)^-1 1 / 1'(2G)^-1 1.  The true
 minimizer comes out nonnegative on its own, and nonnegativity is
 reported as a diagnostic rather than enforced.  At the optimum the
 Euler-Lagrange relation (1/2 pi) v_i + 2 rho_i = lambda holds at every
@@ -29,6 +30,7 @@ from . import shapes as shp
 from .clouds import NodeCloud, discretize
 from .errors import UnsupportedConfigurationError, ValidationError
 from .kernels import KernelParams
+from .linalg import bordered_solve, spd_factor, symv, unit_charge_solve
 from .operators import assemble_operator
 
 __all__ = [
@@ -79,22 +81,23 @@ def solve_entropic(cloud: NodeCloud) -> DensityResult:
             "the entropy-penalized energy is posed in dimension 3"
         )
     params = KernelParams(3, 2.0)
-    op = assemble_operator(cloud, params)
-    G = op.matrix / params.pde_constant + np.diag(1.0 / cloud.weights)
-    n = cloud.n_nodes
-    A = np.empty((n + 1, n + 1))
-    A[:n, :n] = 2.0 * G
-    A[:n, n] = 1.0
-    A[n, :n] = 1.0
-    A[n, n] = 0.0
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    sol = np.linalg.solve(A, b)
-    m = sol[:n]
-    lam = -float(sol[n])
-    value = float(m @ (G @ m))
-    el = float(np.max(np.abs(2.0 * (G @ m) - lam)))
-    coulomb = float(m @ (op.matrix @ m)) / params.pde_constant
+    K = assemble_operator(cloud, params).matrix
+
+    def two_g():
+        A = K * (2.0 / params.pde_constant)
+        A.flat[:: A.shape[0] + 1] += 2.0 / cloud.weights
+        return A
+
+    factor = spd_factor(two_g(), overwrite=True)
+    if factor is not None:
+        m, lam = unit_charge_solve(factor)
+    else:
+        m, lam = bordered_solve(two_g())
+    Km = symv(K, m)
+    Gm = Km / params.pde_constant + m / cloud.weights
+    value = float(m @ Gm)
+    el = float(np.max(np.abs(2.0 * Gm - lam)))
+    coulomb = float(m @ Km) / params.pde_constant
     penalty = float(np.sum(m * m / cloud.weights))
     return DensityResult(
         cloud=cloud,
@@ -117,6 +120,21 @@ class EntropicEnergy:
     total: float
     el_residual: float
 
+    @classmethod
+    def of(
+        cls, shape: shp.Shape, charge: float, result: DensityResult
+    ) -> EntropicEnergy:
+        """Drop energy of a shape from its solved penalized density."""
+        per = shp.perimeter(shape)
+        q = float(charge)
+        return cls(
+            perimeter=per,
+            charge=q,
+            J_value=result.J_value,
+            total=per + q * q * result.J_value,
+            el_residual=result.el_residual,
+        )
+
     def summary(self) -> dict:
         return {
             "perimeter": self.perimeter,
@@ -130,16 +148,7 @@ class EntropicEnergy:
 def entropic_energy(shape: shp.Shape, charge: float, n_nodes: int = 2000) -> EntropicEnergy:
     """Drop energy with the entropy-penalized interaction term."""
     cloud = discretize(shape, n_nodes, "volume")
-    res = solve_entropic(cloud)
-    per = shp.perimeter(shape)
-    q = float(charge)
-    return EntropicEnergy(
-        perimeter=per,
-        charge=q,
-        J_value=res.J_value,
-        total=per + q * q * res.J_value,
-        el_residual=res.el_residual,
-    )
+    return EntropicEnergy.of(shape, charge, solve_entropic(cloud))
 
 
 def entropic_ball_value(radius: float) -> float:

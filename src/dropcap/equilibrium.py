@@ -11,8 +11,11 @@ K @ m equals a constant on the support and dominates it elsewhere.  The
 constant is the minimal energy itself; its reciprocal (or, for the
 logarithmic kernel, its negative exponential) is the capacity.  An
 active-set method solves the program to round-off in a handful of
-bordered linear solves, starting from all nodes active and deactivating
-negative masses until complementarity holds.
+unit-charge solves on the working set, starting from all nodes active
+and deactivating negative masses until complementarity holds.  For the
+Riesz kernels each solve is a Cholesky solve, and the full operator's
+factor is cached on it; the planar logarithmic kernel, only
+conditionally positive definite, solves the bordered system by LU.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import shapes as shp
 from .clouds import NodeCloud, default_role, discretize
 from .errors import NonConvergenceError, ValidationError
 from .kernels import KernelParams
+from .linalg import bordered_solve, spd_factor, symv, unit_charge_solve
 from .operators import KernelOperator, assemble_operator, potential_at
 
 __all__ = [
@@ -111,23 +115,6 @@ class EquilibriumResult:
 # simplex-constrained quadratic solver
 
 
-def _bordered_solve(K: np.ndarray, idx: np.ndarray):
-    """Stationarity system restricted to nodes idx with the mass constraint."""
-    n = len(idx)
-    A = np.empty((n + 1, n + 1))
-    A[:n, :n] = K[np.ix_(idx, idx)]
-    A[:n, n] = -1.0
-    A[n, :n] = 1.0
-    A[n, n] = 0.0
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    try:
-        sol = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(A, b, rcond=None)[0]
-    return sol[:n], float(sol[n])
-
-
 def _kkt_residual(v: np.ndarray, m: np.ndarray, lam: float):
     active = m > 0.0
     on = float(np.max(np.abs(v[active] - lam))) if active.any() else np.inf
@@ -146,14 +133,14 @@ def _project_simplex(x: np.ndarray) -> np.ndarray:
 def _projected_gradient(K: np.ndarray, m0: np.ndarray, iters: int = 500):
     """Slow but robust polish used only if the active-set loop stalls."""
     m = _project_simplex(np.array(m0, dtype=float))
-    f = float(m @ K @ m)
+    f = float(m @ symv(K, m))
     step = 1.0 / max(np.linalg.norm(K, ord=np.inf), 1.0)
     for _ in range(iters):
-        g = 2.0 * (K @ m)
+        g = 2.0 * symv(K, m)
         s = step
         for _ in range(40):
             trial = _project_simplex(m - s * g)
-            ft = float(trial @ K @ trial)
+            ft = float(trial @ symv(K, trial))
             if ft <= f:
                 break
             s *= 0.5
@@ -166,13 +153,15 @@ def _projected_gradient(K: np.ndarray, m0: np.ndarray, iters: int = 500):
 
 
 def solve_simplex_qp(
-    K: np.ndarray,
+    K: np.ndarray | KernelOperator,
     tol: float = 1e-10,
     max_iter: int = 200,
     start_active: np.ndarray | None = None,
 ):
     """Minimize m.T K m over the probability simplex by active sets.
 
+    K is a symmetric matrix or an assembled operator, whose cached
+    Cholesky factor then serves the steps with every node active.
     Returns (masses, multiplier, iterations, kkt_residual); the
     multiplier equals the minimum value.  start_active selects the
     initial working set (all nodes by default); wrong guesses are
@@ -180,10 +169,28 @@ def solve_simplex_qp(
     same minimizer.  Raises NonConvergenceError, carrying the best
     iterate, if the tolerance cannot be met.
     """
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValidationError("operator must be a square matrix")
+    if isinstance(K, KernelOperator):
+        op, K = K, K.matrix
+    else:
+        op = None
+        K = np.ascontiguousarray(K, dtype=float)
+        if K.ndim != 2 or K.shape[0] != K.shape[1]:
+            raise ValidationError("operator must be a square matrix")
     n = K.shape[0]
+
+    def unit_charge(idx):
+        """Masses and multiplier on the working set idx, None for every node."""
+        if op is None or not op.params.is_log:
+            if idx is not None:
+                factor = spd_factor(K[np.ix_(idx, idx)], overwrite=True)
+            elif op is not None:
+                factor = op.cholesky
+            else:
+                factor = spd_factor(K)
+            if factor is not None:
+                return unit_charge_solve(factor)
+        return bordered_solve(K, idx)
+
     if start_active is None:
         active = np.ones(n, dtype=bool)
     else:
@@ -193,7 +200,6 @@ def solve_simplex_qp(
     seen: set[bytes] = set()
     single = False
     m = np.full(n, 1.0 / n)
-    lam = float(m @ K @ m)
     for it in range(1, max_iter + 1):
         key = active.tobytes()
         if key in seen:
@@ -201,7 +207,7 @@ def solve_simplex_qp(
             seen.clear()
         seen.add(key)
         idx = np.flatnonzero(active)
-        m_act, lam = _bordered_solve(K, idx)
+        m_act, lam = unit_charge(None if len(idx) == n else idx)
         neg = m_act < -_NEG_TOL
         if neg.any():
             if single:
@@ -214,7 +220,7 @@ def solve_simplex_qp(
         m = np.zeros(n)
         m[idx] = np.clip(m_act, 0.0, None)
         scale = max(abs(lam), 1.0)
-        v = K @ m
+        v = symv(K, m)
         gap = lam - v
         gap[active] = -np.inf
         viol = gap > tol * scale
@@ -229,8 +235,9 @@ def solve_simplex_qp(
         else:
             active[viol] = True
     m = _projected_gradient(K, m)
-    lam = float(m @ K @ m)
-    resid = _kkt_residual(K @ m, m, lam)
+    v = symv(K, m)
+    lam = float(m @ v)
+    resid = _kkt_residual(v, m, lam)
     if resid <= tol * max(abs(lam), 1.0):
         return m, lam, max_iter, resid
     raise NonConvergenceError(
@@ -269,9 +276,9 @@ def equilibrium_measure(
     if not isinstance(op, KernelOperator):
         raise ValidationError("equilibrium_measure expects an assembled operator")
     masses, lam, iters, resid = solve_simplex_qp(
-        op.matrix, tol=tol, max_iter=max_iter, start_active=start_active
+        op, tol=tol, max_iter=max_iter, start_active=start_active
     )
-    v = op.matrix @ masses
+    v = op.apply(masses)
     return EquilibriumResult(
         measure=Measure(cloud=op.cloud, masses=masses),
         params=op.params,

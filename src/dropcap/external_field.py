@@ -7,7 +7,9 @@ The conductor carries zero net charge; the field rearranges charge until
 is minimal over signed measures of zero total mass, phi being the
 external potential.  Discretely this is the construction used in the
 existence proof: solve K w0 = -phi/2 and K w1 = 1 against the same
-operator, set lambda = -sum(w0)/sum(w1), and return w = w0 + lambda w1.
+operator (one solve with both right-hand sides, by the operator's
+cached Cholesky factor), set lambda = -sum(w0)/sum(w1), and return
+w = w0 + lambda w1.
 At the optimum the stationarity relation 2 v + phi = 2 lambda holds at
 every node, and for any zero-sum competitor nu the exact identity
 F(nu) - F(mu) = I(nu - mu) >= 0 certifies minimality.  Only the
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import cho_solve, lu_factor, lu_solve
 
 from . import shapes as shp
 from .clouds import NodeCloud, discretize
@@ -135,10 +137,11 @@ class FieldResult:
 def solve_external(op: KernelOperator, field) -> FieldResult:
     """Minimize I(w) + phi.w over zero-sum nodal measures.
 
-    Two solves against the same operator: K w0 = -phi/2 and K w1 = 1;
-    the multiplier lambda = -sum(w0)/sum(w1) restores neutrality and
-    w = w0 + lambda w1.  field is a LinearPotential or a callable
-    mapping points to potential values.
+    One solve against the operator with two right-hand sides, K w0 =
+    -phi/2 and K w1 = 1, by its cached Cholesky factor (LU if Cholesky
+    rejects the matrix); the multiplier lambda = -sum(w0)/sum(w1)
+    restores neutrality and w = w0 + lambda w1.  field is a
+    LinearPotential or a callable mapping points to potential values.
     """
     if op.params.alpha != 2.0 or op.params.is_log:
         raise UnsupportedConfigurationError(
@@ -149,16 +152,18 @@ def solve_external(op: KernelOperator, field) -> FieldResult:
             "the external-field problem is posed in dimension >= 3"
         )
     phi = _potential_of(field, op.cloud.points)
-    lu = lu_factor(op.matrix)
-    w0 = lu_solve(lu, -0.5 * phi)
-    w1 = lu_solve(lu, np.ones(op.n_nodes))
+    rhs = np.column_stack([-0.5 * phi, np.ones(op.n_nodes)])
+    if op.cholesky is not None:
+        w0, w1 = cho_solve(op.cholesky, rhs, check_finite=False).T
+    else:
+        w0, w1 = lu_solve(lu_factor(op.matrix, check_finite=False), rhs).T
     denom = float(w1.sum())
     if abs(denom) < 1e-300:
         raise ValidationError("degenerate operator: unit potential has zero charge")
     lam = -float(w0.sum()) / denom
     w = w0 + lam * w1
     w = w - w.sum() / len(w)
-    v = op.matrix @ w
+    v = op.apply(w)
     el = float(np.max(np.abs(2.0 * v + phi - 2.0 * lam)))
     interaction = float(w @ v)
     external = float(phi @ w)
@@ -188,11 +193,13 @@ def induced_charge(
 
 def field_energy(measure: SignedMeasure, op: KernelOperator, field) -> float:
     """Total energy I(w) + phi.w of a zero-sum nodal measure."""
-    if measure.cloud is not op.cloud and measure.cloud.n_nodes != op.n_nodes:
+    if measure.cloud is not op.cloud and not np.array_equal(
+        measure.cloud.points, op.cloud.points
+    ):
         raise ValidationError("measure and operator live on different clouds")
     w = measure.masses
     phi = _potential_of(field, measure.cloud.points)
-    return float(w @ (op.matrix @ w)) + float(phi @ w)
+    return op.energy(w) + float(phi @ w)
 
 
 def verify_optimality(
@@ -218,7 +225,7 @@ def verify_optimality(
         d -= d.mean()
         nu = SignedMeasure(cloud=result.cloud, masses=w + d)
         lhs = field_energy(nu, op, field) - result.F_value
-        rhs = float(d @ (op.matrix @ d))
+        rhs = op.energy(d)
         denom = max(abs(lhs), abs(rhs), 1e-30)
         worst_identity = max(worst_identity, abs(lhs - rhs) / denom)
         worst_gap = min(worst_gap, lhs)

@@ -167,7 +167,7 @@ def _droplet_interaction_numeric(n, r, charge, dim, alpha, separation, nodes):
     template = discretize(shp.Ball((0.0,) * dim, r), nodes, "volume")
     op = assemble_operator(template, params)
     u = template.weights / template.weights.sum() * (charge / n)
-    self_one = float(u @ (op.matrix @ u))
+    self_one = op.energy(u)
     total = n * self_one
     centers = [
         np.array((separation * i,) + (0.0,) * (dim - 1)) for i in range(1, n + 1)
@@ -208,7 +208,7 @@ def two_balls_field_family(
     template = discretize(shp.Ball((0.0,) * dim, r), n_nodes, "volume")
     op = assemble_operator(template, params)
     u_num = template.weights.copy()
-    self_num = float(u_num @ (op.matrix @ u_num))
+    self_num = op.energy(u_num)
     q = unit_ball_volume(dim) * r**dim
     self_exact = q**2 * uniform_ball_self_energy(dim, 2.0) * r ** (2.0 - dim)
     perim = 2.0 * unit_sphere_area(dim) * r ** (dim - 1)
@@ -273,7 +273,7 @@ def slab_family(n_list, field_strength: float, n_nodes: int = 1000) -> dict:
         raise DiscretizationError("cap resolution too small to resolve the end caps")
     op = assemble_operator(template, params)
     u = template.weights / template.weights.sum()
-    cube_num = float(u @ (op.matrix @ u))
+    cube_num = op.energy(u)
     cube_exact = unit_cube_self_energy()
     points = []
     for n in sorted(int(n) for n in n_list):

@@ -14,6 +14,7 @@ M around 2000.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -28,6 +29,7 @@ from .kernels import (
     uniform_ball_self_energy,
     unit_ball_volume,
 )
+from .linalg import spd_factor, symv
 
 __all__ = [
     "KernelOperator",
@@ -39,7 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """Symmetric kernel matrix with its cloud and kernel provenance."""
+    """Symmetric kernel matrix with its cloud and kernel provenance.
+
+    The Cholesky factor is computed on first use and kept, so every
+    solve against one operator shares a single factorization.
+    """
 
     matrix: np.ndarray
     cloud: NodeCloud
@@ -58,13 +64,25 @@ class KernelOperator:
     def n_nodes(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def cholesky(self):
+        """scipy Cholesky factor of the matrix, or None.
+
+        None for the planar logarithmic kernel, which is only
+        conditionally positive definite, and for a matrix that Cholesky
+        rejects; those operators are solved through the bordered system.
+        """
+        if self.params.is_log:
+            return None
+        return spd_factor(self.matrix)
+
     def apply(self, masses) -> np.ndarray:
-        return self.matrix @ np.asarray(masses, dtype=float)
+        return symv(self.matrix, masses)
 
     def energy(self, masses) -> float:
         """Full double interaction integral of a nodal measure."""
         m = np.asarray(masses, dtype=float)
-        return float(m @ (self.matrix @ m))
+        return float(m @ symv(self.matrix, m))
 
 
 def diagonal_self_energy(cloud: NodeCloud, params: KernelParams) -> np.ndarray:

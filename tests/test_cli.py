@@ -113,6 +113,29 @@ def test_entropic_subcommand(capsys):
     assert result["el_residual"] <= 1e-8
 
 
+def test_entropic_charge_reuses_the_solve(capsys, monkeypatch):
+    import dropcap.cli
+    import dropcap.entropic
+
+    calls = []
+    original = dropcap.entropic.solve_entropic
+
+    def counted(cloud):
+        calls.append(cloud.n_nodes)
+        return original(cloud)
+
+    monkeypatch.setattr(dropcap.cli, "solve_entropic", counted)
+    monkeypatch.setattr(dropcap.entropic, "solve_entropic", counted)
+    code, out, _ = run_cli(
+        ["entropic", "--shape", BALL_JSON, "--M", "300", "--Q", "2"], capsys
+    )
+    assert code == 0
+    assert len(calls) == 1
+    result = json.loads(out)["result"]
+    assert result["perimeter"] == pytest.approx(4.0 * np.pi, rel=1e-12)
+    assert result["total_energy"] == result["perimeter"] + 4.0 * result["J_value"]
+
+
 def test_energy_subcommand_csv(capsys):
     code, out, _ = run_cli(
         ["energy", "--shape", BALL_JSON, "--Q", "2", "--M", "500", "--format", "csv"],

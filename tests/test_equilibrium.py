@@ -30,6 +30,13 @@ def test_active_set_drops_dominated_node():
     np.testing.assert_allclose(m[:2], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-10)
 
 
+def test_singular_system_falls_back_to_least_squares():
+    m, lam, _, resid = solve_simplex_qp(np.ones((2, 2)))
+    np.testing.assert_allclose(m, [0.5, 0.5], rtol=1e-12)
+    assert lam == pytest.approx(1.0, rel=1e-12)
+    assert resid < 1e-12
+
+
 def test_ball_energy_matches_newton(ball_eq_2000):
     assert ball_eq_2000.energy == pytest.approx(oracles.newton_ball_energy(1.0), rel=0.01)
     assert ball_eq_2000.capacity == pytest.approx(1.0, rel=0.01)

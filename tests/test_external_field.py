@@ -94,6 +94,20 @@ def test_field_energy_consistency(ball_op_2000, sphere_field_2000):
     assert F == pytest.approx(sphere_field_2000.F_value, rel=1e-12)
 
 
+def test_field_energy_rejects_a_measure_from_another_cloud(ball_op_2000):
+    other = dc.discretize(dc.Ball((0.0, 0.0, 0.0), 2.0), 2000, "boundary")
+    assert other.n_nodes == ball_op_2000.n_nodes
+    w = np.zeros(other.n_nodes)
+    w[:2] = (1.0, -1.0)
+    with pytest.raises(ValidationError):
+        dc.field_energy(dc.SignedMeasure(other, w), ball_op_2000, E1)
+    # the same points under another cloud object are accepted
+    same = dc.discretize(BALL3, 2000, "boundary")
+    assert same is not ball_op_2000.cloud
+    F = dc.field_energy(dc.SignedMeasure(same, w), ball_op_2000, E1)
+    assert F == pytest.approx(ball_op_2000.energy(w) + E1.potential_values(same.points) @ w)
+
+
 def test_signed_measure_must_balance(ball_cloud_2000):
     n = ball_cloud_2000.n_nodes
     with pytest.raises(ConstraintViolationError):
