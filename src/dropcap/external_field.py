@@ -7,9 +7,9 @@ The conductor carries zero net charge; the field rearranges charge until
 is minimal over signed measures of zero total mass, phi being the
 external potential.  Discretely this is the construction used in the
 existence proof: solve K w0 = -phi/2 and K w1 = 1 against the same
-operator (one solve with both right-hand sides, by the operator's
-cached Cholesky factor), set lambda = -sum(w0)/sum(w1), and return
-w = w0 + lambda w1.
+operator (w0 by conjugate gradients, w1 being the operator's cached
+K^-1 1, shared with its equilibrium solve), set
+lambda = -sum(w0)/sum(w1), and return w = w0 + lambda w1.
 At the optimum the stationarity relation 2 v + phi = 2 lambda holds at
 every node, and for any zero-sum competitor nu the exact identity
 F(nu) - F(mu) = I(nu - mu) >= 0 certifies minimality.  Only the
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from . import shapes as shp
 from .clouds import NodeCloud, discretize
@@ -31,6 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import KernelParams
+from .linalg import cg_solve
 from .operators import KernelOperator, assemble_operator
 
 __all__ = [
@@ -137,10 +138,9 @@ class FieldResult:
 def solve_external(op: KernelOperator, field) -> FieldResult:
     """Minimize I(w) + phi.w over zero-sum nodal measures.
 
-    One solve against the operator with two right-hand sides, K w0 =
-    -phi/2 and K w1 = 1, by its cached Cholesky factor (LU if Cholesky
-    rejects the matrix); the multiplier lambda = -sum(w0)/sum(w1)
-    restores neutrality and w = w0 + lambda w1.  field is a
+    K w0 = -phi/2 by conjugate gradients, and w1 = K^-1 1 cached on the
+    operator (both by one LU of K if CG fails); the multiplier
+    lambda = -sum(w0)/sum(w1) restores neutrality and w = w0 + lambda w1.  field is a
     LinearPotential or a callable mapping points to potential values.
     """
     if op.params.alpha != 2.0 or op.params.is_log:
@@ -152,10 +152,10 @@ def solve_external(op: KernelOperator, field) -> FieldResult:
             "the external-field problem is posed in dimension >= 3"
         )
     phi = _potential_of(field, op.cloud.points)
-    rhs = np.column_stack([-0.5 * phi, np.ones(op.n_nodes)])
-    if op.cholesky is not None:
-        w0, w1 = cho_solve(op.cholesky, rhs, check_finite=False).T
-    else:
+    w1 = op.inverse_ones
+    w0 = None if w1 is None else cg_solve(op.apply, -0.5 * phi)
+    if w0 is None:
+        rhs = np.column_stack([-0.5 * phi, np.ones(op.n_nodes)])
         w0, w1 = lu_solve(lu_factor(op.matrix, check_finite=False), rhs).T
     denom = float(w1.sum())
     if abs(denom) < 1e-300:

@@ -84,12 +84,15 @@ class KernelParams:
         return (self.dim - 2) * unit_sphere_area(self.dim)
 
 
-def kernel_of_distance(params: KernelParams, r):
-    """Kernel value as a function of separation distance (vectorized)."""
+def kernel_of_distance(params: KernelParams, r, out=None):
+    """Kernel value as a function of separation distance (vectorized).
+
+    out, as for a numpy ufunc, receives the values; it may be r itself.
+    """
     r = np.asarray(r, dtype=float)
     if params.is_log:
-        return -np.log(r)
-    return r ** (params.alpha - params.dim)
+        return np.negative(np.log(r, out=out), out=out)
+    return np.power(r, params.alpha - params.dim, out=out)
 
 
 def kernel_eval(params: KernelParams, x, y) -> float:

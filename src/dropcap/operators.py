@@ -9,6 +9,10 @@ on surfaces in 3d, a straight segment of the cell's length on curves in
 m.T @ K @ m is an accurate estimate of the full double interaction
 integral, and the ball and circle oracles hold at the percent level by
 M around 2000.
+
+The matrix is the operator's only n^2 buffer: the kernel is evaluated
+in place over the pairwise distances, and the Riesz solves use only
+products with K (see dropcap.linalg), caching the n values K^-1 1.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .kernels import (
     uniform_ball_self_energy,
     unit_ball_volume,
 )
-from .linalg import spd_factor, symv
+from .linalg import cg_solve, symv
 
 __all__ = [
     "KernelOperator",
@@ -43,8 +47,8 @@ __all__ = [
 class KernelOperator:
     """Symmetric kernel matrix with its cloud and kernel provenance.
 
-    The Cholesky factor is computed on first use and kept, so every
-    solve against one operator shares a single factorization.
+    K^-1 1 is computed on first use and kept, so every solve against one
+    operator that needs it shares a single conjugate-gradient solve.
     """
 
     matrix: np.ndarray
@@ -65,16 +69,20 @@ class KernelOperator:
         return self.matrix.shape[0]
 
     @cached_property
-    def cholesky(self):
-        """scipy Cholesky factor of the matrix, or None.
+    def inverse_ones(self) -> np.ndarray | None:
+        """K^-1 1 by conjugate gradients, or None.
 
-        None for the planar logarithmic kernel, which is only
-        conditionally positive definite, and for a matrix that Cholesky
-        rejects; those operators are solved through the bordered system.
+        These are the masses whose potential is 1 at every node.  None
+        for the planar logarithmic kernel, which is only conditionally
+        positive definite, and when CG fails; those operators are solved
+        through the bordered system.
         """
         if self.params.is_log:
             return None
-        return spd_factor(self.matrix)
+        x = cg_solve(self.apply, np.ones(self.n_nodes))
+        if x is not None:
+            x.setflags(write=False)  # shared by every solve on this operator
+        return x
 
     def apply(self, masses) -> np.ndarray:
         return symv(self.matrix, masses)
@@ -115,7 +123,8 @@ def assemble_operator(cloud: NodeCloud, params: KernelParams) -> KernelOperator:
         )
     dist = cdist(cloud.points, cloud.points)
     np.fill_diagonal(dist, 1.0)
-    K = kernel_of_distance(params, dist)
+    # the kernel overwrites the distances: the operator holds one n^2 buffer
+    K = kernel_of_distance(params, dist, out=dist)
     np.fill_diagonal(K, diagonal_self_energy(cloud, params))
     if not np.all(np.isfinite(K)):
         raise ValidationError("operator has non-finite entries; nodes may coincide")
@@ -127,8 +136,9 @@ def potential_at(
 ) -> np.ndarray:
     """Potential of a nodal measure at arbitrary points.
 
-    A target that lands on a node exactly picks up that node's
-    desingularized self term instead of the singular kernel value.
+    A target within 1e-12 of the cloud's extent from a node counts as
+    landing on it, and picks up that node's desingularized self term
+    instead of the singular kernel value.
     """
     masses = np.asarray(masses, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -137,7 +147,7 @@ def potential_at(
     if targets.shape[1] != cloud.dim:
         raise ValidationError("target dimension does not match cloud")
     dist = cdist(targets, cloud.points)
-    hit = dist < 1e-12
+    hit = dist <= 1e-12 * float(np.ptp(cloud.points, axis=0).max())
     if hit.any():
         dist = np.where(hit, 1.0, dist)
     ker = kernel_of_distance(params, dist)

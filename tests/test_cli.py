@@ -59,6 +59,39 @@ def test_validation_failures_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_nonconvergence_exits_three_with_the_best_iterate(tmp_path, monkeypatch):
+    import dropcap.cli
+    from dropcap.errors import NonConvergenceError
+
+    M = 300
+    masses = np.full(M, 1.0 / M)
+
+    def stalled(op, tol, **kwargs):
+        assert op.n_nodes == M
+        raise NonConvergenceError("stalled", result=(masses, 0.987), residual=3.5e-4)
+
+    monkeypatch.setattr(dropcap.cli, "equilibrium_measure", stalled)
+    common = ["--shape", BALL_JSON, "--M", str(M)]
+
+    out = tmp_path / "capacity.json"
+    assert main(["capacity", *common, "--output", str(out)]) == 3
+    result = json.loads(out.read_text())["result"]
+    assert result["converged"] is False
+    assert result["riesz_energy"] == 0.987
+    assert result["kkt_residual"] == 3.5e-4
+
+    out = tmp_path / "equilibrium.json"
+    assert main(["equilibrium", *common, "--output", str(out)]) == 3
+    result = json.loads(out.read_text())["result"]
+    assert result == {"converged": False, "riesz_energy": 0.987, "kkt_residual": 3.5e-4}
+
+    out = tmp_path / "equilibrium.csv"
+    assert main(["equilibrium", *common, "--format", "csv", "--output", str(out)]) == 3
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == M
+    np.testing.assert_array_equal([float(r["mass"]) for r in rows], masses)
+
+
 def test_byte_identical_reruns(tmp_path):
     out = tmp_path / "run.json"
     args = ["capacity", "--shape", BALL_JSON, "--M", "300", "--output", str(out)]

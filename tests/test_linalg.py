@@ -1,15 +1,15 @@
-"""Solve back-ends: Cholesky against the bordered LU system, and factor reuse."""
+"""Solve back-ends: conjugate gradients against the bordered LU system, and solve reuse."""
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
 
 import dropcap as dc
-import dropcap.linalg
 from dropcap.equilibrium import solve_simplex_qp
-from dropcap.linalg import bordered_solve, spd_factor, unit_charge_solve
+from dropcap.linalg import bordered_solve, cg_solve, symv, unit_charge
 
 ORIGIN = (0.0, 0.0, 0.0)
 COULOMB = dc.KernelParams(3, 2.0)
@@ -38,8 +38,16 @@ class _Counter:
         return self.fn(*args, **kwargs)
 
 
-def _reject(*args, **kwargs):
-    raise LinAlgError("rejected for the test")
+def _fail(apply, b):
+    return None
+
+
+def _patch_cg(monkeypatch, replacement):
+    """Replace cg_solve under every name a dropcap module holds it by."""
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", None) or ""
+        if name.startswith("dropcap") and getattr(module, "cg_solve", None) is cg_solve:
+            monkeypatch.setattr(module, "cg_solve", replacement)
 
 
 def _max_rel(a, b):
@@ -55,11 +63,11 @@ def _operator(name, R, M):
 @pytest.mark.parametrize("name", sorted(CLOUDS))
 @generated
 @given(R=radii, M=node_counts)
-def test_cholesky_agrees_with_bordered_solve(name, R, M):
+def test_cg_agrees_with_bordered_solve(name, R, M):
     op = _operator(name, R, M)
     m, lam, iters, _ = solve_simplex_qp(op)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dropcap.linalg, "cho_factor", _reject)
+        _patch_cg(mp, _fail)
         m_lu, lam_lu, iters_lu, _ = solve_simplex_qp(op.matrix)
     assert iters == iters_lu
     assert _max_rel(m, m_lu) <= 1e-12
@@ -75,7 +83,8 @@ def test_restricted_unit_charge_solves_agree(R, M, seed):
     K = _operator("boundary ball, alpha=2", R, M).matrix
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(K), size=len(K) // 2, replace=False))
-    m, lam = unit_charge_solve(spd_factor(K[np.ix_(idx, idx)], overwrite=True))
+    K_act = K[np.ix_(idx, idx)]
+    m, lam = unit_charge(cg_solve(lambda v: symv(K_act, v), np.ones(len(idx))))
     m_lu, lam_lu = bordered_solve(K, idx)
     assert _max_rel(m, m_lu) <= 1e-12
     assert lam == pytest.approx(lam_lu, rel=1e-12)
@@ -107,7 +116,7 @@ def test_entropic_matches_the_bordered_system(R, M):
     assert res.multiplier == pytest.approx(lam_old, rel=1e-12)
 
 
-def test_fallbacks_agree_when_cholesky_rejects(monkeypatch):
+def test_fallbacks_agree_when_cg_fails(monkeypatch):
     cloud = dc.discretize(dc.Ball(ORIGIN, 1.0), 400, "boundary")
     op = dc.assemble_operator(cloud, COULOMB)
     field = dc.LinearPotential((0.3, -1.0, 0.5))
@@ -115,9 +124,9 @@ def test_fallbacks_agree_when_cholesky_rejects(monkeypatch):
     volume = dc.discretize(dc.Ball(ORIGIN, 1.0), 400, "volume")
     en = dc.solve_entropic(volume)
 
-    monkeypatch.setattr(dropcap.linalg, "cho_factor", _reject)
+    _patch_cg(monkeypatch, _fail)
     op_lu = dc.assemble_operator(cloud, COULOMB)
-    assert op_lu.cholesky is None
+    assert op_lu.inverse_ones is None
     eq_lu, fr_lu = dc.equilibrium_measure(op_lu), dc.solve_external(op_lu, field)
     en_lu = dc.solve_entropic(volume)
     assert _max_rel(eq.masses, eq_lu.masses) <= 1e-12
@@ -128,28 +137,52 @@ def test_fallbacks_agree_when_cholesky_rejects(monkeypatch):
     assert en.multiplier == pytest.approx(en_lu.multiplier, rel=1e-12)
 
 
-def test_one_factorization_serves_equilibrium_and_field(monkeypatch):
-    counter = _Counter(dropcap.linalg.cho_factor)
-    monkeypatch.setattr(dropcap.linalg, "cho_factor", counter)
+def test_one_unit_solve_serves_equilibrium_and_field(monkeypatch):
+    ones_solves = []
+
+    def counted(apply, b):
+        ones_solves.append(bool(np.all(b == 1.0)))
+        return cg_solve(apply, b)
+
+    _patch_cg(monkeypatch, counted)
     cloud = dc.discretize(dc.Ball(ORIGIN, 1.0), 500, "boundary")
     op = dc.assemble_operator(cloud, COULOMB)
     eq = dc.equilibrium_measure(op)
     fr = dc.solve_external(op, dc.LinearPotential((1.0, 0.0, 0.0)))
-    assert counter.calls == 1
+    # K^-1 1 once, shared; then K w0 = -phi/2 for the field
+    assert ones_solves == [True, False]
     assert eq.active_fraction == 1.0
     assert fr.el_residual < 1e-10
 
 
-def test_log_kernel_never_attempts_cholesky(monkeypatch):
-    counter = _Counter(dropcap.linalg.cho_factor)
-    monkeypatch.setattr(dropcap.linalg, "cho_factor", counter)
+def test_log_kernel_never_calls_cg(monkeypatch):
+    counter = _Counter(cg_solve)
+    _patch_cg(monkeypatch, counter)
     cloud = dc.discretize(dc.Ball((0.0, 0.0), 1.0), 300, "boundary")
     op = dc.assemble_operator(cloud, dc.KernelParams(2, 2.0))
     res = dc.equilibrium_measure(op)
     assert counter.calls == 0
-    assert op.cholesky is None
+    assert op.inverse_ones is None
     assert res.capacity == pytest.approx(1.0, rel=0.02)
     assert res.kkt_residual < 1e-10
+
+
+def test_cg_breakdown_falls_back_to_the_bordered_solve():
+    # K - c 11' with 1'(K - c 11')1 < 0 is symmetric indefinite: CG breaks
+    # down on its first step.  Its bordered solution keeps K's masses and
+    # shifts the multiplier by -c, all masses positive.
+    K = _operator("boundary ball, alpha=2", 1.0, 200).matrix
+    c = 2.0 * K.mean()
+    A = K - c
+    assert cg_solve(lambda v: symv(A, v), np.ones(len(A))) is None
+    m, lam, iters, _ = solve_simplex_qp(A)
+    m_lu, lam_lu = bordered_solve(A)
+    m_K, lam_K, _, _ = solve_simplex_qp(K)
+    assert iters == 1
+    assert _max_rel(m, m_lu) <= 1e-12
+    assert lam == pytest.approx(lam_lu, rel=1e-12)
+    assert _max_rel(m, m_K) <= 1e-12
+    assert lam == pytest.approx(lam_K - c, rel=1e-12)
 
 
 def test_symmetric_products_match_numpy(ball_op_2000, rng):

@@ -26,7 +26,7 @@ def test_energy_positive_on_zero_sum_vectors(ball_op_2000, rng):
     n = K.shape[0]
     W = rng.standard_normal((1000, n))
     W -= W.mean(axis=1, keepdims=True)
-    quad = np.einsum("ij,jk,ik->i", W, K, W)
+    quad = ((W @ K) * W).sum(axis=1)
     assert quad.min() > 0
 
 
@@ -35,7 +35,7 @@ def test_log_kernel_energy_positive_on_zero_sum_vectors(rng):
     K = dc.assemble_operator(cloud, dc.KernelParams(2, 2.0)).matrix
     W = rng.standard_normal((1000, K.shape[0]))
     W -= W.mean(axis=1, keepdims=True)
-    quad = np.einsum("ij,jk,ik->i", W, K, W)
+    quad = ((W @ K) * W).sum(axis=1)
     assert quad.min() > 0
 
 
@@ -107,3 +107,14 @@ def test_potential_at_coincident_targets(ball_cloud_2000, ball_op_2000):
     v = potential_at(COULOMB, ball_cloud_2000, masses, targets)
     expected = ball_op_2000.matrix[[3, 17]] @ masses
     np.testing.assert_allclose(v, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("radius", [1.0, 1e-13])
+def test_potential_at_nodes_matches_the_operator_at_any_scale(radius):
+    # the coincidence test must scale with the cloud: at radius 1e-13
+    # every node is closer than 1e-12 to every other
+    cloud = dc.discretize(dc.Ball((0.0, 0.0, 0.0), radius), 400, "boundary")
+    op = dc.assemble_operator(cloud, COULOMB)
+    masses = cloud.weights / cloud.weights.sum()
+    v = potential_at(COULOMB, cloud, masses, cloud.points)
+    np.testing.assert_allclose(v, op.apply(masses), rtol=1e-12)
