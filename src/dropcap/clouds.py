@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import harmonics
 from . import shapes as shp
 from .errors import DiscretizationError, ValidationError
 from .kernels import unit_sphere_area
@@ -341,9 +340,7 @@ def _bounding_box(shape: shp.Shape):
         lo, hi = v.min(axis=0), v.max(axis=0)
         return (lo + hi) / 2.0, (hi - lo) / 2.0
     if isinstance(shape, shp.NearlySpherical):
-        TH, LM, _ = harmonics.gauss_sphere_grid(shape.quad_order)
-        R, _, _ = shape.profile(TH, LM)
-        rmax = float(R.max())
+        rmax = float(shape.grid_profile()[0].max())
         return np.zeros(3), np.full(3, rmax)
     raise ValidationError(f"unknown shape {type(shape).__name__}")
 

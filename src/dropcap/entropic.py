@@ -31,6 +31,7 @@ import numpy as np
 
 from . import shapes as shp
 from .clouds import NodeCloud, discretize
+from .equilibrium import _radial_shells
 from .errors import UnsupportedConfigurationError, ValidationError
 from .kernels import KernelParams
 from .linalg import bordered_solve, cg_solve, symv, unit_charge
@@ -168,22 +169,12 @@ def entropic_ball_value(radius: float) -> float:
 
 def radial_density_profile(result: DensityResult, n_bins: int = 20):
     """Mean density in equal-width radial shells around the body center."""
-    shape = result.cloud.shape
-    if isinstance(shape, (shp.Ball, shp.Annulus, shp.Box)):
-        center = np.array(shape.center, dtype=float)
-    else:
-        center = result.cloud.points.mean(axis=0)
-    r = np.linalg.norm(result.cloud.points - center, axis=1)
-    edges = np.linspace(0.0, float(r.max()) * (1.0 + 1e-12), n_bins + 1)
-    out = []
-    for i in range(n_bins):
-        sel = (r >= edges[i]) & (r < edges[i + 1])
-        out.append(
-            {
-                "r_min": float(edges[i]),
-                "r_max": float(edges[i + 1]),
-                "mean_density": float(result.density[sel].mean()) if sel.any() else 0.0,
-                "mass": float(result.masses[sel].sum()),
-            }
-        )
-    return out
+    return [
+        {
+            "r_min": lo,
+            "r_max": hi,
+            "mean_density": float(result.density[sel].mean()) if sel.any() else 0.0,
+            "mass": float(result.masses[sel].sum()),
+        }
+        for lo, hi, sel in _radial_shells(result.cloud, n_bins)
+    ]

@@ -59,14 +59,18 @@ class Measure:
     masses: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.masses, dtype=float))
+        m = np.array(self.masses, dtype=float)  # a private copy, frozen below
         if m.shape != (self.cloud.n_nodes,):
             raise ValidationError("need one mass per node")
         if m.min() < -1e-12:
             raise ValidationError(f"masses must be nonnegative, min {m.min():.3g}")
         if abs(m.sum() - 1.0) > 1e-12:
             raise ValidationError(f"masses must sum to 1, got {m.sum():.15g}")
-        m = np.clip(m, 0.0, None)
+        if m.min() < 0.0:
+            # clipping round-off negatives adds mass; rescale so the stored
+            # masses still sum to 1
+            np.clip(m, 0.0, None, out=m)
+            m /= m.sum()
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
 
@@ -416,23 +420,19 @@ def support_profile(result: EquilibriumResult, regions="components"):
     """
     if regions == "components":
         return result.cloud.component_masses(result.masses)
-    n_bins = int(regions)
+    return [
+        {"r_min": lo, "r_max": hi, "mass": float(result.masses[sel].sum())}
+        for lo, hi, sel in _radial_shells(result.cloud, int(regions))
+    ]
+
+
+def _radial_shells(cloud: NodeCloud, n_bins: int):
+    """Equal-width radial shells around the shape center: (r_min, r_max, node mask)."""
     if n_bins < 1:
         raise ValidationError("need at least one radial shell")
-    center = _shape_center(result.cloud.shape, result.cloud)
-    r = np.linalg.norm(result.cloud.points - center, axis=1)
+    r = np.linalg.norm(cloud.points - _shape_center(cloud.shape, cloud), axis=1)
     edges = np.linspace(0.0, float(r.max()) * (1.0 + 1e-12), n_bins + 1)
-    out = []
-    for i in range(n_bins):
-        sel = (r >= edges[i]) & (r < edges[i + 1])
-        out.append(
-            {
-                "r_min": float(edges[i]),
-                "r_max": float(edges[i + 1]),
-                "mass": float(result.masses[sel].sum()),
-            }
-        )
-    return out
+    return [(float(lo), float(hi), (r >= lo) & (r < hi)) for lo, hi in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True)

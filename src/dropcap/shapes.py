@@ -168,7 +168,10 @@ class NearlySpherical:
     phi is a finite combination of real spherical harmonics given as
     (l, m, coefficient) modes.  The profile 1 + eps*phi must stay positive.
     quad_order sets the latitudinal size of the spectral grid used for
-    perimeter, volume, and related surface integrals.
+    perimeter, volume, and related surface integrals.  The profile on that
+    grid is evaluated once per shape (grid_profile) and shared by the
+    positivity check, perimeter, volume, the symmetric difference and the
+    volume cloud's bounding box.
     """
 
     modes: tuple[tuple[int, int, float], ...]
@@ -188,7 +191,7 @@ class NearlySpherical:
             seen.add((l, m))
         if self.quad_order < 8:
             raise ValidationError("quad_order must be at least 8")
-        rmin = float(self.profile(*_positivity_probe(self.quad_order))[0].min())
+        rmin = float(self.grid_profile(max(self.quad_order, 32))[0].min())
         if rmin <= 0.0:
             raise ValidationError(
                 f"radial profile 1 + eps*phi must stay positive (min {rmin:.3g})"
@@ -208,10 +211,27 @@ class NearlySpherical:
             gl = gl + self.eps * c * dl
         return R, gt, gl
 
+    def grid_profile(self, n_theta: int | None = None):
+        """Read-only (R, gt, gl) on gauss_sphere_grid(n_theta), computed once.
 
-def _positivity_probe(quad_order: int):
-    TH, LM, _ = harmonics.gauss_sphere_grid(max(quad_order, 32))
-    return TH, LM
+        n_theta defaults to quad_order.  On the product grid the Legendre
+        factors depend on theta alone and the trig factors on lam alone, so
+        the profile is evaluated on a theta column against a lam row and
+        broadcast to the mesh, with the same values as on the full mesh.
+        The arrays are kept on the instance and die with the shape.
+        """
+        n_theta = self.quad_order if n_theta is None else int(n_theta)
+        cache = self.__dict__.setdefault("_grid_profiles", {})
+        if n_theta not in cache:
+            TH, LM, _ = harmonics.gauss_sphere_grid(n_theta)
+            arrays = tuple(
+                np.broadcast_to(a, TH.shape).copy()
+                for a in self.profile(TH[:, :1], LM[:1, :])
+            )
+            for a in arrays:
+                a.flags.writeable = False
+            cache[n_theta] = arrays
+        return cache[n_theta]
 
 
 Shape = Ball | Annulus | UnionOfBalls | Box | ConvexPolygon2D | NearlySpherical
@@ -265,8 +285,8 @@ def perimeter(shape: Shape) -> float:
         v = np.array(shape.vertices)
         return float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
     if isinstance(shape, NearlySpherical):
-        TH, LM, W = harmonics.gauss_sphere_grid(shape.quad_order)
-        R, gt, gl = shape.profile(TH, LM)
+        W = harmonics.gauss_sphere_grid(shape.quad_order)[2]
+        R, gt, gl = shape.grid_profile()
         return float(np.sum(W * R * np.sqrt(R * R + gt * gt + gl * gl)))
     raise ValidationError(f"unknown shape {type(shape).__name__}")
 
@@ -285,8 +305,8 @@ def volume(shape: Shape) -> float:
     if isinstance(shape, ConvexPolygon2D):
         return _polygon_area(np.array(shape.vertices))
     if isinstance(shape, NearlySpherical):
-        TH, LM, W = harmonics.gauss_sphere_grid(shape.quad_order)
-        R, _, _ = shape.profile(TH, LM)
+        W = harmonics.gauss_sphere_grid(shape.quad_order)[2]
+        R = shape.grid_profile()[0]
         return float(np.sum(W * R**3) / 3.0)
     raise ValidationError(f"unknown shape {type(shape).__name__}")
 
@@ -295,8 +315,8 @@ def symmetric_difference_to_unit_ball(shape: NearlySpherical) -> float:
     """Volume of the symmetric difference between the shape and the unit ball."""
     if not isinstance(shape, NearlySpherical):
         raise ValidationError("symmetric difference is defined for radial graphs")
-    TH, LM, W = harmonics.gauss_sphere_grid(shape.quad_order)
-    R, _, _ = shape.profile(TH, LM)
+    W = harmonics.gauss_sphere_grid(shape.quad_order)[2]
+    R = shape.grid_profile()[0]
     return float(np.sum(W * np.abs(R**3 - 1.0)) / 3.0)
 
 

@@ -63,6 +63,20 @@ def test_density_grows_toward_the_boundary(ball_volume_entropic_2000):
     assert sum(row["mass"] for row in prof) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_radial_shells_agree_with_the_equilibrium_support_profile():
+    # both profiles bin around the shape center, the origin for a radial graph
+    shape = dc.NearlySpherical(modes=((2, 1, 1.0), (3, 0, 0.5)), eps=0.15)
+    cloud = dc.discretize(shape, 600, "volume")
+    eq = dc.equilibrium_measure(dc.assemble_operator(cloud, dc.KernelParams(3, 1.5)))
+    density = dc.radial_density_profile(dc.solve_entropic(cloud), n_bins=5)
+    support = dc.support_profile(eq, regions=5)
+    edges = [(row["r_min"], row["r_max"]) for row in density]
+    assert edges == [(row["r_min"], row["r_max"]) for row in support]
+    rmax = float(np.linalg.norm(cloud.points, axis=1).max())
+    assert edges[-1][1] == pytest.approx(rmax, rel=1e-11)
+    assert sum(row["mass"] for row in density) == pytest.approx(1.0, rel=1e-10)
+
+
 def test_role_and_dimension_guards():
     bcloud = dc.discretize(BALL3, 200, "boundary")
     with pytest.raises(ValidationError):

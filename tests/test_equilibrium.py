@@ -157,6 +157,27 @@ def test_measure_validation(ball_cloud_2000):
         dc.Measure(ball_cloud_2000, bad)
 
 
+def test_clipped_masses_pass_their_own_validation():
+    # masses down to -1e-12 are accepted and clipped to zero; the stored
+    # masses must then still sum to 1, so a measure rebuilds from them
+    cloud = dc.discretize(BALL3, 200, "boundary")
+    m = np.full(cloud.n_nodes, -1e-12)
+    m[::2] = (1.0 + 1e-12 * (cloud.n_nodes // 2)) / (cloud.n_nodes // 2)
+    first = dc.Measure(cloud, m)
+    assert first.masses.min() == 0.0
+    assert first.masses.sum() == pytest.approx(1.0, abs=1e-14)
+    again = dc.Measure(cloud, first.masses)
+    np.testing.assert_array_equal(again.masses, first.masses)
+
+
+def test_nonnegative_masses_are_stored_unchanged(ball_cloud_2000):
+    m = np.random.default_rng(3).random(ball_cloud_2000.n_nodes)
+    m /= m.sum()
+    stored = dc.Measure(ball_cloud_2000, m).masses
+    np.testing.assert_array_equal(stored, m)
+    assert not np.shares_memory(stored, m) and m.flags.writeable
+
+
 def test_drop_energy_combines_terms():
     out = dc.drop_energy(BALL3, 2.0, 2.0, n_nodes=500)
     assert out.total == pytest.approx(out.perimeter + 4.0 * out.equilibrium_energy, rel=1e-14)

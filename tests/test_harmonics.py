@@ -42,6 +42,21 @@ def test_gradient_matches_finite_differences(l, m):
     np.testing.assert_allclose(gl, fd_l, atol=1e-7)
 
 
+@pytest.mark.parametrize("n_theta", [8, 31, 48])
+def test_column_against_row_equals_the_mesh(n_theta):
+    TH, LM, _ = gauss_sphere_grid(n_theta)
+    col, row = TH[:, :1], LM[:1, :]
+    for l, m in _all_modes(6):
+        np.testing.assert_array_equal(
+            np.broadcast_to(real_sph_harm(l, m, col, row), TH.shape),
+            real_sph_harm(l, m, TH, LM),
+        )
+        for sep, mesh in zip(
+            real_sph_harm_gradient(l, m, col, row), real_sph_harm_gradient(l, m, TH, LM)
+        ):
+            np.testing.assert_array_equal(np.broadcast_to(sep, TH.shape), mesh)
+
+
 def test_gradient_finite_at_poles():
     gt, gl = real_sph_harm_gradient(2, 1, np.array([0.0, np.pi]), np.array([0.3, 0.7]))
     assert np.all(np.isfinite(gt)) and np.all(np.isfinite(gl))

@@ -1,10 +1,15 @@
 """Shape catalog: measures, validation, serialization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dropcap as dc
 from dropcap.errors import ValidationError
+from dropcap.harmonics import gauss_sphere_grid
 
 import oracles
 
@@ -102,3 +107,81 @@ def test_dim_of():
     assert dc.dim_of(BALL3) == 3
     assert dc.dim_of(dc.Ball((0.0, 0.0), 1.0)) == 2
     assert dc.dim_of(dc.ConvexPolygon2D(((0, 0), (1, 0), (0, 1)))) == 2
+
+
+# ---------------------------------------------------------------------------
+# the per-shape grid profile
+
+ALL_MODES = [(l, m) for l in range(7) for m in range(-l, l + 1)]
+QUAD_ORDERS = (8, 16, 31, 32, 48, 64)
+
+
+def _nearly_spherical(pairs, coeffs, eps, quad_order):
+    modes = tuple((l, m, c) for (l, m), c in zip(pairs, coeffs))
+    return dc.NearlySpherical(modes=modes, eps=eps, quad_order=quad_order)
+
+
+# a fixed sequence of examples, so a run never depends on the last one
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    pairs=st.lists(st.sampled_from(ALL_MODES), min_size=1, max_size=6, unique=True),
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    eps=st.floats(0.0, 0.1),
+    quad_order=st.sampled_from(QUAD_ORDERS),
+)
+@example(pairs=ALL_MODES, coeffs=[0.5] * len(ALL_MODES), eps=0.01, quad_order=8)
+@example(pairs=ALL_MODES, coeffs=[-0.5] * len(ALL_MODES), eps=0.01, quad_order=64)
+def test_grid_profile_equals_the_meshed_profile(pairs, coeffs, eps, quad_order):
+    s = _nearly_spherical(pairs, coeffs, eps, quad_order)
+    TH, LM, _ = gauss_sphere_grid(quad_order)
+    for cached, meshed in zip(s.grid_profile(), s.profile(TH, LM)):
+        assert cached.shape == TH.shape
+        np.testing.assert_array_equal(cached, meshed)
+
+
+@pytest.mark.parametrize("quad_order", [16, 48])
+def test_each_quadrature_grid_is_evaluated_once_per_shape(monkeypatch, quad_order):
+    grid_calls = Counter()
+    profile = dc.NearlySpherical.profile
+
+    def counted(self, theta, lam):
+        if np.ndim(theta) == 2:
+            grid_calls[id(self), np.shape(theta)[0]] += 1
+        return profile(self, theta, lam)
+
+    monkeypatch.setattr(dc.NearlySpherical, "profile", counted)
+    s = dc.NearlySpherical(modes=((2, 0, 1.0), (3, 1, -0.4)), eps=0.12, quad_order=quad_order)
+    r = dc.renormalize_to_unit_volume(s)
+    dc.perimeter(r)
+    dc.volume(r)
+    dc.symmetric_difference_to_unit_ball(r)
+    dc.discretize(r, 400, "volume")
+    # the positivity check runs on at least 32 latitudes, the integrals on quad_order
+    grids = {quad_order, max(quad_order, 32)}
+    assert grid_calls == {(id(x), n): 1 for x in (s, r) for n in grids}
+
+
+def test_grid_profile_is_read_only():
+    s = dc.NearlySpherical(modes=((2, 1, 0.5),), eps=0.1)
+    for a in s.grid_profile():
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    assert s.grid_profile() is s.grid_profile()
+
+
+def test_grid_cache_is_not_part_of_the_shape():
+    modes = ((2, 0, 0.8), (3, -2, 0.1))
+    a = dc.NearlySpherical(modes=modes, eps=0.1)
+    b = dc.NearlySpherical(modes=modes, eps=0.1)
+    b.grid_profile(20)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    del a.__dict__["_grid_profiles"]
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == f"NearlySpherical(modes={modes!r}, eps=0.1, quad_order=48)"
+    assert dc.shape_to_dict(b) == {
+        "variant": "nearly_spherical",
+        "modes": [list(mode) for mode in modes],
+        "eps": 0.1,
+        "quad_order": 48,
+    }
