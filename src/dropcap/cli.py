@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from importlib import metadata
 
@@ -84,10 +83,7 @@ def _load_shape(args) -> shp.Shape:
     if not text.startswith("{"):
         with open(text, encoding="utf-8") as fh:
             text = fh.read()
-    try:
-        shape = shp.shape_from_json(text)
-    except json.JSONDecodeError as err:
-        raise shp.ValidationError(f"malformed shape JSON: {err}") from err
+    shape = shp.shape_from_json(text)
     if args.dim is not None and shp.dim_of(shape) != args.dim:
         raise shp.ValidationError(
             f"--dim {args.dim} does not match the shape's dimension {shp.dim_of(shape)}"

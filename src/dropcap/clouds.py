@@ -5,8 +5,10 @@ point represents, and a component label per node (inner/outer sphere,
 ball index, face or edge index).  Boundary clouds of spheres use an
 antipodally symmetric golden-angle lattice, which keeps odd moments of
 the node set at rounding level; circles use equally spaced midpoints;
-boxes get per-face grids; polygons are subdivided by arc length; volume
-clouds are cell-centered Cartesian grids clipped to the shape.
+boxes get per-face grids; polygons are subdivided by arc length.  Each
+shape class has one boundary placement in _BOUNDARY.  Volume clouds are
+cell-centered Cartesian grids over the shape's bounding box, clipped to
+the shape.
 """
 
 from __future__ import annotations
@@ -99,39 +101,7 @@ def default_role(alpha: float) -> str:
 
 def contains(shape: shp.Shape, points) -> np.ndarray:
     """Boolean mask of points lying in the closed shape."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != shp.dim_of(shape):
-        raise ValidationError("point dimension does not match shape")
-    if isinstance(shape, shp.Ball):
-        r = np.linalg.norm(pts - np.array(shape.center), axis=1)
-        return r <= shape.radius
-    if isinstance(shape, shp.Annulus):
-        r = np.linalg.norm(pts - np.array(shape.center), axis=1)
-        return (r >= shape.r_inner) & (r <= shape.r_outer)
-    if isinstance(shape, shp.UnionOfBalls):
-        mask = np.zeros(len(pts), dtype=bool)
-        for b in shape.balls:
-            mask |= contains(b, pts)
-        return mask
-    if isinstance(shape, shp.Box):
-        d = np.abs(pts - np.array(shape.center))
-        return np.all(d <= np.array(shape.half_widths), axis=1)
-    if isinstance(shape, shp.ConvexPolygon2D):
-        v = np.array(shape.vertices)
-        mask = np.ones(len(pts), dtype=bool)
-        for i in range(len(v)):
-            e = v[(i + 1) % len(v)] - v[i]
-            rel = pts - v[i]
-            mask &= e[0] * rel[:, 1] - e[1] * rel[:, 0] >= -1e-12
-        return mask
-    if isinstance(shape, shp.NearlySpherical):
-        r = np.linalg.norm(pts, axis=1)
-        safe = np.maximum(r, 1e-300)
-        theta = np.arccos(np.clip(pts[:, 2] / safe, -1.0, 1.0))
-        lam = np.arctan2(pts[:, 1], pts[:, 0])
-        R, _, _ = shape.profile(theta, lam)
-        return r <= R
-    raise ValidationError(f"unknown shape {type(shape).__name__}")
+    return shape.contains(points)
 
 
 # ---------------------------------------------------------------------------
@@ -153,54 +123,41 @@ def _sphere_lattice(n: int) -> np.ndarray:
     return np.vstack([upper, -upper])
 
 
-def _sphere_nodes(center, radius: float, n: int):
-    n = _even_count(n, 8)
-    pts = np.asarray(center) + radius * _sphere_lattice(n)
-    w = np.full(n, unit_sphere_area(3) * radius**2 / n)
-    return pts, w
-
-
-def _circle_nodes(center, radius: float, n: int):
-    n = max(4, int(n))
-    ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    pts = np.asarray(center) + radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    w = np.full(n, 2.0 * np.pi * radius / n)
-    return pts, w
+def _round_nodes(center, radius: float, n: int):
+    """Nodes and equal weights on a circle (2D) or a sphere (3D)."""
+    d = len(center)
+    if d == 3:
+        n = _even_count(n, 8)
+        pts = np.asarray(center) + radius * _sphere_lattice(n)
+        return pts, np.full(n, unit_sphere_area(3) * radius**2 / n)
+    if d == 2:
+        n = max(4, int(n))
+        ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        pts = np.asarray(center) + radius * np.column_stack([np.cos(ang), np.sin(ang)])
+        return pts, np.full(n, 2.0 * np.pi * radius / n)
+    raise DiscretizationError(
+        f"boundary clouds are available in dimensions 2 and 3, not {d}"
+    )
 
 
 def _ball_boundary(shape: shp.Ball, n: int):
-    d = shp.dim_of(shape)
-    if d == 3:
-        pts, w = _sphere_nodes(shape.center, shape.radius, n)
-    elif d == 2:
-        pts, w = _circle_nodes(shape.center, shape.radius, n)
-    else:
-        raise DiscretizationError(
-            f"boundary clouds are available in dimensions 2 and 3, not {d}"
-        )
-    comp = np.zeros(len(pts), dtype=int)
-    return pts, w, comp, ("boundary",)
+    pts, w = _round_nodes(shape.center, shape.radius, n)
+    return pts, w, np.zeros(len(pts), dtype=int), ("boundary",)
 
 
 def _annulus_boundary(shape: shp.Annulus, n: int):
-    d = shp.dim_of(shape)
-    if d not in (2, 3):
-        raise DiscretizationError(
-            f"boundary clouds are available in dimensions 2 and 3, not {d}"
-        )
+    d = shape.dim
     a_in = unit_sphere_area(d) * shape.r_inner ** (d - 1)
     a_out = unit_sphere_area(d) * shape.r_outer ** (d - 1)
     share = a_in / (a_in + a_out)
     if d == 3:
         n_in = _even_count(n * share, 8)
         n_out = _even_count(n - n_in, 8)
-        pts_in, w_in = _sphere_nodes(shape.center, shape.r_inner, n_in)
-        pts_out, w_out = _sphere_nodes(shape.center, shape.r_outer, n_out)
     else:
         n_in = max(4, int(round(n * share)))
         n_out = max(4, n - n_in)
-        pts_in, w_in = _circle_nodes(shape.center, shape.r_inner, n_in)
-        pts_out, w_out = _circle_nodes(shape.center, shape.r_outer, n_out)
+    pts_in, w_in = _round_nodes(shape.center, shape.r_inner, n_in)
+    pts_out, w_out = _round_nodes(shape.center, shape.r_outer, n_out)
     pts = np.vstack([pts_in, pts_out])
     w = np.concatenate([w_in, w_out])
     comp = np.concatenate([np.zeros(len(pts_in), int), np.ones(len(pts_out), int)])
@@ -209,19 +166,15 @@ def _annulus_boundary(shape: shp.Annulus, n: int):
 
 def _union_boundary(shape: shp.UnionOfBalls, n: int):
     k = len(shape.balls)
-    d = shp.dim_of(shape)
     per = n // k
-    minimum = 8 if d == 3 else 4
+    minimum = 8 if shape.dim == 3 else 4
     if per < minimum:
         raise DiscretizationError(
             f"need at least {minimum * k} nodes for {k} balls, got {n}"
         )
     pts_list, w_list, comp_list, names = [], [], [], []
     for i, b in enumerate(shape.balls):
-        if d == 3:
-            p, w = _sphere_nodes(b.center, b.radius, per)
-        else:
-            p, w = _circle_nodes(b.center, b.radius, per)
+        p, w = _round_nodes(b.center, b.radius, per)
         pts_list.append(p)
         w_list.append(w)
         comp_list.append(np.full(len(p), i, dtype=int))
@@ -254,7 +207,7 @@ def _box_grid(half_widths, n_target: int):
 
 
 def _box_boundary(shape: shp.Box, n: int):
-    d = shp.dim_of(shape)
+    d = shape.dim
     center = np.array(shape.center)
     h = np.array(shape.half_widths)
     areas = []
@@ -317,38 +270,24 @@ def _graph_boundary(shape: shp.NearlySpherical, n: int):
     return pts, w, comp, ("boundary",)
 
 
+_BOUNDARY = {
+    shp.Ball: _ball_boundary,
+    shp.Annulus: _annulus_boundary,
+    shp.UnionOfBalls: _union_boundary,
+    shp.Box: _box_boundary,
+    shp.ConvexPolygon2D: _polygon_boundary,
+    shp.NearlySpherical: _graph_boundary,
+}
+
+
 # ---------------------------------------------------------------------------
 # volume placements
 
 
-def _bounding_box(shape: shp.Shape):
-    """Center and half widths of an axis-aligned box containing the shape."""
-    if isinstance(shape, shp.Ball):
-        c = np.array(shape.center)
-        return c, np.full(len(c), shape.radius)
-    if isinstance(shape, shp.Annulus):
-        c = np.array(shape.center)
-        return c, np.full(len(c), shape.r_outer)
-    if isinstance(shape, shp.UnionOfBalls):
-        lo = np.min([np.array(b.center) - b.radius for b in shape.balls], axis=0)
-        hi = np.max([np.array(b.center) + b.radius for b in shape.balls], axis=0)
-        return (lo + hi) / 2.0, (hi - lo) / 2.0
-    if isinstance(shape, shp.Box):
-        return np.array(shape.center), np.array(shape.half_widths)
-    if isinstance(shape, shp.ConvexPolygon2D):
-        v = np.array(shape.vertices)
-        lo, hi = v.min(axis=0), v.max(axis=0)
-        return (lo + hi) / 2.0, (hi - lo) / 2.0
-    if isinstance(shape, shp.NearlySpherical):
-        rmax = float(shape.grid_profile()[0].max())
-        return np.zeros(3), np.full(3, rmax)
-    raise ValidationError(f"unknown shape {type(shape).__name__}")
-
-
 def _volume_cloud(shape: shp.Shape, n: int):
-    d = shp.dim_of(shape)
+    d = shape.dim
     vol = shp.volume(shape)
-    center, half = _bounding_box(shape)
+    center, half = shape.bounding_box()
     cell = (vol / max(n, 1)) ** (1.0 / d)
     counts = np.maximum(1, np.round(2.0 * half / cell).astype(int))
     # Odd counts center a node on the shape's midpoint, so radial profiles
@@ -365,25 +304,25 @@ def _volume_cloud(shape: shp.Shape, n: int):
         raise DiscretizationError("no grid cells landed inside the shape; raise n_nodes")
     pts = pts[mask]
     w = np.full(len(pts), float(np.prod(steps)))
-    # Snap each component's total weight to its exact volume so the cloud
+    # Snap each piece's total weight to its exact volume so the cloud
     # integrates constants exactly at every resolution.
-    if isinstance(shape, shp.UnionOfBalls):
-        comp = np.zeros(len(pts), dtype=int)
-        taken = np.zeros(len(pts), dtype=bool)
-        for i, b in enumerate(shape.balls):
-            inside = contains(b, pts) & ~taken
-            comp[inside] = i
-            taken |= inside
-            if not inside.any():
-                raise DiscretizationError(
-                    f"no grid cells landed in ball {i}; raise n_nodes"
-                )
-            w[inside] *= shp.volume(b) / w[inside].sum()
-        names = tuple(f"ball_{i}" for i in range(len(shape.balls)))
-    else:
-        comp = np.zeros(len(pts), dtype=int)
+    comp = np.zeros(len(pts), dtype=int)
+    pieces = shape.pieces()
+    if pieces[0] is shape:
         names = ("body",)
         w *= vol / w.sum()
+        return pts, w, comp, names
+    taken = np.zeros(len(pts), dtype=bool)
+    for i, piece in enumerate(pieces):
+        inside = contains(piece, pts) & ~taken
+        comp[inside] = i
+        taken |= inside
+        if not inside.any():
+            raise DiscretizationError(
+                f"no grid cells landed in {piece.variant} {i}; raise n_nodes"
+            )
+        w[inside] *= shp.volume(piece) / w[inside].sum()
+    names = tuple(f"{piece.variant}_{i}" for i, piece in enumerate(pieces))
     return pts, w, comp, names
 
 
@@ -403,22 +342,8 @@ def discretize(shape: shp.Shape, n_nodes: int, role: str) -> NodeCloud:
         raise ValidationError("n_nodes must be at least 16")
     if role not in _ROLES:
         raise ValidationError(f"role must be one of {_ROLES}, got {role!r}")
-    if role == "volume":
-        pts, w, comp, names = _volume_cloud(shape, n_nodes)
-    elif isinstance(shape, shp.Ball):
-        pts, w, comp, names = _ball_boundary(shape, n_nodes)
-    elif isinstance(shape, shp.Annulus):
-        pts, w, comp, names = _annulus_boundary(shape, n_nodes)
-    elif isinstance(shape, shp.UnionOfBalls):
-        pts, w, comp, names = _union_boundary(shape, n_nodes)
-    elif isinstance(shape, shp.Box):
-        pts, w, comp, names = _box_boundary(shape, n_nodes)
-    elif isinstance(shape, shp.ConvexPolygon2D):
-        pts, w, comp, names = _polygon_boundary(shape, n_nodes)
-    elif isinstance(shape, shp.NearlySpherical):
-        pts, w, comp, names = _graph_boundary(shape, n_nodes)
-    else:
-        raise ValidationError(f"unknown shape {type(shape).__name__}")
+    place = _volume_cloud if role == "volume" else _BOUNDARY[type(shape)]
+    pts, w, comp, names = place(shape, n_nodes)
     return NodeCloud(
         points=pts,
         weights=w,

@@ -353,11 +353,11 @@ def potential(measure: Measure, params: KernelParams, points) -> np.ndarray:
 
 
 def _shape_center(shape: shp.Shape, cloud: NodeCloud) -> np.ndarray:
-    if isinstance(shape, (shp.Ball, shp.Annulus, shp.Box)):
-        return np.array(shape.center, dtype=float)
-    if isinstance(shape, shp.NearlySpherical):
-        return np.zeros(3)
-    return cloud.points.mean(axis=0)
+    """The shape's center, or the node mean for shapes without one."""
+    center = getattr(shape, "center", None)
+    if center is None:
+        return cloud.points.mean(axis=0)
+    return np.array(center, dtype=float)
 
 
 def _directions(dim: int, count: int = 32) -> np.ndarray:

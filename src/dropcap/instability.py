@@ -310,10 +310,10 @@ def slab_family(n_list, field_strength: float, n_nodes: int = 1000) -> dict:
     n_vals = [p.n for p in points]
     fitted = {}
     if len(points) >= 2:
-        caps_inter = []
-        for p in points:
-            eps = (v1 / p.n) ** 0.5
-            caps_inter.append(p.numeric_energy - p.components["perimeter"] - p.components["field"])
+        caps_inter = [
+            p.numeric_energy - p.components["perimeter"] - p.components["field"]
+            for p in points
+        ]
         fitted = {
             "perimeter": _fit_exponent(n_vals, [p.components["perimeter"] for p in points]),
             "interaction": _fit_exponent(n_vals, caps_inter),

@@ -26,17 +26,7 @@ def jsonable(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(
-        obj,
-        (
-            shp.Ball,
-            shp.Annulus,
-            shp.UnionOfBalls,
-            shp.Box,
-            shp.ConvexPolygon2D,
-            shp.NearlySpherical,
-        ),
-    ):
+    if isinstance(obj, shp.Shape):
         return shp.shape_to_dict(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {

@@ -5,12 +5,17 @@ the plane, area in space); volume means Lebesgue measure.  Closed-form
 expressions are used everywhere except for nearly-spherical sets, whose
 boundary is the radial graph r = 1 + eps*phi over the unit sphere and is
 integrated with the exact graph area element on a spectral grid.
+
+Each variant is a frozen dataclass that knows its own dimension, measures,
+membership test and bounding box; VARIANTS maps the JSON tag of each
+variant to its class, and the JSON form of a shape is its fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -26,6 +31,7 @@ __all__ = [
     "ConvexPolygon2D",
     "NearlySpherical",
     "Shape",
+    "VARIANTS",
     "dim_of",
     "perimeter",
     "volume",
@@ -42,10 +48,48 @@ def _as_tuple(x) -> tuple[float, ...]:
     return tuple(float(v) for v in x)
 
 
+def _sphere_area(dim: int, radius: float) -> float:
+    return unit_sphere_area(dim) * radius ** (dim - 1)
+
+
+def _ball_volume(dim: int, radius: float) -> float:
+    return unit_ball_volume(dim) * radius**dim
+
+
+class Shape:
+    """Base of the shape variants.
+
+    A variant is a frozen dataclass with a class attribute `variant` (its
+    JSON tag) and the ambient dimension `dim` (the length of `center` for
+    the centered variants), and answers perimeter(), volume(),
+    contains(points) (a mask over n points) and bounding_box() (center
+    and half widths of an axis-aligned box holding it).
+    """
+
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
+    def _points(self, points) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.dim:
+            raise ValidationError("point dimension does not match shape")
+        return pts
+
+    def _radii(self, points) -> np.ndarray:
+        return np.linalg.norm(self._points(points) - np.array(self.center), axis=1)
+
+    def pieces(self) -> tuple[Shape, ...]:
+        """Disjoint bodies whose volumes a volume cloud matches one by one."""
+        return (self,)
+
+
 @dataclass(frozen=True)
-class Ball:
+class Ball(Shape):
     center: tuple[float, ...]
     radius: float
+
+    variant = "ball"
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_tuple(self.center))
@@ -55,14 +99,28 @@ class Ball:
         if not self.radius > 0:
             raise ValidationError(f"ball radius must be positive, got {self.radius}")
 
+    def perimeter(self) -> float:
+        return _sphere_area(self.dim, self.radius)
+
+    def volume(self) -> float:
+        return _ball_volume(self.dim, self.radius)
+
+    def contains(self, points) -> np.ndarray:
+        return self._radii(points) <= self.radius
+
+    def bounding_box(self):
+        return np.array(self.center), np.full(self.dim, self.radius)
+
 
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(Shape):
     """Closed shell between two concentric spheres."""
 
     center: tuple[float, ...]
     r_inner: float
     r_outer: float
+
+    variant = "annulus"
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_tuple(self.center))
@@ -76,22 +134,64 @@ class Annulus:
                 f"got ({self.r_inner}, {self.r_outer})"
             )
 
+    def perimeter(self) -> float:
+        return _sphere_area(self.dim, self.r_inner) + _sphere_area(self.dim, self.r_outer)
+
+    def volume(self) -> float:
+        return _ball_volume(self.dim, self.r_outer) - _ball_volume(self.dim, self.r_inner)
+
+    def contains(self, points) -> np.ndarray:
+        r = self._radii(points)
+        return (r >= self.r_inner) & (r <= self.r_outer)
+
+    def bounding_box(self):
+        return np.array(self.center), np.full(self.dim, self.r_outer)
+
 
 @dataclass(frozen=True)
-class UnionOfBalls:
+class UnionOfBalls(Shape):
     """Finite union of pairwise disjoint closed balls."""
 
     balls: tuple[Ball, ...]
+
+    variant = "union_of_balls"
 
     def __post_init__(self):
         balls = tuple(self.balls)
         object.__setattr__(self, "balls", balls)
         if not balls:
             raise ValidationError("union of balls needs at least one ball")
+        if not all(isinstance(b, Ball) for b in balls):
+            raise ValidationError("union_of_balls entries must be balls")
         d = len(balls[0].center)
         if any(len(b.center) != d for b in balls):
             raise ValidationError("all balls must share one ambient dimension")
         _check_disjoint(balls)
+
+    @property
+    def dim(self) -> int:
+        return self.balls[0].dim
+
+    def perimeter(self) -> float:
+        return sum(b.perimeter() for b in self.balls)
+
+    def volume(self) -> float:
+        return sum(b.volume() for b in self.balls)
+
+    def contains(self, points) -> np.ndarray:
+        pts = self._points(points)
+        mask = np.zeros(len(pts), dtype=bool)
+        for b in self.balls:
+            mask |= b.contains(pts)
+        return mask
+
+    def bounding_box(self):
+        lo = np.min([np.array(b.center) - b.radius for b in self.balls], axis=0)
+        hi = np.max([np.array(b.center) + b.radius for b in self.balls], axis=0)
+        return (lo + hi) / 2.0, (hi - lo) / 2.0
+
+    def pieces(self) -> tuple[Ball, ...]:
+        return self.balls
 
 
 def _check_disjoint(balls: tuple[Ball, ...]) -> None:
@@ -120,11 +220,13 @@ def _check_disjoint(balls: tuple[Ball, ...]) -> None:
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(Shape):
     """Axis-aligned closed box given by center and per-axis half widths."""
 
     center: tuple[float, ...]
     half_widths: tuple[float, ...]
+
+    variant = "box"
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_tuple(self.center))
@@ -133,15 +235,32 @@ class Box:
             raise ValidationError("box center must have dimension >= 2")
         if len(self.half_widths) != len(self.center):
             raise ValidationError("box half_widths must match center dimension")
-        if any(h <= 0 for h in self.half_widths):
+        if not all(h > 0 for h in self.half_widths):
             raise ValidationError("box half widths must be positive")
+
+    def perimeter(self) -> float:
+        sides = [2.0 * h for h in self.half_widths]
+        return sum(2.0 * math.prod(sides[:i] + sides[i + 1 :]) for i in range(len(sides)))
+
+    def volume(self) -> float:
+        return float(np.prod([2.0 * h for h in self.half_widths]))
+
+    def contains(self, points) -> np.ndarray:
+        d = np.abs(self._points(points) - np.array(self.center))
+        return np.all(d <= np.array(self.half_widths), axis=1)
+
+    def bounding_box(self):
+        return np.array(self.center), np.array(self.half_widths)
 
 
 @dataclass(frozen=True)
-class ConvexPolygon2D:
+class ConvexPolygon2D(Shape):
     """Strictly convex polygon with counterclockwise vertices."""
 
     vertices: tuple[tuple[float, float], ...]
+
+    variant = "convex_polygon"
+    dim = 2
 
     def __post_init__(self):
         verts = tuple((float(x), float(y)) for x, y in self.vertices)
@@ -155,14 +274,37 @@ class ConvexPolygon2D:
             a = v[(i + 1) % n] - v[i]
             b = v[(i + 2) % n] - v[(i + 1) % n]
             cross = a[0] * b[1] - a[1] * b[0]
-            if cross <= 1e-12 * scale**2:
+            if not cross > 1e-12 * scale**2:
                 raise ValidationError(
                     "vertices must be strictly convex and counterclockwise"
                 )
 
+    def perimeter(self) -> float:
+        v = np.array(self.vertices)
+        return float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
+
+    def volume(self) -> float:
+        x, y = np.array(self.vertices).T
+        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+    def contains(self, points) -> np.ndarray:
+        pts = self._points(points)
+        v = np.array(self.vertices)
+        mask = np.ones(len(pts), dtype=bool)
+        for i in range(len(v)):
+            e = v[(i + 1) % len(v)] - v[i]
+            rel = pts - v[i]
+            mask &= e[0] * rel[:, 1] - e[1] * rel[:, 0] >= -1e-12
+        return mask
+
+    def bounding_box(self):
+        v = np.array(self.vertices)
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        return (lo + hi) / 2.0, (hi - lo) / 2.0
+
 
 @dataclass(frozen=True)
-class NearlySpherical:
+class NearlySpherical(Shape):
     """Radial graph r = 1 + eps * phi over the unit sphere (3D only).
 
     phi is a finite combination of real spherical harmonics given as
@@ -171,17 +313,21 @@ class NearlySpherical:
     perimeter, volume, and related surface integrals.  The profile on that
     grid is evaluated once per shape (grid_profile) and shared by the
     positivity check, perimeter, volume, the symmetric difference and the
-    volume cloud's bounding box.
+    bounding box.  The graph is centered at the origin.
     """
 
     modes: tuple[tuple[int, int, float], ...]
     eps: float
     quad_order: int = 48
 
+    variant = "nearly_spherical"
+    center = (0.0, 0.0, 0.0)
+
     def __post_init__(self):
         modes = tuple((int(l), int(m), float(c)) for l, m, c in self.modes)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "quad_order", int(self.quad_order))
         seen = set()
         for l, m, _ in modes:
             if l < 0 or abs(m) > l:
@@ -192,7 +338,7 @@ class NearlySpherical:
         if self.quad_order < 8:
             raise ValidationError("quad_order must be at least 8")
         rmin = float(self.grid_profile(max(self.quad_order, 32))[0].min())
-        if rmin <= 0.0:
+        if not rmin > 0.0:
             raise ValidationError(
                 f"radial profile 1 + eps*phi must stay positive (min {rmin:.3g})"
             )
@@ -233,82 +379,48 @@ class NearlySpherical:
             cache[n_theta] = arrays
         return cache[n_theta]
 
+    def perimeter(self) -> float:
+        W = harmonics.gauss_sphere_grid(self.quad_order)[2]
+        R, gt, gl = self.grid_profile()
+        return float(np.sum(W * R * np.sqrt(R * R + gt * gt + gl * gl)))
 
-Shape = Ball | Annulus | UnionOfBalls | Box | ConvexPolygon2D | NearlySpherical
+    def volume(self) -> float:
+        W = harmonics.gauss_sphere_grid(self.quad_order)[2]
+        R = self.grid_profile()[0]
+        return float(np.sum(W * R**3) / 3.0)
+
+    def contains(self, points) -> np.ndarray:
+        pts = self._points(points)
+        r = np.linalg.norm(pts, axis=1)
+        safe = np.maximum(r, 1e-300)
+        theta = np.arccos(np.clip(pts[:, 2] / safe, -1.0, 1.0))
+        lam = np.arctan2(pts[:, 1], pts[:, 0])
+        R, _, _ = self.profile(theta, lam)
+        return r <= R
+
+    def bounding_box(self):
+        rmax = float(self.grid_profile()[0].max())
+        return np.zeros(3), np.full(3, rmax)
+
+
+VARIANTS = {
+    cls.variant: cls
+    for cls in (Ball, Annulus, UnionOfBalls, Box, ConvexPolygon2D, NearlySpherical)
+}
 
 
 def dim_of(shape: Shape) -> int:
-    if isinstance(shape, (Ball, Annulus, Box)):
-        return len(shape.center)
-    if isinstance(shape, UnionOfBalls):
-        return len(shape.balls[0].center)
-    if isinstance(shape, ConvexPolygon2D):
-        return 2
-    if isinstance(shape, NearlySpherical):
-        return 3
-    raise ValidationError(f"unknown shape {type(shape).__name__}")
-
-
-def _sphere_area(dim: int, radius: float) -> float:
-    return unit_sphere_area(dim) * radius ** (dim - 1)
-
-
-def _ball_volume(dim: int, radius: float) -> float:
-    return unit_ball_volume(dim) * radius**dim
-
-
-def _polygon_area(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return shape.dim
 
 
 def perimeter(shape: Shape) -> float:
     """Surface measure of the boundary of the shape."""
-    if isinstance(shape, Ball):
-        return _sphere_area(dim_of(shape), shape.radius)
-    if isinstance(shape, Annulus):
-        d = dim_of(shape)
-        return _sphere_area(d, shape.r_inner) + _sphere_area(d, shape.r_outer)
-    if isinstance(shape, UnionOfBalls):
-        return sum(perimeter(b) for b in shape.balls)
-    if isinstance(shape, Box):
-        sides = [2.0 * h for h in shape.half_widths]
-        total = 0.0
-        for i in range(len(sides)):
-            face = 1.0
-            for j, s in enumerate(sides):
-                if j != i:
-                    face *= s
-            total += 2.0 * face
-        return total
-    if isinstance(shape, ConvexPolygon2D):
-        v = np.array(shape.vertices)
-        return float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
-    if isinstance(shape, NearlySpherical):
-        W = harmonics.gauss_sphere_grid(shape.quad_order)[2]
-        R, gt, gl = shape.grid_profile()
-        return float(np.sum(W * R * np.sqrt(R * R + gt * gt + gl * gl)))
-    raise ValidationError(f"unknown shape {type(shape).__name__}")
+    return shape.perimeter()
 
 
 def volume(shape: Shape) -> float:
     """Lebesgue measure of the shape (area in the plane)."""
-    if isinstance(shape, Ball):
-        return _ball_volume(dim_of(shape), shape.radius)
-    if isinstance(shape, Annulus):
-        d = dim_of(shape)
-        return _ball_volume(d, shape.r_outer) - _ball_volume(d, shape.r_inner)
-    if isinstance(shape, UnionOfBalls):
-        return sum(volume(b) for b in shape.balls)
-    if isinstance(shape, Box):
-        return float(np.prod([2.0 * h for h in shape.half_widths]))
-    if isinstance(shape, ConvexPolygon2D):
-        return _polygon_area(np.array(shape.vertices))
-    if isinstance(shape, NearlySpherical):
-        W = harmonics.gauss_sphere_grid(shape.quad_order)[2]
-        R = shape.grid_profile()[0]
-        return float(np.sum(W * R**3) / 3.0)
-    raise ValidationError(f"unknown shape {type(shape).__name__}")
+    return shape.volume()
 
 
 def symmetric_difference_to_unit_ball(shape: NearlySpherical) -> float:
@@ -343,70 +455,42 @@ def renormalize_to_unit_volume(shape: NearlySpherical) -> NearlySpherical:
 # JSON round trip
 
 
+def _plain(value):
+    if isinstance(value, Shape):
+        return shape_to_dict(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def shape_to_dict(shape: Shape) -> dict:
-    if isinstance(shape, Ball):
-        return {"variant": "ball", "center": list(shape.center), "radius": shape.radius}
-    if isinstance(shape, Annulus):
-        return {
-            "variant": "annulus",
-            "center": list(shape.center),
-            "r_inner": shape.r_inner,
-            "r_outer": shape.r_outer,
-        }
-    if isinstance(shape, UnionOfBalls):
-        return {
-            "variant": "union_of_balls",
-            "balls": [shape_to_dict(b) for b in shape.balls],
-        }
-    if isinstance(shape, Box):
-        return {
-            "variant": "box",
-            "center": list(shape.center),
-            "half_widths": list(shape.half_widths),
-        }
-    if isinstance(shape, ConvexPolygon2D):
-        return {"variant": "convex_polygon", "vertices": [list(v) for v in shape.vertices]}
-    if isinstance(shape, NearlySpherical):
-        return {
-            "variant": "nearly_spherical",
-            "modes": [[l, m, c] for l, m, c in shape.modes],
-            "eps": shape.eps,
-            "quad_order": shape.quad_order,
-        }
-    raise ValidationError(f"unknown shape {type(shape).__name__}")
+    data = {"variant": shape.variant}
+    for f in fields(shape):
+        data[f.name] = _plain(getattr(shape, f.name))
+    return data
 
 
 def shape_from_dict(data: dict) -> Shape:
     if not isinstance(data, dict):
         raise ValidationError("shape specification must be a JSON object")
     variant = data.get("variant")
+    cls = VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ValidationError(f"unknown shape variant {variant!r}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            kwargs[f.name] = data[f.name]
+        elif f.default is MISSING:
+            raise ValidationError(f"shape '{variant}' is missing field {f.name!r}")
     try:
-        if variant == "ball":
-            return Ball(center=data["center"], radius=data["radius"])
-        if variant == "annulus":
-            return Annulus(
-                center=data["center"],
-                r_inner=data["r_inner"],
-                r_outer=data["r_outer"],
-            )
-        if variant == "union_of_balls":
-            balls = tuple(shape_from_dict(b) for b in data["balls"])
-            if not all(isinstance(b, Ball) for b in balls):
-                raise ValidationError("union_of_balls entries must be balls")
-            return UnionOfBalls(balls=balls)
-        if variant == "box":
-            return Box(center=data["center"], half_widths=data["half_widths"])
-        if variant == "convex_polygon":
-            return ConvexPolygon2D(vertices=tuple(map(tuple, data["vertices"])))
-        if variant == "nearly_spherical":
-            return NearlySpherical(
-                modes=tuple(map(tuple, data["modes"])),
-                eps=data["eps"],
-                quad_order=int(data.get("quad_order", 48)),
-            )
-    except KeyError as exc:
-        raise ValidationError(f"shape '{variant}' is missing field {exc}") from None
-    raise ValidationError(f"unknown shape variant {variant!r}")
+        if cls is UnionOfBalls:
+            kwargs["balls"] = [shape_from_dict(b) for b in kwargs["balls"]]
+        return cls(**kwargs)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed '{variant}' shape: {exc}") from None
 
 
 def shape_to_json(shape: Shape) -> str:

@@ -59,6 +59,28 @@ def test_validation_failures_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+BALL_4D = '{"variant": "ball", "center": [%s, 0, 0, 0], "radius": 1}'
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"variant": "ball", "center": 5, "radius": 1}',
+        '{"variant": "nearly_spherical", "modes": [[2, 0]], "eps": 0.1}',
+        '{"variant": "nearly_spherical", "modes": [[2, 0, 1]], "eps": 0.1, "quad_order": "x"}',
+        '{"variant": "union_of_balls", "balls": 5}',
+        '{"variant": ["x"]}',
+        '{"variant": "box", "center": [0, 0, 0], "half_widths": [NaN, 1, 1]}',
+        '{"variant": "union_of_balls", "balls": [%s, %s]}' % (BALL_4D % 0, BALL_4D % 3),
+    ],
+    ids=["center", "mode", "quad_order", "balls", "variant", "nan_width", "union_4d"],
+)
+def test_malformed_shapes_exit_two(capsys, spec):
+    code, _, err = run_cli(["capacity", "--shape", spec, "--M", "400"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "\n" not in err.strip()
+
+
 def test_nonconvergence_exits_three_with_the_best_iterate(tmp_path, monkeypatch):
     import dropcap.cli
     from dropcap.errors import NonConvergenceError

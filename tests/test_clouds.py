@@ -123,6 +123,15 @@ def test_contains_all_variants():
     assert contains(graph, [[0.0, 0.0, 0.0]])[0]
 
 
+def test_boundary_clouds_reject_four_dimensional_balls_and_unions():
+    ball = dc.Ball((0.0, 0.0, 0.0, 0.0), 1.0)
+    union = dc.UnionOfBalls((ball, dc.Ball((3.0, 0.0, 0.0, 0.0), 1.0)))
+    for shape in (ball, union):
+        with pytest.raises(DiscretizationError, match="dimensions 2 and 3, not 4"):
+            dc.discretize(shape, 400, "boundary")
+        assert dc.discretize(shape, 400, "volume").dim == 4
+
+
 def test_volume_cloud_too_coarse_raises():
     tiny = dc.Ball((0.0, 0.0, 0.0), 1e-3)
     u = dc.UnionOfBalls((dc.Ball((0, 0, 0), 1.0), dc.Ball((2.5, 0, 0), 1e-3)))

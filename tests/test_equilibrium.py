@@ -5,7 +5,7 @@ import pytest
 
 import dropcap as dc
 from dropcap.equilibrium import solve_simplex_qp
-from dropcap.errors import ValidationError
+from dropcap.errors import NonConvergenceError, ValidationError
 
 import oracles
 
@@ -102,6 +102,21 @@ def test_volume_run_alpha_two_collapses_to_boundary():
     res = dc.solve_shape(BALL3, 2.0, n_nodes=1200, role="volume")
     r = np.linalg.norm(res.cloud.points, axis=1)
     assert res.masses[r < 0.8].sum() <= 0.01
+
+
+def test_stalled_active_set_raises_with_a_feasible_best_iterate():
+    # two active-set steps do not settle the collapsing alpha = 2 volume
+    # ball, so the solve ends in the projected-gradient pass and gives up
+    cloud = dc.discretize(BALL3, 800, "volume")
+    op = dc.assemble_operator(cloud, COULOMB)
+    tol = 1e-10
+    with pytest.raises(NonConvergenceError) as exc:
+        dc.equilibrium_measure(op, tol=tol, max_iter=2)
+    masses, lam = exc.value.result
+    assert masses.shape == (cloud.n_nodes,) and masses.min() >= 0.0
+    assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+    assert lam == pytest.approx(masses @ op.apply(masses), rel=1e-12)
+    assert exc.value.residual > tol * max(abs(lam), 1.0)
 
 
 def test_potential_on_and_off_support(ball_eq_2000):

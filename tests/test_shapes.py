@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dropcap as dc
-from dropcap.errors import ValidationError
+from dropcap.errors import DiscretizationError, ValidationError
 from dropcap.harmonics import gauss_sphere_grid
+from dropcap.shapes import VARIANTS
 
 import oracles
 
@@ -63,6 +64,13 @@ def test_validation_rejects_bad_inputs():
         dc.ConvexPolygon2D(((0, 0), (0, 1), (1, 1), (1, 0)))
     with pytest.raises(ValidationError):  # profile touches zero
         dc.NearlySpherical(modes=((0, 0, 1.0),), eps=-4.0)
+    nan = float("nan")
+    with pytest.raises(ValidationError):
+        dc.Box((0.0, 0.0), (nan, 1.0))
+    with pytest.raises(ValidationError):
+        dc.ConvexPolygon2D(((0, 0), (1, 0), (nan, 1)))
+    with pytest.raises(ValidationError):
+        dc.NearlySpherical(modes=((2, 0, 1.0),), eps=nan)
 
 
 def test_nearly_spherical_ball_limit():
@@ -79,21 +87,44 @@ def test_renormalize_restores_unit_volume():
     assert dc.perimeter(r) >= 4.0 * np.pi - 1e-12  # isoperimetry
 
 
-def test_json_roundtrip_every_variant():
-    shapes = [
-        BALL3,
-        dc.Ball((1.0, 2.0), 0.5),
-        dc.Annulus((0.0, 0.0, 0.0), 0.5, 1.0),
+# one or more examples per registered variant; a variant added to
+# shapes.VARIANTS without examples here fails the test below
+EXAMPLES = {
+    "ball": [BALL3, dc.Ball((1.0, 2.0), 0.5), dc.Ball((0.0, 0.0, 0.0, 0.0), 1.0)],
+    "annulus": [dc.Annulus((0.0, 0.0, 0.0), 0.5, 1.0), dc.Annulus((1.0, 0.0), 0.3, 0.9)],
+    "union_of_balls": [
         dc.UnionOfBalls((dc.Ball((0, 0, 0), 1.0), dc.Ball((4, 0, 0), 0.5))),
-        dc.Box((0.0, 0.0, 0.0), (1.0, 1.0, 2.0)),
-        dc.ConvexPolygon2D(((0, 0), (1, 0), (1, 1), (0, 1))),
-        dc.NearlySpherical(modes=((2, 0, 0.8), (3, -2, 0.1)), eps=0.1),
-    ]
-    for s in shapes:
-        t = dc.shape_from_json(dc.shape_to_json(s))
-        assert type(t) is type(s)
-        assert dc.volume(t) == pytest.approx(dc.volume(s), rel=1e-14)
-        assert dc.dim_of(t) == dc.dim_of(s)
+        dc.UnionOfBalls((dc.Ball((0, 0, 0, 0), 1.0), dc.Ball((3, 0, 0, 0), 1.0))),
+    ],
+    "box": [dc.Box((0.0, 0.0, 0.0), (1.0, 1.0, 2.0)), dc.Box((0.5, -1.0), (0.2, 0.7))],
+    "convex_polygon": [dc.ConvexPolygon2D(((0, 0), (1, 0), (1, 1), (0, 1)))],
+    "nearly_spherical": [dc.NearlySpherical(modes=((2, 0, 0.8), (3, -2, 0.1)), eps=0.1)],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_every_registered_variant(variant):
+    cls = VARIANTS[variant]
+    assert cls.variant == variant
+    for s in EXAMPLES[variant]:
+        assert type(s) is cls
+        text = dc.shape_to_json(s)
+        t = dc.shape_from_json(text)
+        assert type(t) is cls and t == s and dc.shape_to_json(t) == text
+        assert dc.shape_to_dict(s)["variant"] == variant
+        assert dc.dim_of(s) == s.dim >= 2
+        assert np.isfinite(dc.perimeter(s)) and dc.perimeter(s) > 0
+        assert np.isfinite(dc.volume(s)) and dc.volume(s) > 0
+        for role in ("boundary", "volume"):
+            try:
+                cloud = dc.discretize(s, 400, role)
+            except DiscretizationError:
+                continue
+            assert cloud.dim == s.dim and cloud.role == role
+            if role == "volume":
+                assert s.contains(cloud.points).all()
+                center, half = s.bounding_box()
+                assert np.all(np.abs(cloud.points - center) <= half)
 
 
 def test_unknown_variant_rejected():
