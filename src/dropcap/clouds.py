@@ -25,9 +25,7 @@ __all__ = [
     "NodeCloud",
     "discretize",
     "default_role",
-    "contains",
     "voronoi_patch_areas",
-    "save_csv",
     "GOLDEN_ANGLE",
 ]
 
@@ -93,15 +91,6 @@ class NodeCloud:
 def default_role(alpha: float) -> str:
     """Support side of the dichotomy: body below order 2, boundary from 2 up."""
     return "volume" if alpha < 2.0 else "boundary"
-
-
-# ---------------------------------------------------------------------------
-# membership
-
-
-def contains(shape: shp.Shape, points) -> np.ndarray:
-    """Boolean mask of points lying in the closed shape."""
-    return shape.contains(points)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +288,7 @@ def _volume_cloud(shape: shp.Shape, n: int):
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    mask = contains(shape, pts)
+    mask = shape.contains(pts)
     if not mask.any():
         raise DiscretizationError("no grid cells landed inside the shape; raise n_nodes")
     pts = pts[mask]
@@ -314,7 +303,7 @@ def _volume_cloud(shape: shp.Shape, n: int):
         return pts, w, comp, names
     taken = np.zeros(len(pts), dtype=bool)
     for i, piece in enumerate(pieces):
-        inside = contains(piece, pts) & ~taken
+        inside = piece.contains(pts) & ~taken
         comp[inside] = i
         taken |= inside
         if not inside.any():
@@ -377,12 +366,3 @@ def voronoi_patch_areas(cloud: NodeCloud) -> np.ndarray:
     u = (cloud.points - center) / radius
     sv = SphericalVoronoi(u, radius=1.0, threshold=1e-10)
     return sv.calculate_areas() * radius**2
-
-
-def save_csv(cloud: NodeCloud, path) -> None:
-    """Write nodes as CSV with coordinates, weight, and component label."""
-    header = ",".join([f"x{i}" for i in range(cloud.dim)] + ["weight", "component"])
-    data = np.column_stack(
-        [cloud.points, cloud.weights, cloud.components.astype(float)]
-    )
-    np.savetxt(path, data, delimiter=",", header=header, comments="")

@@ -13,10 +13,11 @@ on volume clouds with cell volumes V:
     minimize m.T G m,  G = K/(4 pi) + diag(1/V),  sum(m) = 1,
 
 with the sign left unconstrained: one unit-charge solve against the
-positive definite 2G, m = (2G)^-1 1 / 1'(2G)^-1 1.  2G is well
+positive definite 2G, m = (2G)^-1 1 / 1'(2G)^-1 1, which is the
+constrained solve of dropcap.linalg with rhs 0 and total 1.  2G is well
 conditioned (about 1.4 on the unit ball), and conjugate gradients solve
 it in a few products (1/2 pi) K x + (2/V) x, never forming 2G; only if
-CG fails is 2G built and solved through the bordered LU.  The true
+CG fails is 2G built, for the bordered LU.  The true
 minimizer comes out nonnegative on its own, and nonnegativity is
 reported as a diagnostic rather than enforced.  At the optimum the
 Euler-Lagrange relation (1/2 pi) v_i + 2 rho_i = lambda holds at every
@@ -34,7 +35,7 @@ from .clouds import NodeCloud, discretize
 from .equilibrium import _radial_shells
 from .errors import UnsupportedConfigurationError, ValidationError
 from .kernels import KernelParams
-from .linalg import bordered_solve, cg_solve, symv, unit_charge
+from .linalg import constrained_solve, symv
 from .operators import assemble_operator
 
 __all__ = [
@@ -88,13 +89,14 @@ def solve_entropic(cloud: NodeCloud) -> DensityResult:
     K = assemble_operator(cloud, params).matrix
     coulomb, penalty = 2.0 / params.pde_constant, 2.0 / cloud.weights
 
-    x = cg_solve(lambda v: coulomb * symv(K, v) + penalty * v, np.ones(cloud.n_nodes))
-    if x is not None:
-        m, lam = unit_charge(x)
-    else:
-        two_g = K * coulomb
-        two_g.flat[:: cloud.n_nodes + 1] += penalty
-        m, lam = bordered_solve(two_g)
+    def two_g():
+        A = K * coulomb
+        A.flat[:: cloud.n_nodes + 1] += penalty
+        return A
+
+    m, lam = constrained_solve(
+        two_g, np.zeros(cloud.n_nodes), 1.0, lambda v: coulomb * symv(K, v) + penalty * v
+    )
     Km = symv(K, m)
     Gm = Km / params.pde_constant + m / cloud.weights
     value = float(m @ Gm)

@@ -12,11 +12,11 @@ constant is the minimal energy itself; its reciprocal (or, for the
 logarithmic kernel, its negative exponential) is the capacity.  An
 active-set method solves the program to round-off in a handful of
 unit-charge solves on the working set, starting from all nodes active
-and deactivating negative masses until complementarity holds.  For the
-Riesz kernels each solve is a conjugate-gradient solve of K x = 1, and
-the full operator's K^-1 1 is cached on it; the planar logarithmic
-kernel, only conditionally positive definite, solves the bordered system
-by LU, as does a solve on which CG fails.
+and deactivating negative masses until complementarity holds.  Each is
+one call of the constrained solve in dropcap.linalg, K x = lambda 1 with
+sum(x) = 1: conjugate gradients for the Riesz kernels, reusing the full
+operator's cached K^-1 1, and the bordered LU for the planar logarithmic
+kernel or when CG fails.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import shapes as shp
 from .clouds import NodeCloud, default_role, discretize
 from .errors import NonConvergenceError, ValidationError
 from .kernels import KernelParams
-from .linalg import bordered_solve, cg_solve, symv, unit_charge
+from .linalg import constrained_solve, symv
 from .operators import KernelOperator, assemble_operator, potential_at
 
 __all__ = [
@@ -187,20 +187,15 @@ def solve_simplex_qp(
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValidationError("operator must be a square matrix")
     n = K.shape[0]
+    definite = op is None or not op.params.is_log
 
-    def unit_charge_on(idx):
-        """Masses and multiplier on the working set idx, None for every node."""
-        if op is None or not op.params.is_log:
-            if idx is not None:
-                K_act = K[np.ix_(idx, idx)]
-                x = cg_solve(lambda v: symv(K_act, v), np.ones(len(idx)))
-            elif op is not None:
-                x = op.inverse_ones
-            else:
-                x = cg_solve(lambda v: symv(K, v), np.ones(n))
-            if x is not None:
-                return unit_charge(x)
-        return bordered_solve(K, idx)
+    def solve_on(idx):
+        """Masses and multiplier on the working set idx, in one solve."""
+        if op is not None and len(idx) == n:
+            return op.solve(np.zeros(n), 1.0)
+        A = K if len(idx) == n else K[np.ix_(idx, idx)]
+        apply = (lambda v: symv(A, v)) if definite else None
+        return constrained_solve(lambda: A, np.zeros(len(idx)), 1.0, apply)
 
     if start_active is None:
         active = np.ones(n, dtype=bool)
@@ -218,7 +213,7 @@ def solve_simplex_qp(
             seen.clear()
         seen.add(key)
         idx = np.flatnonzero(active)
-        m_act, lam = unit_charge_on(None if len(idx) == n else idx)
+        m_act, lam = solve_on(idx)
         neg = m_act < -_NEG_TOL
         if neg.any():
             if single:

@@ -22,7 +22,6 @@ from .errors import ValidationError
 
 __all__ = [
     "KernelParams",
-    "kernel_eval",
     "kernel_of_distance",
     "unit_sphere_area",
     "unit_ball_volume",
@@ -93,23 +92,6 @@ def kernel_of_distance(params: KernelParams, r, out=None):
     if params.is_log:
         return np.negative(np.log(r, out=out), out=out)
     return np.power(r, params.alpha - params.dim, out=out)
-
-
-def kernel_eval(params: KernelParams, x, y) -> float:
-    """Pair interaction between unit charges at points x and y.
-
-    Raises for coincident points, where the kernel is singular.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (params.dim,) or y.shape != (params.dim,):
-        raise ValidationError(
-            f"points must have shape ({params.dim},), got {x.shape} and {y.shape}"
-        )
-    r = float(np.linalg.norm(x - y))
-    if r == 0.0:
-        raise ValidationError("kernel is singular at coincident points")
-    return float(kernel_of_distance(params, r))
 
 
 def _ball_distance_pdf(dim: int, r):

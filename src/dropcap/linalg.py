@@ -1,27 +1,21 @@
-"""Solves against a symmetric kernel matrix by matrix-vector products.
+"""The one constrained solve behind every linear problem dropcap poses:
 
-The equilibrium and entropic problems are both the unit-charge solve
+    A x = rhs + lambda 1,   1'x = total,   A symmetric.
 
-    m = A^-1 1 / (1' A^-1 1),   lambda = 1 / (1' A^-1 1),
+The equilibrium measure and each active-set working set take rhs 0 and
+total 1; the conductor in an external field A = K, rhs -phi/2 and
+total 0; the entropic density A = K/2 pi + diag(2/V), rhs 0 and total 1.
 
-and the external-field problem solves against the kernel matrix with
-two right-hand sides.  For the Riesz kernels the matrix is positive
-definite and well conditioned, so conjugate gradients (Hestenes and
-Stiefel 1952) reach round-off in tens of products with A and never
-factor it: a solve holds a few vectors besides A itself.  CG stops when
+For the Riesz kernels A is positive definite and well conditioned, so
+conjugate gradients (Hestenes and Stiefel 1952) reach round-off in tens
+of products with A and never factor it.  CG stops when
 |r| <= CG_RTOL |b|, a fixed constant: at 1e-14 the masses differed from
 the bordered LU by up to 6e-12, at 1e-15 by at most 6e-13, for about 8%
-more iterations.
-
-The planar logarithmic kernel is only conditionally positive definite;
-it goes through the bordered system
-
-    [A  -1] [m     ]   [0]
-    [1'  0] [lambda] = [1]
-
-factored by LU, with least squares if the system is singular.  A Riesz
-solve on which CG breaks down or does not converge takes the same
-bordered path.
+more iterations.  The one dense path is the bordered system
+[A -1; 1' 0] [x; lambda] = [rhs; total], factored by LU, with least
+squares if it is singular.  It serves the planar logarithmic kernel,
+only conditionally positive definite, and any solve on which CG breaks
+down or does not converge.
 
 Every factorization, triangular solve and matrix-vector product here
 runs on scipy's LAPACK and BLAS.  numpy links a separate OpenBLAS, and
@@ -38,7 +32,11 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lstsq, lu_factor, lu_solve
 from scipy.linalg.blas import dsymv
 
-__all__ = ["CG_RTOL", "CG_MAX_ITER", "symv", "cg_solve", "unit_charge", "bordered_solve"]
+from .errors import ValidationError
+
+__all__ = [
+    "CG_RTOL", "CG_MAX_ITER", "symv", "cg_solve", "constrained_solve", "bordered_solve"
+]
 
 # CG stops at |r| <= CG_RTOL |b|, and gives up after CG_MAX_ITER products
 CG_RTOL = 1e-15
@@ -80,32 +78,52 @@ def cg_solve(apply, b) -> np.ndarray | None:
     return x if rr <= stop else None
 
 
-def unit_charge(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Masses x / 1'x and multiplier 1 / 1'x from x = A^-1 1."""
-    total = float(x.sum())
-    return x / total, 1.0 / total
+def constrained_solve(
+    dense, rhs, total: float = 1.0, apply=None, inverse_ones=None
+) -> tuple[np.ndarray, float]:
+    """x and lambda with A x = rhs + lambda 1 and 1'x = total.
+
+    apply(v) computes A @ v for a positive definite A: x = w0 + lambda w1,
+    A w0 = rhs by CG (no solve for rhs 0) and w1 = inverse_ones, or
+    A^-1 1 by CG if the caller keeps none.  With no apply, or when CG
+    fails, dense() returns A for the bordered LU.  Raises ValidationError
+    if 1'A^-1 1 vanishes.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if apply is not None:
+        w1 = cg_solve(apply, np.ones(len(rhs))) if inverse_ones is None else inverse_ones
+        w0 = rhs if w1 is None or not rhs.any() else cg_solve(apply, rhs)
+        if w1 is not None and w0 is not None:
+            charge = float(w1.sum())
+            if abs(charge) < 1e-300:
+                raise ValidationError("degenerate operator: unit potential has zero charge")
+            lam = (total - float(w0.sum())) / charge
+            return w0 + lam * w1, lam
+    return bordered_solve(dense(), rhs, total)
 
 
-def _bordered(A: np.ndarray, idx) -> np.ndarray:
-    n = A.shape[0] if idx is None else len(idx)
+def _bordered(A: np.ndarray) -> np.ndarray:
+    n = A.shape[0]
     B = np.empty((n + 1, n + 1))
-    B[:n, :n] = A if idx is None else A[np.ix_(idx, idx)]
+    B[:n, :n] = A
     B[:n, n] = -1.0
     B[n, :n] = 1.0
     B[n, n] = 0.0
     return B
 
 
-def bordered_solve(A: np.ndarray, idx=None) -> tuple[np.ndarray, float]:
-    """Unit-charge solve on A[idx, idx] through the bordered system.
+def bordered_solve(A: np.ndarray, rhs=None, total: float = 1.0) -> tuple[np.ndarray, float]:
+    """x and lambda with A x = rhs + lambda 1 and 1'x = total, by one LU.
 
-    idx defaults to every row.  An exactly singular system falls back to
-    the least-squares solution of minimal norm.
+    rhs defaults to zero.  An exactly singular system falls back to the
+    least-squares solution of minimal norm.
     """
-    B = _bordered(A, idx)
+    B = _bordered(A)
     n = B.shape[0] - 1
     b = np.zeros(n + 1)
-    b[n] = 1.0
+    if rhs is not None:
+        b[:n] = rhs
+    b[n] = total
     with warnings.catch_warnings():
         # lu_factor only warns on an exact zero pivot; the solve would be NaN
         warnings.simplefilter("error", LinAlgWarning)
@@ -115,7 +133,7 @@ def bordered_solve(A: np.ndarray, idx=None) -> tuple[np.ndarray, float]:
         except LinAlgWarning:
             lu = None
     if lu is None:
-        sol = lstsq(_bordered(A, idx), b)[0]
+        sol = lstsq(_bordered(A), b)[0]
     else:
         sol = lu_solve(lu, b, trans=1, check_finite=False)
     return sol[:n], float(sol[n])

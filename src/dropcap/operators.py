@@ -11,8 +11,9 @@ integral, and the ball and circle oracles hold at the percent level by
 M around 2000.
 
 The matrix is the operator's only n^2 buffer: the kernel is evaluated
-in place over the pairwise distances, and the Riesz solves use only
-products with K (see dropcap.linalg), caching the n values K^-1 1.
+in place over the pairwise distances.  KernelOperator.solve hands the
+operator to the one constrained solve of dropcap.linalg: for the Riesz
+kernels that uses only products with K, caching the n values K^-1 1.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .kernels import (
     uniform_ball_self_energy,
     unit_ball_volume,
 )
-from .linalg import cg_solve, symv
+from .linalg import cg_solve, constrained_solve, symv
 
 __all__ = [
     "KernelOperator",
@@ -48,7 +49,7 @@ class KernelOperator:
     """Symmetric kernel matrix with its cloud and kernel provenance.
 
     K^-1 1 is computed on first use and kept, so every solve against one
-    operator that needs it shares a single conjugate-gradient solve.
+    operator shares a single conjugate-gradient solve of K x = 1.
     """
 
     matrix: np.ndarray
@@ -86,6 +87,16 @@ class KernelOperator:
 
     def apply(self, masses) -> np.ndarray:
         return symv(self.matrix, masses)
+
+    def solve(self, rhs, total: float) -> tuple[np.ndarray, float]:
+        """x and lambda with K x = rhs + lambda 1 and sum(x) = total.
+
+        Reuses the cached K^-1 1; without it (the planar log kernel, or
+        CG failed on K x = 1) the solve goes through the bordered LU.
+        """
+        w1 = self.inverse_ones
+        apply = None if w1 is None else self.apply
+        return constrained_solve(lambda: self.matrix, rhs, total, apply, w1)
 
     def energy(self, masses) -> float:
         """Full double interaction integral of a nodal measure."""

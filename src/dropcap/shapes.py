@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 
+# Largest NearlySpherical.quad_order: its grid arrays are 16.8 MB each at
+# 1024, and a shape with its perimeter, volume and symmetric difference
+# peaks 150 MB above the import there, in 1.4 s on a 2-core Xeon.
+MAX_QUAD_ORDER = 1024
+
+
 def _as_tuple(x) -> tuple[float, ...]:
     return tuple(float(v) for v in x)
 
@@ -54,6 +60,13 @@ def _sphere_area(dim: int, radius: float) -> float:
 
 def _ball_volume(dim: int, radius: float) -> float:
     return unit_ball_volume(dim) * radius**dim
+
+
+def _require_finite(shape, *names) -> None:
+    for name in names:
+        value = getattr(shape, name)
+        if not np.all(np.isfinite(value)):
+            raise ValidationError(f"{shape.variant} {name} must be finite, got {value}")
 
 
 class Shape:
@@ -94,6 +107,7 @@ class Ball(Shape):
     def __post_init__(self):
         object.__setattr__(self, "center", _as_tuple(self.center))
         object.__setattr__(self, "radius", float(self.radius))
+        _require_finite(self, "center", "radius")
         if len(self.center) < 2:
             raise ValidationError("ball center must have dimension >= 2")
         if not self.radius > 0:
@@ -126,6 +140,7 @@ class Annulus(Shape):
         object.__setattr__(self, "center", _as_tuple(self.center))
         object.__setattr__(self, "r_inner", float(self.r_inner))
         object.__setattr__(self, "r_outer", float(self.r_outer))
+        _require_finite(self, "center", "r_inner", "r_outer")
         if len(self.center) < 2:
             raise ValidationError("annulus center must have dimension >= 2")
         if not 0 < self.r_inner < self.r_outer:
@@ -231,6 +246,7 @@ class Box(Shape):
     def __post_init__(self):
         object.__setattr__(self, "center", _as_tuple(self.center))
         object.__setattr__(self, "half_widths", _as_tuple(self.half_widths))
+        _require_finite(self, "center", "half_widths")
         if len(self.center) < 2:
             raise ValidationError("box center must have dimension >= 2")
         if len(self.half_widths) != len(self.center):
@@ -310,7 +326,8 @@ class NearlySpherical(Shape):
     phi is a finite combination of real spherical harmonics given as
     (l, m, coefficient) modes.  The profile 1 + eps*phi must stay positive.
     quad_order sets the latitudinal size of the spectral grid used for
-    perimeter, volume, and related surface integrals.  The profile on that
+    perimeter, volume, and related surface integrals, from 8 to
+    MAX_QUAD_ORDER (1024: about 150 MB at the bound).  The profile on that
     grid is evaluated once per shape (grid_profile) and shared by the
     positivity check, perimeter, volume, the symmetric difference and the
     bounding box.  The graph is centered at the origin.
@@ -335,8 +352,10 @@ class NearlySpherical(Shape):
             if (l, m) in seen:
                 raise ValidationError(f"duplicate mode (l={l}, m={m})")
             seen.add((l, m))
-        if self.quad_order < 8:
-            raise ValidationError("quad_order must be at least 8")
+        if not 8 <= self.quad_order <= MAX_QUAD_ORDER:
+            raise ValidationError(
+                f"quad_order must lie in [8, {MAX_QUAD_ORDER}], got {self.quad_order}"
+            )
         rmin = float(self.grid_profile(max(self.quad_order, 32))[0].min())
         if not rmin > 0.0:
             raise ValidationError(

@@ -62,23 +62,46 @@ def test_validation_failures_exit_two(capsys, tmp_path):
 BALL_4D = '{"variant": "ball", "center": [%s, 0, 0, 0], "radius": 1}'
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        '{"variant": "ball", "center": 5, "radius": 1}',
-        '{"variant": "nearly_spherical", "modes": [[2, 0]], "eps": 0.1}',
+# (shape JSON, a word the one-line error must contain)
+MALFORMED = {
+    "center": ('{"variant": "ball", "center": 5, "radius": 1}', "ball"),
+    "mode": ('{"variant": "nearly_spherical", "modes": [[2, 0]], "eps": 0.1}', "nearly_spherical"),
+    "quad_order": (
         '{"variant": "nearly_spherical", "modes": [[2, 0, 1]], "eps": 0.1, "quad_order": "x"}',
-        '{"variant": "union_of_balls", "balls": 5}',
-        '{"variant": ["x"]}',
+        "nearly_spherical",
+    ),
+    "balls": ('{"variant": "union_of_balls", "balls": 5}', "union_of_balls"),
+    "variant": ('{"variant": ["x"]}', "variant"),
+    "nan_width": (
         '{"variant": "box", "center": [0, 0, 0], "half_widths": [NaN, 1, 1]}',
+        "half_widths",
+    ),
+    "union_4d": (
         '{"variant": "union_of_balls", "balls": [%s, %s]}' % (BALL_4D % 0, BALL_4D % 3),
-    ],
-    ids=["center", "mode", "quad_order", "balls", "variant", "nan_width", "union_4d"],
-)
-def test_malformed_shapes_exit_two(capsys, spec):
+        "dimensions",
+    ),
+    "inf_width": (
+        '{"variant": "box", "center": [0, 0, 0], "half_widths": [Infinity, 1, 1]}',
+        "half_widths",
+    ),
+    "nan_center": ('{"variant": "ball", "center": [NaN, 0, 0], "radius": 1}', "center"),
+    "inf_radius": (
+        '{"variant": "annulus", "center": [0, 0, 0], "r_inner": 1, "r_outer": Infinity}',
+        "r_outer",
+    ),
+    "huge_quad_order": (
+        '{"variant": "nearly_spherical", "modes": [[2, 0, 1]], "eps": 0.1, "quad_order": 100000}',
+        "quad_order",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, word", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_shapes_exit_two(capsys, spec, word):
     code, _, err = run_cli(["capacity", "--shape", spec, "--M", "400"], capsys)
     assert code == 2
     assert err.startswith("error:") and "\n" not in err.strip()
+    assert word in err
 
 
 def test_nonconvergence_exits_three_with_the_best_iterate(tmp_path, monkeypatch):

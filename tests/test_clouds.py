@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import dropcap as dc
-from dropcap.clouds import contains
 from dropcap.errors import DiscretizationError, ValidationError
 
 
@@ -113,14 +112,14 @@ def test_weight_sum_error_halves_when_nodes_quadruple():
 
 
 def test_contains_all_variants():
-    assert contains(BALL3, [[0.5, 0.0, 0.0]])[0]
-    assert not contains(BALL3, [[1.5, 0.0, 0.0]])[0]
+    assert BALL3.contains([[0.5, 0.0, 0.0]])[0]
+    assert not BALL3.contains([[1.5, 0.0, 0.0]])[0]
     ann = dc.Annulus((0.0, 0.0, 0.0), 0.5, 1.0)
-    assert contains(ann, [[0.7, 0, 0]])[0] and not contains(ann, [[0.2, 0, 0]])[0]
+    assert ann.contains([[0.7, 0, 0]])[0] and not ann.contains([[0.2, 0, 0]])[0]
     poly = dc.ConvexPolygon2D(((0, 0), (1, 0), (1, 1), (0, 1)))
-    assert contains(poly, [[0.5, 0.5]])[0] and not contains(poly, [[1.5, 0.5]])[0]
+    assert poly.contains([[0.5, 0.5]])[0] and not poly.contains([[1.5, 0.5]])[0]
     graph = dc.NearlySpherical(modes=((2, 0, 1.0),), eps=0.2)
-    assert contains(graph, [[0.0, 0.0, 0.0]])[0]
+    assert graph.contains([[0.0, 0.0, 0.0]])[0]
 
 
 def test_boundary_clouds_reject_four_dimensional_balls_and_unions():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dropcap as dc
+import dropcap.linalg
 from dropcap.equilibrium import solve_simplex_qp
 from dropcap.errors import NonConvergenceError, ValidationError
 
@@ -30,10 +31,20 @@ def test_active_set_drops_dominated_node():
     np.testing.assert_allclose(m[:2], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-10)
 
 
-def test_singular_system_falls_back_to_least_squares():
-    m, lam, _, resid = solve_simplex_qp(np.ones((2, 2)))
+def test_singular_system_falls_back_to_least_squares(monkeypatch):
+    # CG breaks down on -11' (p'Ap = -4) and its bordered system is singular
+    calls = []
+    lstsq = dropcap.linalg.lstsq
+
+    def counted_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(dropcap.linalg, "lstsq", counted_lstsq)
+    m, lam, _, resid = solve_simplex_qp(-np.ones((2, 2)))
+    assert calls
     np.testing.assert_allclose(m, [0.5, 0.5], rtol=1e-12)
-    assert lam == pytest.approx(1.0, rel=1e-12)
+    assert lam == pytest.approx(-1.0, rel=1e-12)
     assert resid < 1e-12
 
 

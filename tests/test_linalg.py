@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dropcap as dc
+import dropcap.linalg
 from dropcap.equilibrium import solve_simplex_qp
-from dropcap.linalg import bordered_solve, cg_solve, symv, unit_charge
+from dropcap.linalg import bordered_solve, cg_solve, symv
 
 ORIGIN = (0.0, 0.0, 0.0)
 COULOMB = dc.KernelParams(3, 2.0)
@@ -84,11 +85,35 @@ def test_restricted_unit_charge_solves_agree(R, M, seed):
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(K), size=len(K) // 2, replace=False))
     K_act = K[np.ix_(idx, idx)]
-    m, lam = unit_charge(cg_solve(lambda v: symv(K_act, v), np.ones(len(idx))))
-    m_lu, lam_lu = bordered_solve(K, idx)
+    x = cg_solve(lambda v: symv(K_act, v), np.ones(len(idx)))
+    m, lam = x / x.sum(), 1.0 / x.sum()
+    m_lu, lam_lu = bordered_solve(K_act)
     assert _max_rel(m, m_lu) <= 1e-12
     assert lam == pytest.approx(lam_lu, rel=1e-12)
     assert m.sum() == pytest.approx(1.0, rel=1e-14)
+
+
+@generated
+@given(
+    center=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    R=radii,
+    M=node_counts,
+    E=st.tuples(*[st.floats(-2.0, 2.0)] * 3).filter(lambda e: max(map(abs, e)) > 0.1),
+)
+def test_field_solve_agrees_with_bordered_solve(center, R, M, E):
+    cloud = dc.discretize(dc.Ball(center, R), M, "boundary")
+    op = dc.assemble_operator(cloud, COULOMB)
+    rhs = -0.5 * dc.LinearPotential(E).potential_values(cloud.points)
+    counter = _Counter(bordered_solve)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dropcap.linalg, "bordered_solve", counter)
+        w, lam = op.solve(rhs, 0.0)
+    assert counter.calls == 0  # conjugate gradients solved it
+    w_lu, lam_lu = bordered_solve(op.matrix, rhs, 0.0)
+    assert _max_rel(w, w_lu) <= 1e-12
+    # lambda may sit near zero: compare it on the scale of rhs
+    assert abs(lam - lam_lu) <= 1e-12 * float(np.abs(rhs).max())
+    assert abs(w.sum()) <= 1e-12 * float(np.abs(w).sum())
 
 
 def _old_entropic(cloud):
