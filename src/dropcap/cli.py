@@ -199,11 +199,10 @@ def _run_equilibrium(args):
 
 def _run_external_field(args):
     shape = _load_shape(args)
-    field = tuple(args.field)
-    if shp.dim_of(shape) != len(field):
+    phi = LinearPotential(args.field)
+    if shp.dim_of(shape) != phi.dim:
         raise shp.ValidationError("--field must have one component per dimension")
     cloud, op = _solve_cloud(args, shape, 2.0)
-    phi = LinearPotential(field)
     res = solve_external(op, phi)
     result = res.summary()
     result["F"] = res.F_value
@@ -357,19 +356,24 @@ def _run_convex_2d(args):
 # parser
 
 
-def _add_common(sub, shape=True, alpha=True, charge=False):
-    sub.add_argument("--M", type=int, default=2000, help="node budget")
-    sub.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-    sub.add_argument("--dim", type=int, default=None, help="ambient dimension check")
+# flags shared by several subcommands; each declares only those its runner reads
+_SHARED = {
+    "shape": {"default": None, "help": "shape JSON file or inline spec"},
+    "dim": {"type": int, "default": None, "help": "ambient dimension"},
+    "M": {"type": int, "default": 2000, "help": "node budget"},
+    "role": {"choices": ("boundary", "volume"), "default": None},
+    "alpha": {"type": float, "default": 2.0, "help": "kernel exponent"},
+    "tol": {"type": float, "default": 1e-10, "help": "solver tolerance"},
+    "Q": {"type": float, "default": 1.0, "help": "total charge"},
+}
+
+
+def _add_common(sub, *shared):
+    """--format and --output, then the named flags of _SHARED."""
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default="-", help="artifact path, - for stdout")
-    sub.add_argument("--role", choices=("boundary", "volume"), default=None)
-    if shape:
-        sub.add_argument("--shape", default=None, help="shape JSON file or inline spec")
-    if alpha:
-        sub.add_argument("--alpha", type=float, default=2.0, help="kernel exponent")
-    if charge:
-        sub.add_argument("--Q", type=float, default=1.0, help="total charge")
+    for name in shared:
+        sub.add_argument(f"--{name}", **_SHARED[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,35 +386,35 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("capacity", help="Riesz or logarithmic capacity of a shape")
-    _add_common(p)
+    _add_common(p, "shape", "dim", "M", "role", "alpha", "tol")
     p.set_defaults(func=_run_capacity)
 
     p = subs.add_parser("equilibrium", help="equilibrium measure on a node cloud")
-    _add_common(p)
+    _add_common(p, "shape", "dim", "M", "role", "alpha", "tol")
     p.add_argument("--farfield-radii", type=_floats, default=None)
     p.set_defaults(func=_run_equilibrium)
 
     p = subs.add_parser("external-field", help="zero-net-charge measure in a linear field")
-    _add_common(p, alpha=False)
+    _add_common(p, "shape", "dim", "M", "role")
     p.add_argument("--field", type=_floats, required=True, help="field vector, e.g. 1,0,0")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_run_external_field)
 
     p = subs.add_parser("entropic", help="entropic density relaxation on a volume cloud")
-    _add_common(p, alpha=False)
+    _add_common(p, "shape", "dim", "M")
     p.add_argument("--Q", type=float, default=None, help="also report perimeter + Q^2 J")
     p.set_defaults(func=_run_entropic)
 
     p = subs.add_parser("energy", help="perimeter + Q^2 equilibrium-energy of a shape")
-    _add_common(p, charge=True)
+    _add_common(p, "shape", "dim", "M", "role", "alpha", "Q")
     p.set_defaults(func=_run_energy)
 
     fam = subs.add_parser("family", help="energy-decreasing competitor families")
     fsubs = fam.add_subparsers(dest="family", required=True)
 
     p = fsubs.add_parser("many-balls", help="shatter into n far-apart droplets")
-    _add_common(p, shape=False, charge=True)
+    _add_common(p, "dim", "alpha", "Q")
     p.add_argument("--n", type=_ints, required=True, help="droplet counts, e.g. 4,16,64")
     p.add_argument("--beta", type=float, required=True, help="droplet radius rate n^-beta")
     p.add_argument("--separation", type=float, default=1e3)
@@ -418,13 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_many_balls)
 
     p = fsubs.add_parser("two-balls", help="opposite charges pulled apart by a field")
-    _add_common(p, shape=False, alpha=False)
+    _add_common(p, "dim", "M")
     p.add_argument("--n", type=_ints, required=True, help="separations, e.g. 1,2,4,8")
     p.add_argument("--E", type=float, default=1.0, help="field strength")
     p.set_defaults(func=_run_two_balls)
 
     p = fsubs.add_parser("slab", help="stretching slab with charged end caps")
-    _add_common(p, shape=False, alpha=False)
+    _add_common(p, "M")
     p.add_argument("--n", type=_ints, required=True, help="slab lengths, e.g. 16,32,64")
     p.add_argument("--E", type=float, default=1.0, help="field strength")
     p.set_defaults(func=_run_slab)
@@ -433,28 +437,28 @@ def build_parser() -> argparse.ArgumentParser:
     ssubs = stab.add_subparsers(dest="experiment", required=True)
 
     p = ssubs.add_parser("fuglede", help="perimeter expansion remainder sweep")
-    _add_common(p, shape=False, alpha=False)
+    _add_common(p)
     p.add_argument("--modes", type=_modes, required=True, help="l,m,c;l,m,c ...")
     p.add_argument("--eps", type=_floats, required=True, help="amplitudes, e.g. 0.4,0.2,0.1")
     p.add_argument("--quad-order", type=int, default=64, dest="quad_order")
     p.set_defaults(func=_run_fuglede)
 
     p = ssubs.add_parser("rayleigh", help="charge threshold of one harmonic mode")
-    _add_common(p, shape=False, alpha=False)
+    _add_common(p, "M")
     p.add_argument("--l", type=int, required=True, help="spherical-harmonic degree")
     p.add_argument("--amplitudes", type=_floats, required=True, help="e.g. -0.1,0,0.1")
     p.add_argument("--Q", type=_floats, required=True, help="charges, e.g. 0,2,4,6")
     p.set_defaults(func=_run_rayleigh)
 
     p = ssubs.add_parser("lemma-ratio", help="capacity vs perimeter deficit ratio")
-    _add_common(p, shape=False, alpha=False)
+    _add_common(p, "M")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--eps-max", type=float, default=0.1, dest="eps_max")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_run_lemma_ratio)
 
     p = ssubs.add_parser("convex-2d", help="rank equal-area convex shapes by drop energy")
-    _add_common(p, shape=False, alpha=False)
+    _add_common(p, "M")
     p.add_argument("--Q", type=_floats, required=True, help="charges, e.g. 0,0.5,1")
     p.add_argument("--m-gons", type=_ints, default=[3, 4, 5, 6, 8, 12], dest="m_gons")
     p.add_argument("--n-random", type=int, default=3, dest="n_random")

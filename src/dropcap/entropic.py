@@ -139,15 +139,6 @@ class EntropicEnergy:
             el_residual=result.el_residual,
         )
 
-    def summary(self) -> dict:
-        return {
-            "perimeter": self.perimeter,
-            "charge": self.charge,
-            "J_value": self.J_value,
-            "total": self.total,
-            "el_residual": self.el_residual,
-        }
-
 
 def entropic_energy(shape: shp.Shape, charge: float, n_nodes: int = 2000) -> EntropicEnergy:
     """Drop energy with the entropy-penalized interaction term."""

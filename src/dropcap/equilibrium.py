@@ -39,9 +39,7 @@ __all__ = [
     "solve_simplex_qp",
     "equilibrium_measure",
     "solve_shape",
-    "riesz_energy",
     "capacity_from_energy",
-    "capacity",
     "potential",
     "farfield_check",
     "support_profile",
@@ -95,10 +93,6 @@ class EquilibriumResult:
     @property
     def masses(self) -> np.ndarray:
         return self.measure.masses
-
-    @property
-    def active(self) -> np.ndarray:
-        return self.masses > 0.0
 
     def summary(self) -> dict:
         return {
@@ -302,8 +296,6 @@ def solve_shape(
     alpha: float,
     n_nodes: int = 2000,
     role: str | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> EquilibriumResult:
     """Discretize a shape, assemble its operator, and solve in one call.
 
@@ -316,27 +308,7 @@ def solve_shape(
         role = default_role(params.alpha)
     cloud = discretize(shape, n_nodes, role)
     op = assemble_operator(cloud, params)
-    return equilibrium_measure(op, tol=tol, max_iter=max_iter)
-
-
-def riesz_energy(
-    shape: shp.Shape,
-    alpha: float,
-    n_nodes: int = 2000,
-    role: str | None = None,
-) -> float:
-    """Minimal interaction energy of a unit charge on the shape."""
-    return solve_shape(shape, alpha, n_nodes=n_nodes, role=role).energy
-
-
-def capacity(
-    shape: shp.Shape,
-    alpha: float,
-    n_nodes: int = 2000,
-    role: str | None = None,
-) -> float:
-    """Capacity of a shape: 1/energy, or exp(-energy) for the log kernel."""
-    return solve_shape(shape, alpha, n_nodes=n_nodes, role=role).capacity
+    return equilibrium_measure(op)
 
 
 def potential(measure: Measure, params: KernelParams, points) -> np.ndarray:
@@ -440,16 +412,6 @@ class DropEnergy:
     interaction: float
     total: float
     capacity: float
-
-    def summary(self) -> dict:
-        return {
-            "perimeter": self.perimeter,
-            "charge": self.charge,
-            "equilibrium_energy": self.equilibrium_energy,
-            "interaction": self.interaction,
-            "total": self.total,
-            "capacity": self.capacity,
-        }
 
 
 def drop_energy(

@@ -54,6 +54,8 @@ class LinearPotential:
         object.__setattr__(self, "field", tuple(float(v) for v in self.field))
         if len(self.field) < 2:
             raise ValidationError("field vector must have dimension >= 2")
+        if not all(np.isfinite(self.field)):
+            raise ValidationError(f"field components must be finite, got {self.field}")
 
     @property
     def dim(self) -> int:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.spatial.distance import cdist
 
 from . import shapes as shp
 from .clouds import discretize
@@ -35,13 +34,12 @@ from .errors import (
 )
 from .kernels import (
     KernelParams,
-    kernel_of_distance,
     uniform_ball_self_energy,
     unit_ball_volume,
     unit_cube_self_energy,
     unit_sphere_area,
 )
-from .operators import assemble_operator
+from .operators import assemble_operator, potential_at
 
 __all__ = [
     "FamilyPoint",
@@ -94,7 +92,6 @@ def many_balls_family(
     dim: int = 3,
     alpha: float = 2.0,
     separation: float = 1e3,
-    ball_energy: float | None = None,
     numeric_nodes: int = 0,
 ) -> list[FamilyPoint]:
     """Ball of charge split into n droplets of radius n^(-beta), far apart.
@@ -103,10 +100,11 @@ def many_balls_family(
     uncharged ball, so the total volume is the unit ball's.  Admissible
     rates beta make every energy component vanish except the large
     sphere's perimeter.  The minimal equilibrium energy of the unit ball
-    is 1 exactly in the Coulombic three-dimensional case and is computed
-    by the equilibrium solver otherwise (or passed in as ball_energy).
-    Setting numeric_nodes > 0 also evaluates the interaction on volume
-    clouds of the droplets, self terms plus all pairwise cross terms.
+    is 1 exactly in the Coulombic three-dimensional case; otherwise the
+    equilibrium solver computes it once, on a 1500-node cloud.  Setting
+    numeric_nodes > 0 also evaluates the interaction on volume clouds of
+    the droplets, self terms plus all pairwise cross terms (each through
+    potential_at on the one droplet template, shifted).
     """
     beta = float(beta)
     if not 1.0 < alpha < dim:
@@ -118,13 +116,10 @@ def many_balls_family(
         )
     if separation <= 2.0:
         raise ValidationError("droplet separation must exceed the ball diameters")
-    if ball_energy is None:
-        if dim == 3 and alpha == 2.0:
-            ball_energy = 1.0
-        else:
-            ball_energy = solve_shape(
-                shp.Ball((0.0,) * dim, 1.0), alpha, n_nodes=1500
-            ).energy
+    if dim == 3 and alpha == 2.0:
+        ball_energy = 1.0
+    else:
+        ball_energy = solve_shape(shp.Ball((0.0,) * dim, 1.0), alpha, n_nodes=1500).energy
     sphere_area = unit_sphere_area(dim)
     points = []
     for n in sorted(int(n) for n in n_list):
@@ -174,8 +169,8 @@ def _droplet_interaction_numeric(n, r, charge, dim, alpha, separation, nodes):
     ]
     for i in range(n):
         for j in range(i + 1, n):
-            dist = cdist(template.points + centers[i], template.points + centers[j])
-            total += 2.0 * float(u @ (kernel_of_distance(params, dist) @ u))
+            shifted = template.points + (centers[i] - centers[j])
+            total += 2.0 * float(potential_at(params, template, u, shifted) @ u)
     return total
 
 
@@ -231,8 +226,8 @@ def two_balls_field_family(
             "interaction": 2.0 * self_exact + cross_exact,
             "field": field_term,
         }
-        dist = cdist(template.points + n * e1, template.points - n * e1)
-        cross_num = -2.0 * float(u_num @ (kernel_of_distance(params, dist) @ u_num))
+        shifted = template.points + 2.0 * n * e1
+        cross_num = -2.0 * float(potential_at(params, template, u_num, shifted) @ u_num)
         x1 = template.points[:, 0]
         field_num = -E * (
             float(u_num @ (x1 + n)) - float(u_num @ (x1 - n))
@@ -290,12 +285,9 @@ def slab_family(n_list, field_strength: float, n_nodes: int = 1000) -> dict:
             "interaction": inter_exact,
             "field": field_term,
         }
-        cap = 0.5 * gap
-        dist = cdist(
-            eps * template.points + np.array([cap, 0.0, 0.0]),
-            eps * template.points - np.array([cap, 0.0, 0.0]),
-        )
-        cross_num = float(u @ (kernel_of_distance(params, dist) @ u))
+        # caps of side eps at +-gap/2: the 1/r kernel scales as 1/eps
+        shifted = template.points + np.array([gap / eps, 0.0, 0.0])
+        cross_num = float(potential_at(params, template, u, shifted) @ u) / eps
         inter_num = 2.0 * cube_num / eps - 2.0 * cross_num
         numeric = perim + inter_num + field_term
         points.append(
@@ -510,19 +502,17 @@ def lemma_ratio_check(
     eps_max: float,
     n_nodes: int = 600,
     seed: int = 0,
-    degrees=(2, 3, 4),
-    deficit_floor: float = 1e-9,
 ) -> dict:
     """Empirical constant in the capacity-versus-perimeter deficit bound.
 
-    Random nearly-spherical shapes (one or two harmonic modes, amplitude
-    up to eps_max, volume-renormalized) are compared with the unit ball
-    on the same node lattice.  The ratio of the capacity-energy deficit
-    to the perimeter deficit is collected where the numerator is
-    positive; samples whose perimeter deficit falls below the quadrature
-    floor are skipped and counted.  The quantitative-isoperimetric side
-    ratio |symmetric difference| / sqrt(perimeter deficit) is tracked on
-    the same samples.
+    Random nearly-spherical shapes (one or two harmonic modes of degree
+    2, 3 or 4, amplitude up to eps_max, volume-renormalized) are compared
+    with the unit ball on the same node lattice.  The ratio of the
+    capacity-energy deficit to the perimeter deficit is collected where
+    the numerator is positive; samples whose perimeter deficit falls
+    below the quadrature floor 1e-9 are skipped and counted.  The
+    quantitative-isoperimetric side ratio |symmetric difference| /
+    sqrt(perimeter deficit) is tracked on the same samples.
     """
     rng = np.random.default_rng(seed)
     params = KernelParams(3, 2.0)
@@ -532,12 +522,11 @@ def lemma_ratio_check(
     iso_ratios = []
     skipped_flat = 0
     skipped_nonpositive = 0
-    degrees = tuple(int(d) for d in degrees)
     for _ in range(int(samples)):
         k = int(rng.integers(1, 3))
         chosen = []
         for _ in range(k):
-            l = int(rng.choice(degrees))
+            l = int(rng.choice((2, 3, 4)))
             m = int(rng.integers(-l, l + 1))
             chosen.append((l, m))
         chosen = list(dict.fromkeys(chosen))
@@ -549,7 +538,7 @@ def lemma_ratio_check(
             shp.NearlySpherical(modes=modes, eps=eps)
         )
         per_deficit = shp.perimeter(shape) - 4.0 * np.pi
-        if per_deficit < deficit_floor:
+        if per_deficit < 1e-9:
             skipped_flat += 1
             continue
         cloud = discretize(shape, n_nodes, "boundary")
@@ -611,15 +600,14 @@ def convex_scan_2d(
     n_random: int = 3,
     seed: int = 0,
     n_nodes: int = 600,
-    polygons=None,
 ) -> dict:
     """Rank equal-area convex shapes by logarithmic drop energy.
 
-    The family holds the unit disk, regular polygons, and random convex
-    hulls, all normalized to area pi.  For each shape the scan records
-    perimeter and logarithmic equilibrium energy, then the total energy
-    per charge; rankings list shape labels from lowest to highest
-    energy.
+    The family holds the unit disk, the regular m-gons of m_gons, and
+    n_random random convex hulls drawn from seed, all normalized to area
+    pi.  For each shape the scan records perimeter and logarithmic
+    equilibrium energy, then the total energy per charge; rankings list
+    shape labels from lowest to highest energy.
     """
     charges = tuple(float(q) for q in charges)
     shapes: list[tuple[str, shp.Shape]] = [("disk", shp.Ball((0.0, 0.0), 1.0))]
@@ -628,10 +616,6 @@ def convex_scan_2d(
     rng = np.random.default_rng(seed)
     for i in range(int(n_random)):
         shapes.append((f"random_{i}", _random_polygon(rng)))
-    for i, poly in enumerate(polygons or []):
-        if not isinstance(poly, shp.ConvexPolygon2D):
-            raise ValidationError("extra polygons must be convex 2d polygons")
-        shapes.append((f"extra_{i}", poly))
     rows = []
     for label, shape in shapes:
         res = solve_shape(shape, 2.0, n_nodes=n_nodes, role="boundary")

@@ -12,11 +12,12 @@ convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import ValidationError
 
@@ -94,39 +95,51 @@ def kernel_of_distance(params: KernelParams, r, out=None):
     return np.power(r, params.alpha - params.dim, out=out)
 
 
-def _ball_distance_pdf(dim: int, r):
-    """Density of |X - Y| for X, Y independent uniform in the unit ball."""
-    r = np.asarray(r, dtype=float)
-    x = np.clip(1.0 - 0.25 * r * r, 0.0, 1.0)
-    return dim * r ** (dim - 1) * special.betainc(0.5 * (dim + 1), 0.5, x)
+def _digamma_plus_euler(x: float) -> float:
+    """psi(x) + Euler's gamma at a positive integer or half-integer x.
+
+    psi(n) = -gamma + sum_{k<n} 1/k and psi(n + 1/2) = -gamma - 2 log 2
+    + sum_{k<n} 1/(k + 1/2): finite harmonic sums.
+    """
+    start, value = (1.0, 0.0) if x == int(x) else (0.5, -2.0 * math.log(2.0))
+    return value + sum(1.0 / (start + k) for k in range(int(x - start)))
 
 
 @lru_cache(maxsize=None)
 def uniform_ball_self_energy(dim: int, alpha: float) -> float:
     """Self-energy of the uniform unit-mass measure on the unit ball.
 
-    Radial quadrature of the kernel against the exact distance
-    distribution of two uniform points in the ball.  Equals 6/5 for
-    (dim, alpha) = (3, 2) and 1/4 for the planar logarithmic disk.
+    Closed forms from the distance density of two uniform points in the
+    ball, d r^(d-1) I_{1-r^2/4}((d+1)/2, 1/2) on [0, 2], integrated
+    against the kernel:
+
+        E = d 2^alpha B((d+1)/2, (alpha+1)/2) / (alpha B((d+1)/2, 1/2))
+          = d 2^alpha G((alpha+1)/2) G(d/2+1) / (alpha sqrt(pi) G((d+alpha)/2+1))
+
+    for alpha < d, and E = 1/d - log 2 + [psi(d+1) - psi((d+1)/2)]/2
+    for the logarithmic kernel.  Equals 6/5 for (dim, alpha) = (3, 2)
+    and 1/4 for the planar logarithmic disk.
     """
     params = KernelParams(dim, alpha)
-
-    def integrand(r):
-        return kernel_of_distance(params, r) * _ball_distance_pdf(dim, r)
-
-    val, _ = integrate.quad(integrand, 0.0, 2.0, limit=200)
-    return float(val)
+    d, a = params.dim, params.alpha
+    if params.is_log:
+        psi_diff = _digamma_plus_euler(d + 1.0) - _digamma_plus_euler(0.5 * (d + 1.0))
+        return 1.0 / d - math.log(2.0) + 0.5 * psi_diff
+    return (
+        d * 2.0**a * math.gamma(0.5 * (a + 1.0)) * math.gamma(0.5 * d + 1.0)
+        / (a * math.sqrt(math.pi) * math.gamma(0.5 * (d + a) + 1.0))
+    )
 
 
 @lru_cache(maxsize=None)
-def unit_cube_self_energy(n_angle: int = 400) -> float:
+def unit_cube_self_energy() -> float:
     """1/r self-energy of the uniform unit-charge measure on the unit cube.
 
     Octant reduction: with delta = x - y distributed with density
     prod(1 - |delta_i|) on [-1, 1]^3, pass to spherical coordinates so the
     radial integral is a polynomial and the integrand is bounded.
     """
-    x, wq = np.polynomial.legendre.leggauss(n_angle)
+    x, wq = np.polynomial.legendre.leggauss(400)
     th = 0.25 * np.pi * (x + 1.0)
     wth = 0.25 * np.pi * wq
     TH, LM = np.meshgrid(th, th, indexing="ij")

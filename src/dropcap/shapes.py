@@ -210,26 +210,13 @@ class UnionOfBalls(Shape):
 
 
 def _check_disjoint(balls: tuple[Ball, ...]) -> None:
-    centers = np.array([b.center for b in balls])
-    radii = np.array([b.radius for b in balls])
-    n = len(balls)
-    if n == 1:
-        return
-    if n <= 64:
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
-        need = radii[:, None] + radii[None, :]
-        bad = (dist <= need) & ~np.eye(n, dtype=bool)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValidationError(f"balls {i} and {j} are not disjoint")
-        return
-    # large unions: neighbor query instead of the quadratic scan
+    """Raise on the first (lowest-index) pair of balls that meet."""
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(centers)
-    rmax = float(radii.max())
-    for i, j in tree.query_pairs(2.0 * rmax):
+    centers = np.array([b.center for b in balls])
+    radii = np.array([b.radius for b in balls])
+    # only centers within twice the largest radius can meet
+    for i, j in sorted(cKDTree(centers).query_pairs(2.0 * float(radii.max()))):
         if np.linalg.norm(centers[i] - centers[j]) <= radii[i] + radii[j]:
             raise ValidationError(f"balls {i} and {j} are not disjoint")
 
@@ -327,10 +314,12 @@ class NearlySpherical(Shape):
     (l, m, coefficient) modes.  The profile 1 + eps*phi must stay positive.
     quad_order sets the latitudinal size of the spectral grid used for
     perimeter, volume, and related surface integrals, from 8 to
-    MAX_QUAD_ORDER (1024: about 150 MB at the bound).  The profile on that
-    grid is evaluated once per shape (grid_profile) and shared by the
-    positivity check, perimeter, volume, the symmetric difference and the
-    bounding box.  The graph is centered at the origin.
+    MAX_QUAD_ORDER (1024: about 150 MB at the bound), and must exceed
+    every mode's degree l: a Gauss grid of n latitudes resolves products
+    of harmonics only up to degree n - 1.  The profile on that grid is
+    evaluated once per shape (grid_profile) and shared by the positivity
+    check, perimeter, volume, the symmetric difference and the bounding
+    box.  The graph is centered at the origin.
     """
 
     modes: tuple[tuple[int, int, float], ...]
@@ -345,17 +334,21 @@ class NearlySpherical(Shape):
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "eps", float(self.eps))
         object.__setattr__(self, "quad_order", int(self.quad_order))
-        seen = set()
-        for l, m, _ in modes:
-            if l < 0 or abs(m) > l:
-                raise ValidationError(f"invalid mode (l={l}, m={m})")
-            if (l, m) in seen:
-                raise ValidationError(f"duplicate mode (l={l}, m={m})")
-            seen.add((l, m))
         if not 8 <= self.quad_order <= MAX_QUAD_ORDER:
             raise ValidationError(
                 f"quad_order must lie in [8, {MAX_QUAD_ORDER}], got {self.quad_order}"
             )
+        seen = set()
+        for l, m, _ in modes:
+            if l < 0 or abs(m) > l:
+                raise ValidationError(f"invalid mode (l={l}, m={m})")
+            if l >= self.quad_order:
+                raise ValidationError(
+                    f"mode (l={l}, m={m}) needs quad_order > {l}, got {self.quad_order}"
+                )
+            if (l, m) in seen:
+                raise ValidationError(f"duplicate mode (l={l}, m={m})")
+            seen.add((l, m))
         rmin = float(self.grid_profile(max(self.quad_order, 32))[0].min())
         if not rmin > 0.0:
             raise ValidationError(

@@ -93,6 +93,10 @@ MALFORMED = {
         '{"variant": "nearly_spherical", "modes": [[2, 0, 1]], "eps": 0.1, "quad_order": 100000}',
         "quad_order",
     ),
+    "mode_degree": (
+        '{"variant": "nearly_spherical", "modes": [[100000, 0, 1]], "eps": 0.1}',
+        "l=100000",
+    ),
 }
 
 
@@ -267,3 +271,90 @@ def test_version_prints_conventions(capsys):
     out = capsys.readouterr().out
     assert "kernel" in out and "capacity" in out
     assert "|x-y|^(alpha-N)" in out
+
+
+def test_equilibrium_with_farfield_json_and_csv(capsys):
+    args = ["equilibrium", "--shape", BALL_JSON, "--M", "300", "--farfield-radii", "100,200"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["converged"] is True
+    assert [row["radius"] for row in result["farfield"]["rows"]] == [100.0, 200.0]
+    assert result["farfield"]["deviation"] < 1e-6
+    code, out, _ = run_cli([*args, "--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == result["n_nodes"]
+    assert set(rows[0]) == {"x0", "x1", "x2", "weight", "mass", "potential"}
+    assert sum(float(r["mass"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_two_balls_subcommand(capsys):
+    code, out, _ = run_cli(["family", "two-balls", "--n", "1,2,4", "--M", "300"], capsys)
+    assert code == 0
+    points = json.loads(out)["result"]["points"]
+    assert [p["n"] for p in points] == [1, 2, 4]
+    energies = [p["energy"] for p in points]
+    assert all(a > b for a, b in zip(energies, energies[1:]))
+    for p in points:
+        assert p["numeric_energy"] == pytest.approx(p["energy"], rel=0.02)
+
+
+def test_lemma_ratio_subcommand(capsys):
+    code, out, _ = run_cli(
+        ["stability", "lemma-ratio", "--samples", "2", "--eps-max", "0.2", "--M", "200"], capsys
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["samples"] == 2
+    assert result["used"] + result["skipped_flat"] + result["skipped_nonpositive"] == 2
+    assert result["max_ratio"] > 0.0
+
+
+@pytest.mark.parametrize("field", ["1,0", "nan,0,0", "1,inf,0"])
+def test_bad_field_exits_two(capsys, field):
+    code, out, err = run_cli(["external-field", "--shape", BALL_JSON, f"--field={field}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "\n" not in err.strip()
+    assert "field" in err
+
+
+def test_missing_shape_means_the_unit_ball(capsys):
+    code, out, _ = run_cli(["capacity", "--M", "300"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["shape"] is None
+    assert payload["result"]["capacity"] == pytest.approx(1.0, rel=0.03)
+
+
+# a valid call of each subcommand that declares fewer than all shared flags
+_BASE = {
+    "external-field": ["external-field", "--field", "1,0,0"],
+    "entropic": ["entropic"],
+    "energy": ["energy"],
+    "many-balls": ["family", "many-balls", "--beta", "0.6", "--n", "4"],
+    "two-balls": ["family", "two-balls", "--n", "2"],
+    "slab": ["family", "slab", "--n", "16"],
+    "fuglede": ["stability", "fuglede", "--modes", "2,0,1", "--eps", "0.1"],
+    "rayleigh": ["stability", "rayleigh", "--l", "2", "--amplitudes=-0.1,0,0.1", "--Q", "0"],
+    "lemma-ratio": ["stability", "lemma-ratio"],
+    "convex-2d": ["stability", "convex-2d", "--Q", "0"],
+}
+_FAMILIES = ("many-balls", "two-balls", "slab")
+_STABILITY = ("fuglede", "rayleigh", "lemma-ratio", "convex-2d")
+
+# (subcommand, flag, value): the shared flags their runners never read
+UNREAD = (
+    [(cmd, "--tol", "1e-3") for cmd in _BASE]
+    + [(cmd, "--role", "volume") for cmd in ("entropic", *_FAMILIES, *_STABILITY)]
+    + [(cmd, "--dim", "3") for cmd in ("slab", *_STABILITY)]
+    + [(cmd, "--M", "500") for cmd in ("many-balls", "fuglede")]
+)
+
+
+@pytest.mark.parametrize("cmd, flag, value", UNREAD, ids=[f"{c}{f}" for c, f, _ in UNREAD])
+def test_unread_flag_exits_two(capsys, cmd, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*_BASE[cmd], flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

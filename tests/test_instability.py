@@ -248,7 +248,7 @@ def test_lemma_ratio_reproducible_and_bounded():
 def test_lemma_ratio_skips_flat_samples():
     with pytest.raises(ValidationError):
         # amplitudes this small leave no measurable perimeter deficit
-        dc.lemma_ratio_check(5, 1e-6, n_nodes=400, seed=0, deficit_floor=1e-9)
+        dc.lemma_ratio_check(5, 1e-6, n_nodes=400, seed=0)
 
 
 # ---------------------------------------------------------------------------

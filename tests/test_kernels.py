@@ -72,3 +72,52 @@ def test_unit_cube_self_energy_frozen():
     assert unit_cube_self_energy() == pytest.approx(
         oracles.CUBE_SELF_ENERGY, rel=1e-8
     )
+
+
+def _quadrature_ball_self_energy(dim, alpha):
+    """The kernel against the distance density of two uniform ball points."""
+    from scipy import integrate, special
+
+    params = KernelParams(dim, alpha)
+
+    def integrand(r):
+        x = max(1.0 - 0.25 * r * r, 0.0)
+        pdf = dim * r ** (dim - 1) * special.betainc(0.5 * (dim + 1), 0.5, x)
+        return float(kernel_of_distance(params, r)) * pdf
+
+    return integrate.quad(integrand, 0.0, 2.0, limit=200)[0]
+
+
+def test_uniform_ball_self_energy_closed_form_exact_values():
+    assert uniform_ball_self_energy(3, 2.0) == pytest.approx(6.0 / 5.0, rel=1e-15)
+    assert uniform_ball_self_energy(2, 2.0) == pytest.approx(0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_uniform_ball_self_energy_matches_quadrature(dim):
+    for alpha in (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 4.5, 5.0):
+        if alpha <= dim:
+            assert uniform_ball_self_energy(dim, alpha) == pytest.approx(
+                _quadrature_ball_self_energy(dim, alpha), rel=1e-9
+            ), (dim, alpha)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dropcap
+
+    # the fresh interpreter imports this same dropcap
+    path = [str(Path(dropcap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    code = "import sys, dropcap; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    ).stdout
+    assert out.strip() == "False"

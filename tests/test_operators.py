@@ -118,3 +118,17 @@ def test_potential_at_nodes_matches_the_operator_at_any_scale(radius):
     masses = cloud.weights / cloud.weights.sum()
     v = potential_at(COULOMB, cloud, masses, cloud.points)
     np.testing.assert_allclose(v, op.apply(masses), rtol=1e-12)
+
+
+def test_coincident_nodes_are_rejected():
+    cloud = dc.NodeCloud(
+        points=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]],
+        weights=[0.1, 0.1, 0.1],
+        role="volume",
+        shape=BALL3,
+        resolution=3,
+        components=[0, 0, 0],
+        component_names=("body",),
+    )
+    with np.errstate(divide="ignore"), pytest.raises(ValidationError, match="nodes may coincide"):
+        dc.assemble_operator(cloud, COULOMB)

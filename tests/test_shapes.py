@@ -216,3 +216,11 @@ def test_grid_cache_is_not_part_of_the_shape():
         "eps": 0.1,
         "quad_order": 48,
     }
+
+
+def test_overlap_inside_a_large_union_is_rejected():
+    balls = [dc.Ball((3.0 * i, 0.0, 0.0), 1.0) for i in range(70)]
+    assert len(dc.UnionOfBalls(tuple(balls)).balls) == 70
+    balls[41] = dc.Ball((3.0 * 40 + 1.5, 0.0, 0.0), 1.0)  # meets ball 40
+    with pytest.raises(ValidationError, match="balls 40 and 41 are not disjoint"):
+        dc.UnionOfBalls(tuple(balls))
