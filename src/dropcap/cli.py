@@ -14,10 +14,10 @@ import argparse
 import csv
 import io
 import sys
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__
 from . import shapes as shp
 from .clouds import default_role, discretize
 from .entropic import EntropicEnergy, solve_entropic
@@ -42,13 +42,8 @@ from .kernels import KernelParams
 from .operators import assemble_operator
 from .reports import jsonable, render_json
 
-try:
-    _VERSION = metadata.version("dropcap")
-except metadata.PackageNotFoundError:
-    _VERSION = "0.1.0"
-
 _CONVENTIONS = (
-    f"dropcap {_VERSION}\n"
+    f"dropcap {__version__}\n"
     "kernel: |x-y|^(alpha-N) for alpha < N; -log|x-y| for alpha = N (2d log case)\n"
     "energy: full double integral, no 1/2 factor\n"
     "capacity: 1/energy for alpha < N; exp(-energy) for alpha = N\n"
@@ -93,7 +88,7 @@ def _load_shape(args) -> shp.Shape:
 
 def _config(args) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["version"] = _VERSION
+    cfg["version"] = __version__
     return cfg
 
 

@@ -206,6 +206,8 @@ def verify_optimality(
     carries the worst relative violation of the identity and the worst
     (most negative) energy gap, which must be nonnegative.
     """
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     w = result.masses
     scale = float(np.abs(w).max()) or 1.0

@@ -10,7 +10,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 
@@ -18,6 +17,8 @@ __all__ = ["real_sph_harm", "real_sph_harm_gradient", "gauss_sphere_grid"]
 
 
 def _norm_constant(l: int, m: int) -> float:
+    from scipy import special
+
     logfac = special.gammaln(l - m + 1) - special.gammaln(l + m + 1)
     return np.sqrt((2 * l + 1) / (4.0 * np.pi) * np.exp(logfac))
 
@@ -29,6 +30,8 @@ def _check_mode(l: int, m: int) -> None:
 
 def real_sph_harm(l: int, m: int, theta, lam):
     """Real orthonormal spherical harmonic Y_{l m}(theta, lam)."""
+    from scipy import special
+
     _check_mode(l, m)
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -49,6 +52,8 @@ def real_sph_harm_gradient(l: int, m: int, theta, lam):
     At the poles the tangent frame degenerates; both components are
     reported as zero there.
     """
+    from scipy import special
+
     _check_mode(l, m)
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float)

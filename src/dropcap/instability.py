@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import shapes as shp
 from .clouds import discretize
@@ -178,6 +177,13 @@ def _droplet_interaction_numeric(n, r, charge, dim, alpha, separation, nodes):
 # two opposite charges pulled apart by a field
 
 
+def _finite_field_strength(field_strength) -> float:
+    E = float(field_strength)
+    if not np.isfinite(E):
+        raise ValidationError(f"field strength must be finite, got {E}")
+    return E
+
+
 def two_balls_field_family(
     n_list,
     field_strength: float,
@@ -197,7 +203,7 @@ def two_balls_field_family(
         raise UnsupportedConfigurationError(
             "the field-driven family is posed in dimension >= 3"
         )
-    E = float(field_strength)
+    E = _finite_field_strength(field_strength)
     r = 0.5 ** (1.0 / dim)
     params = KernelParams(dim, 2.0)
     template = discretize(shp.Ball((0.0,) * dim, r), n_nodes, "volume")
@@ -258,7 +264,9 @@ def slab_family(n_list, field_strength: float, n_nodes: int = 1000) -> dict:
     log-log fitted growth exponents of the three energy components and
     the separation beyond which the total energy turns negative.
     """
-    E = float(field_strength)
+    from scipy.optimize import brentq
+
+    E = _finite_field_strength(field_strength)
     v1 = unit_ball_volume(3)
     params = KernelParams(3, 2.0)
     template = discretize(

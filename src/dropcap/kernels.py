@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 
@@ -43,12 +42,12 @@ SEGMENT_SELF_ENERGY_SHIFT = 1.5
 
 def unit_sphere_area(dim: int) -> float:
     """Surface measure of the unit sphere S^{dim-1} in R^dim (4*pi for dim 3)."""
-    return float(2.0 * np.pi ** (0.5 * dim) / special.gamma(0.5 * dim))
+    return 2.0 * math.pi ** (0.5 * dim) / math.gamma(0.5 * dim)
 
 
 def unit_ball_volume(dim: int) -> float:
     """Lebesgue volume of the unit ball in R^dim."""
-    return float(np.pi ** (0.5 * dim) / special.gamma(0.5 * dim + 1.0))
+    return math.pi ** (0.5 * dim) / math.gamma(0.5 * dim + 1.0)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lstsq, lu_factor, lu_solve
-from scipy.linalg.blas import dsymv
 
 from .errors import ValidationError
 
@@ -45,6 +43,8 @@ CG_MAX_ITER = 1000
 
 def symv(A: np.ndarray, x) -> np.ndarray:
     """A @ x for a symmetric C-ordered matrix A, without copying A."""
+    from scipy.linalg.blas import dsymv
+
     # A.T is the Fortran-ordered view of the same (symmetric) matrix
     return dsymv(1.0, A.T, np.asarray(x, dtype=float))
 
@@ -118,6 +118,8 @@ def bordered_solve(A: np.ndarray, rhs=None, total: float = 1.0) -> tuple[np.ndar
     rhs defaults to zero.  An exactly singular system falls back to the
     least-squares solution of minimal norm.
     """
+    from scipy.linalg import LinAlgWarning, lstsq, lu_factor, lu_solve
+
     B = _bordered(A)
     n = B.shape[0] - 1
     b = np.zeros(n + 1)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .clouds import NodeCloud
 from .errors import UnsupportedConfigurationError, ValidationError
@@ -128,6 +127,8 @@ def diagonal_self_energy(cloud: NodeCloud, params: KernelParams) -> np.ndarray:
 
 def assemble_operator(cloud: NodeCloud, params: KernelParams) -> KernelOperator:
     """Kernel matrix over a cloud with the desingularized diagonal."""
+    from scipy.spatial.distance import cdist
+
     if params.dim != cloud.dim:
         raise ValidationError(
             f"kernel dimension {params.dim} does not match cloud dimension {cloud.dim}"
@@ -151,6 +152,8 @@ def potential_at(
     landing on it, and picks up that node's desingularized self term
     instead of the singular kernel value.
     """
+    from scipy.spatial.distance import cdist
+
     masses = np.asarray(masses, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if masses.shape != (cloud.n_nodes,):

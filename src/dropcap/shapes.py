@@ -355,15 +355,23 @@ class NearlySpherical(Shape):
                 f"radial profile 1 + eps*phi must stay positive (min {rmin:.3g})"
             )
 
+    def radius(self, theta, lam):
+        """Radius R = 1 + eps * phi on the sphere."""
+        theta = np.asarray(theta, dtype=float)
+        lam = np.asarray(lam, dtype=float)
+        R = np.ones_like(theta)
+        for l, m, c in self.modes:
+            R = R + self.eps * c * harmonics.real_sph_harm(l, m, theta, lam)
+        return R
+
     def profile(self, theta, lam):
         """Radius R and tangential gradient components of R on the sphere."""
         theta = np.asarray(theta, dtype=float)
         lam = np.asarray(lam, dtype=float)
-        R = np.ones_like(theta)
+        R = self.radius(theta, lam)
         gt = np.zeros_like(theta)
         gl = np.zeros_like(theta)
         for l, m, c in self.modes:
-            R = R + self.eps * c * harmonics.real_sph_harm(l, m, theta, lam)
             dt, dl = harmonics.real_sph_harm_gradient(l, m, theta, lam)
             gt = gt + self.eps * c * dt
             gl = gl + self.eps * c * dl
@@ -407,8 +415,7 @@ class NearlySpherical(Shape):
         safe = np.maximum(r, 1e-300)
         theta = np.arccos(np.clip(pts[:, 2] / safe, -1.0, 1.0))
         lam = np.arctan2(pts[:, 1], pts[:, 0])
-        R, _, _ = self.profile(theta, lam)
-        return r <= R
+        return r <= self.radius(theta, lam)
 
     def bounding_box(self):
         rmax = float(self.grid_profile()[0].max())

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dropcap
 from dropcap.cli import main
 
 
@@ -273,6 +278,58 @@ def test_version_prints_conventions(capsys):
     assert "|x-y|^(alpha-N)" in out
 
 
+def test_version_is_the_package_version(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out.splitlines()[0] == f"dropcap {dropcap.__version__}"
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert dropcap.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+# (argv or None for a bare import, the scipy subpackage the run may load)
+STARTUP = {
+    "import": (None, None),
+    "version": (["--version"], None),
+    "bad_M": (["capacity", "--M", "x"], None),
+    # the spherical harmonics evaluate scipy.special's Legendre functions
+    "fuglede": (["stability", "fuglede", "--modes", "2,0,1", "--eps", "0.1"], "scipy.special"),
+}
+_STARTUP_CODE = """
+import json, runpy, sys
+argv = {argv!r}
+if argv is None:
+    import dropcap
+else:
+    sys.argv = ["dropcap", *argv]
+    try:
+        runpy.run_module("dropcap.cli", run_name="__main__")
+    except SystemExit:
+        pass
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+@pytest.mark.parametrize("argv, loads", list(STARTUP.values()), ids=list(STARTUP))
+def test_startup_loads_scipy_only_where_used(argv, loads):
+    # the fresh interpreter imports this same dropcap
+    path = [str(Path(dropcap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    out = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CODE.format(argv=argv)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    ).stdout
+    modules = json.loads(out.splitlines()[-1])
+    if loads is None:
+        assert modules == []
+    else:
+        subpackages = {m for m in modules if m.count(".") == 1 and "._" not in m}
+        assert subpackages - {"scipy.version"} == {loads}
+
+
 def test_equilibrium_with_farfield_json_and_csv(capsys):
     args = ["equilibrium", "--shape", BALL_JSON, "--M", "300", "--farfield-radii", "100,200"]
     code, out, _ = run_cli(args, capsys)
@@ -317,6 +374,29 @@ def test_bad_field_exits_two(capsys, field):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "\n" not in err.strip()
     assert "field" in err
+
+
+_TRIALS = ["external-field", "--field", "1,0,0", "--M", "200", "--trials"]
+_TWO_BALLS = ["family", "two-balls", "--n", "2", "--M", "100", "--E"]
+_SLAB = ["family", "slab", "--n", "16,64", "--M", "100", "--E"]
+
+# (argv, a word the one-line error must contain)
+BAD_NUMBERS = {
+    "trials_0": ([*_TRIALS, "0"], "trials"),
+    "trials_neg": ([*_TRIALS, "-3"], "trials"),
+    "two_balls_nan": ([*_TWO_BALLS, "nan"], "field strength"),
+    "two_balls_inf": ([*_TWO_BALLS, "inf"], "field strength"),
+    "slab_nan": ([*_SLAB, "nan"], "field strength"),
+    "slab_inf": ([*_SLAB, "inf"], "field strength"),
+}
+
+
+@pytest.mark.parametrize("argv, word", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
+def test_bad_numbers_exit_two(capsys, argv, word):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "\n" not in err.strip()
+    assert word in err
 
 
 def test_missing_shape_means_the_unit_ball(capsys):

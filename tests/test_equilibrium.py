@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dropcap as dc
-import dropcap.linalg
 from dropcap.equilibrium import solve_simplex_qp
 from dropcap.errors import NonConvergenceError, ValidationError
 
@@ -34,13 +34,14 @@ def test_active_set_drops_dominated_node():
 def test_singular_system_falls_back_to_least_squares(monkeypatch):
     # CG breaks down on -11' (p'Ap = -4) and its bordered system is singular
     calls = []
-    lstsq = dropcap.linalg.lstsq
+    lstsq = scipy.linalg.lstsq
 
     def counted_lstsq(*args, **kwargs):
         calls.append(1)
         return lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(dropcap.linalg, "lstsq", counted_lstsq)
+    # bordered_solve imports lstsq from scipy.linalg on each call
+    monkeypatch.setattr(scipy.linalg, "lstsq", counted_lstsq)
     m, lam, _, resid = solve_simplex_qp(-np.ones((2, 2)))
     assert calls
     np.testing.assert_allclose(m, [0.5, 0.5], rtol=1e-12)

@@ -100,24 +100,3 @@ def test_uniform_ball_self_energy_matches_quadrature(dim):
             assert uniform_ball_self_energy(dim, alpha) == pytest.approx(
                 _quadrature_ball_self_energy(dim, alpha), rel=1e-9
             ), (dim, alpha)
-
-
-def test_import_leaves_scipy_integrate_unloaded():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import dropcap
-
-    # the fresh interpreter imports this same dropcap
-    path = [str(Path(dropcap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    code = "import sys, dropcap; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-    ).stdout
-    assert out.strip() == "False"

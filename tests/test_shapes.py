@@ -192,6 +192,22 @@ def test_each_quadrature_grid_is_evaluated_once_per_shape(monkeypatch, quad_orde
     assert grid_calls == {(id(x), n): 1 for x in (s, r) for n in grids}
 
 
+def test_contains_evaluates_the_radius_alone(monkeypatch):
+    s = dc.NearlySpherical(modes=((2, 0, 1.0), (3, 1, -0.4), (4, -3, 0.3)), eps=0.12)
+    pts = np.random.default_rng(5).uniform(-1.3, 1.3, size=(2000, 3))
+    r = np.linalg.norm(pts, axis=1)
+    theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
+    lam = np.arctan2(pts[:, 1], pts[:, 0])
+    expected = r <= s.profile(theta, lam)[0]
+    assert 0 < expected.sum() < len(pts)
+
+    def no_gradient(*args):
+        raise AssertionError("contains evaluated a gradient")
+
+    monkeypatch.setattr(dc.harmonics, "real_sph_harm_gradient", no_gradient)
+    np.testing.assert_array_equal(s.contains(pts), expected)
+
+
 def test_grid_profile_is_read_only():
     s = dc.NearlySpherical(modes=((2, 1, 0.5),), eps=0.1)
     for a in s.grid_profile():
