@@ -77,9 +77,12 @@ class KernelOperator:
         positive definite, and when CG fails; those operators are solved
         through the bordered system.
         """
+        return self._inverse_ones()
+
+    def _inverse_ones(self, screen=None) -> np.ndarray | None:
         if self.params.is_log:
             return None
-        x = cg_solve(self.apply, np.ones(self.n_nodes))
+        x = cg_solve(self.apply, np.ones(self.n_nodes), screen)
         if x is not None:
             x.setflags(write=False)  # shared by every solve on this operator
         return x
@@ -87,12 +90,18 @@ class KernelOperator:
     def apply(self, masses) -> np.ndarray:
         return symv(self.matrix, masses)
 
-    def solve(self, rhs, total: float) -> tuple[np.ndarray, float]:
+    def solve(self, rhs, total: float, screen=None) -> tuple[np.ndarray, float]:
         """x and lambda with K x = rhs + lambda 1 and sum(x) = total.
 
         Reuses the cached K^-1 1; without it (the planar log kernel, or
         CG failed on K x = 1) the solve goes through the bordered LU.
+        screen screens the CG run for K^-1 1 if none is cached yet
+        (cg_solve): a run that finishes is cached, one the screen
+        rejects raises ScreenedOut and caches nothing.
         """
+        if screen is not None and "inverse_ones" not in vars(self):
+            # fill the inverse_ones cache, unless the screen stops the run
+            vars(self)["inverse_ones"] = self._inverse_ones(screen)
         w1 = self.inverse_ones
         apply = None if w1 is None else self.apply
         return constrained_solve(lambda: self.matrix, rhs, total, apply, w1)

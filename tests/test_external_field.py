@@ -89,6 +89,40 @@ def test_optimality_identity(ball_op_2000, sphere_field_2000):
     assert out["min_energy_gap"] >= 0.0
 
 
+def _per_competitor_audit(result, op, field, trials, seed):
+    """The audit one competitor at a time: the reference for the batched one."""
+    rng = np.random.default_rng(seed)
+    w = result.masses
+    scale = float(np.abs(w).max())
+    identity, gap = 0.0, np.inf
+    for _ in range(trials):
+        d = rng.standard_normal(op.n_nodes) * scale
+        d -= d.mean()
+        nu = dc.SignedMeasure(result.cloud, w + d)
+        lhs = dc.field_energy(nu, op, field) - result.F_value
+        rhs = op.energy(d)
+        identity = max(identity, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        gap = min(gap, lhs)
+    return identity, gap
+
+
+def test_batched_audit_matches_one_competitor_at_a_time():
+    op = dc.assemble_operator(dc.discretize(BALL3, 200, "boundary"), COULOMB)
+    field = dc.LinearPotential((0.3, -1.0, 0.5))
+    res = dc.solve_external(op, field)
+    # 300 competitors take two blocks
+    out = dc.verify_optimality(res, op, field, trials=300, seed=5)
+    identity, gap = _per_competitor_audit(res, op, field, 300, 5)
+    assert out["trials"] == 300
+    assert out["min_energy_gap"] == pytest.approx(gap, rel=1e-12)
+    assert out["max_identity_violation"] <= 1e-12
+    assert identity <= 1e-12
+    other = dc.discretize(dc.Ball((0.0, 0.0, 0.0), 2.0), 200, "boundary")
+    res_other = dc.solve_external(dc.assemble_operator(other, COULOMB), field)
+    with pytest.raises(ValidationError):
+        dc.verify_optimality(res_other, op, field)
+
+
 def test_field_energy_consistency(ball_op_2000, sphere_field_2000):
     F = dc.field_energy(sphere_field_2000.measure, ball_op_2000, E1)
     assert F == pytest.approx(sphere_field_2000.F_value, rel=1e-12)

@@ -1,4 +1,4 @@
-"""Solve back-ends: conjugate gradients against the bordered LU system, and solve reuse."""
+"""Solve back-ends: CG against the bordered LU system, solve reuse and screening."""
 
 import sys
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import dropcap as dc
 import dropcap.linalg
 from dropcap.equilibrium import solve_simplex_qp
-from dropcap.linalg import bordered_solve, cg_solve, symv
+from dropcap.linalg import CG_SCREEN_RTOL, ScreenedOut, bordered_solve, cg_solve, symv
 
 ORIGIN = (0.0, 0.0, 0.0)
 COULOMB = dc.KernelParams(3, 2.0)
@@ -23,8 +23,7 @@ CLOUDS = {
 }
 radii = st.floats(0.5, 2.0)
 node_counts = st.integers(150, 500)
-# a fixed sequence of examples, so a run never depends on the last one
-generated = settings(max_examples=6, deadline=None, derandomize=True, database=None)
+generated = settings(max_examples=6)
 
 
 class _Counter:
@@ -39,7 +38,7 @@ class _Counter:
         return self.fn(*args, **kwargs)
 
 
-def _fail(apply, b):
+def _fail(apply, b, screen=None):
     return None
 
 
@@ -165,9 +164,9 @@ def test_fallbacks_agree_when_cg_fails(monkeypatch):
 def test_one_unit_solve_serves_equilibrium_and_field(monkeypatch):
     ones_solves = []
 
-    def counted(apply, b):
+    def counted(apply, b, screen=None):
         ones_solves.append(bool(np.all(b == 1.0)))
-        return cg_solve(apply, b)
+        return cg_solve(apply, b, screen)
 
     _patch_cg(monkeypatch, counted)
     cloud = dc.discretize(dc.Ball(ORIGIN, 1.0), 500, "boundary")
@@ -178,6 +177,78 @@ def test_one_unit_solve_serves_equilibrium_and_field(monkeypatch):
     assert ones_solves == [True, False]
     assert eq.active_fraction == 1.0
     assert fr.el_residual < 1e-10
+
+
+def test_screen_sees_one_loose_iterate():
+    K = _operator("boundary ball, alpha=2", 1.0, 300).matrix
+    b = np.ones(len(K))
+
+    def apply(v):
+        return symv(K, v)
+
+    def residual(x):
+        return np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+
+    seen = []
+    x = cg_solve(apply, b, lambda x: seen.append(residual(x)) or True)
+    assert np.array_equal(x, cg_solve(apply, b))  # a passed screen changes nothing
+    assert len(seen) == 1
+    assert 1e-12 < seen[0] <= 2.0 * CG_SCREEN_RTOL
+    with pytest.raises(ScreenedOut) as stop:
+        cg_solve(apply, b, lambda x: False)
+    assert residual(stop.value.x) == pytest.approx(seen[0], rel=1e-6)
+
+
+def _count_products(fn, *args):
+    """fn(*args) and the number of products with A its CG runs took."""
+    products = 0
+
+    def counting(apply, b, screen=None):
+        def counted_apply(v):
+            nonlocal products
+            products += 1
+            return apply(v)
+
+        return cg_solve(counted_apply, b, screen)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _patch_cg(mp, counting)
+        result = fn(*args)
+    return result, products
+
+
+def _screened_and_unscreened(cloud, params):
+    """(masses, lambda, iterations, products) with the screen on, then off."""
+    op = dc.assemble_operator(cloud, params)
+    (m, lam, iters, _), products = _count_products(solve_simplex_qp, op)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dropcap.linalg, "CG_SCREEN_RTOL", 0.0)
+        op_full = dc.assemble_operator(cloud, params)
+        (m_full, lam_full, iters_full, _), full = _count_products(solve_simplex_qp, op_full)
+    assert np.array_equal(m, m_full) and lam == lam_full
+    return op, (iters, products), (iters_full, full)
+
+
+def test_screen_cuts_the_products_of_collapsing_working_sets():
+    # alpha = 2 on a volume ball: the interior drops out over several sets
+    cloud = dc.discretize(dc.Ball(ORIGIN, 1.0), 700, "volume")
+    op, (iters, products), (iters_full, full) = _screened_and_unscreened(cloud, COULOMB)
+    assert 700 <= op.n_nodes <= 900
+    assert iters == iters_full > 2
+    assert products <= 0.6 * full
+    # the full set was screened out: K^-1 1 is not cached from a loose iterate
+    assert "inverse_ones" not in vars(op)
+    fresh = dc.assemble_operator(cloud, COULOMB)
+    assert np.array_equal(op.inverse_ones, fresh.inverse_ones)
+
+
+def test_screen_costs_nothing_when_every_node_stays():
+    cloud = dc.discretize(dc.Ball(ORIGIN, 1.0), 600, "boundary")
+    op, screened, unscreened = _screened_and_unscreened(cloud, COULOMB)
+    assert screened == unscreened
+    assert screened[0] == 1
+    # the screen passed, so the finished run was cached
+    assert "inverse_ones" in vars(op)
 
 
 def test_log_kernel_never_calls_cg(monkeypatch):

@@ -152,8 +152,7 @@ def _nearly_spherical(pairs, coeffs, eps, quad_order):
     return dc.NearlySpherical(modes=modes, eps=eps, quad_order=quad_order)
 
 
-# a fixed sequence of examples, so a run never depends on the last one
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     pairs=st.lists(st.sampled_from(ALL_MODES), min_size=1, max_size=6, unique=True),
     coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
