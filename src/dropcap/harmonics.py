@@ -2,11 +2,14 @@
 
 Conventions: theta is the polar angle (0 at the north pole), lam the
 azimuth.  Y(l, m) is L2-orthonormal on the sphere; the m > 0 branch uses
-cos(m*lam), the m < 0 branch sin(|m|*lam).
+cos(m*lam), the m < 0 branch sin(|m|*lam).  The Legendre factors come
+from the normalized upward recurrence, which stays finite at every
+degree a quadrature grid resolves.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -16,11 +19,31 @@ from .errors import ValidationError
 __all__ = ["real_sph_harm", "real_sph_harm_gradient", "gauss_sphere_grid"]
 
 
-def _norm_constant(l: int, m: int) -> float:
-    from scipy import special
+def _legendre(l: int, m: int, x, s):
+    """Normalized associated Legendre functions of degrees l and l - 1.
 
-    logfac = special.gammaln(l - m + 1) - special.gammaln(l + m + 1)
-    return np.sqrt((2 * l + 1) / (4.0 * np.pi) * np.exp(logfac))
+    Returns N(l, m) P_l^m(x) and N(l-1, m) P_{l-1}^m(x) for 0 <= m <= l
+    (the second is zero when l == m), with s = sqrt(1 - x^2),
+    N(l, m) = sqrt((2l + 1)/(4 pi) (l - m)!/(l + m)!) and the
+    Condon-Shortley phase (-1)^m in P_l^m.  The normalization rides
+    along the recurrence, so no factorial is formed:
+
+        Pn(m, m)   = -sqrt((2m + 1)/(2m)) s Pn(m-1, m-1),  Pn(0, 0) = 1/sqrt(4 pi)
+        Pn(m+1, m) = sqrt(2m + 3) x Pn(m, m)
+        Pn(k, m)   = a_k (x Pn(k-1, m) - Pn(k-2, m)/a_{k-1}),
+                     a_k = sqrt((4k^2 - 1)/(k^2 - m^2)).
+    """
+    p = np.full(np.shape(x), 1.0 / math.sqrt(4.0 * math.pi))
+    for k in range(1, m + 1):
+        p = -math.sqrt((2 * k + 1) / (2 * k)) * s * p
+    if l == m:
+        return p, np.zeros_like(p)
+    prev, p = p, math.sqrt(2 * m + 3) * x * p
+    for k in range(m + 2, l + 1):
+        a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
+        b = math.sqrt(((k - 1) ** 2 - m * m) / (4 * (k - 1) ** 2 - 1))
+        prev, p = p, a * (x * p - b * prev)
+    return p, prev
 
 
 def _check_mode(l: int, m: int) -> None:
@@ -30,48 +53,41 @@ def _check_mode(l: int, m: int) -> None:
 
 def real_sph_harm(l: int, m: int, theta, lam):
     """Real orthonormal spherical harmonic Y_{l m}(theta, lam)."""
-    from scipy import special
-
     _check_mode(l, m)
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float)
     am = abs(m)
-    P = special.lpmv(am, l, np.cos(theta))
-    N = _norm_constant(l, am)
+    P, _ = _legendre(l, am, np.cos(theta), np.abs(np.sin(theta)))
     if m == 0:
-        return N * P
+        return P
     if m > 0:
-        return np.sqrt(2.0) * N * P * np.cos(m * lam)
-    return np.sqrt(2.0) * N * P * np.sin(am * lam)
+        return np.sqrt(2.0) * P * np.cos(m * lam)
+    return np.sqrt(2.0) * P * np.sin(am * lam)
 
 
 def real_sph_harm_gradient(l: int, m: int, theta, lam):
     """Tangential gradient components (d/dtheta, (1/sin theta) d/dlam).
 
-    Uses d/dtheta P_l^m(cos t) = (l cos(t) P_l^m - (l+m) P_{l-1}^m) / sin t.
-    At the poles the tangent frame degenerates; both components are
-    reported as zero there.
+    Uses d/dtheta P_l^m(cos t) = (l cos(t) P_l^m - (l+m) P_{l-1}^m) / sin t,
+    on the normalized functions N(l, m) P_l^m of _legendre.  At the poles
+    the tangent frame degenerates; both components are reported as zero
+    there.
     """
-    from scipy import special
-
     _check_mode(l, m)
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float)
     x = np.cos(theta)
     s = np.sin(theta)
     am = abs(m)
-    P = special.lpmv(am, l, x)
-    if l - 1 >= am:
-        Pm1 = special.lpmv(am, l - 1, x)
-    else:
-        Pm1 = np.zeros_like(x)
+    P, Pm1 = _legendre(l, am, x, np.abs(s))
+    # (l + m) N(l, m) / N(l-1, m), the factor of the degree l - 1 term
+    c1 = math.sqrt((2 * l + 1) * (l - am) * (l + am) / (2 * l - 1)) if l > am else 0.0
     pole = s < 1e-12
     s_safe = np.where(pole, 1.0, s)
-    dP_dtheta = np.where(pole, 0.0, (l * x * P - (l + am) * Pm1) / s_safe)
-    N = _norm_constant(l, am)
+    dP_dtheta = np.where(pole, 0.0, (l * x * P - c1 * Pm1) / s_safe)
     if m == 0:
-        return N * dP_dtheta, np.zeros_like(x)
-    c = np.sqrt(2.0) * N
+        return dP_dtheta, np.zeros_like(x)
+    c = np.sqrt(2.0)
     az = np.where(pole, 0.0, P / s_safe)
     if m > 0:
         return c * dP_dtheta * np.cos(m * lam), -c * az * m * np.sin(m * lam)

@@ -10,8 +10,12 @@ m.T @ K @ m is an accurate estimate of the full double interaction
 integral, and the ball and circle oracles hold at the percent level by
 M around 2000.
 
-The matrix is the operator's only n^2 buffer: the kernel is evaluated
-in place over the pairwise distances.  KernelOperator.solve hands the
+The matrix is the operator's only n^2 buffer.  assemble_operator fills
+it in one pass over row blocks of the lower triangle: a block of
+pairwise distances, held in one reused buffer, becomes kernel values in
+place and is stored with its transpose, so each entry is computed once.
+potential_at runs its targets through the same row blocks, holding one
+block of kernel values at a time.  KernelOperator.solve hands the
 operator to the one constrained solve of dropcap.linalg: for the Riesz
 kernels that uses only products with K, caching the n values K^-1 1.
 """
@@ -41,6 +45,12 @@ __all__ = [
     "diagonal_self_energy",
     "potential_at",
 ]
+
+# Rows per block of the assembly and of potential_at: each block of
+# distances becomes kernel values in one reused BLOCK_ROWS x n buffer
+# before the next is computed.  Chosen from the assembly times by block
+# height recorded in CHANGES.md.
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,21 +144,49 @@ def diagonal_self_energy(cloud: NodeCloud, params: KernelParams) -> np.ndarray:
     )
 
 
-def assemble_operator(cloud: NodeCloud, params: KernelParams) -> KernelOperator:
-    """Kernel matrix over a cloud with the desingularized diagonal."""
+def _distance_blocks(rows, cols, lower: bool = False):
+    """Row blocks of the distances from rows to cols, in one reused buffer.
+
+    Yields (i0, i1, block) with block[k, j] = |rows[i0 + k] - cols[j]|
+    over every col, or over cols[:i1] when lower (the lower triangle of
+    a square, the diagonal included).  Each block is overwritten by the
+    next, so the caller finishes with it first.
+    """
     from scipy.spatial.distance import cdist
 
+    n = len(rows)
+    buf = np.empty(min(n, BLOCK_ROWS) * len(cols))
+    for i0 in range(0, n, BLOCK_ROWS):
+        i1 = min(i0 + BLOCK_ROWS, n)
+        c = cols[:i1] if lower else cols
+        block = buf[: (i1 - i0) * len(c)].reshape(i1 - i0, len(c))
+        yield i0, i1, cdist(rows[i0:i1], c, out=block)
+
+
+def assemble_operator(cloud: NodeCloud, params: KernelParams) -> KernelOperator:
+    """Kernel matrix over a cloud with the desingularized diagonal.
+
+    One pass over row blocks of the lower triangle: each block's
+    distances become kernel values in place, the block's diagonal gets
+    the self-energies, and the block is stored with its transpose, so
+    each entry is computed once and K is exactly symmetric.
+    """
     if params.dim != cloud.dim:
         raise ValidationError(
             f"kernel dimension {params.dim} does not match cloud dimension {cloud.dim}"
         )
-    dist = cdist(cloud.points, cloud.points)
-    np.fill_diagonal(dist, 1.0)
-    # the kernel overwrites the distances: the operator holds one n^2 buffer
-    K = kernel_of_distance(params, dist, out=dist)
-    np.fill_diagonal(K, diagonal_self_energy(cloud, params))
-    if not np.all(np.isfinite(K)):
-        raise ValidationError("operator has non-finite entries; nodes may coincide")
+    diag = diagonal_self_energy(cloud, params)
+    n = cloud.n_nodes
+    K = np.empty((n, n))
+    for i0, i1, block in _distance_blocks(cloud.points, cloud.points, lower=True):
+        on_diag = block[:, i0:i1]  # a view: fill_diagonal writes into block
+        np.fill_diagonal(on_diag, 1.0)
+        kernel_of_distance(params, block, out=block)
+        np.fill_diagonal(on_diag, diag[i0:i1])
+        if not np.isfinite(block).all():
+            raise ValidationError("operator has non-finite entries; nodes may coincide")
+        K[i0:i1, :i1] = block
+        K[:i1, i0:i1] = block.T
     return KernelOperator(matrix=K, cloud=cloud, params=params)
 
 
@@ -159,22 +197,25 @@ def potential_at(
 
     A target within 1e-12 of the cloud's extent from a node counts as
     landing on it, and picks up that node's desingularized self term
-    instead of the singular kernel value.
+    instead of the singular kernel value.  The targets go in row blocks,
+    so memory stays one block of kernel values whatever their number.
     """
-    from scipy.spatial.distance import cdist
-
     masses = np.asarray(masses, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if masses.shape != (cloud.n_nodes,):
         raise ValidationError("need one mass per node")
     if targets.shape[1] != cloud.dim:
         raise ValidationError("target dimension does not match cloud")
-    dist = cdist(targets, cloud.points)
-    hit = dist <= 1e-12 * float(np.ptp(cloud.points, axis=0).max())
-    if hit.any():
-        dist = np.where(hit, 1.0, dist)
-    ker = kernel_of_distance(params, dist)
-    if hit.any():
-        diag = diagonal_self_energy(cloud, params)
-        ker[hit] = np.broadcast_to(diag, ker.shape)[hit]
-    return ker @ masses
+    tol = 1e-12 * float(np.ptp(cloud.points, axis=0).max())
+    diag = None
+    values = np.empty(len(targets))
+    for i0, i1, block in _distance_blocks(targets, cloud.points):
+        rows, cols = np.nonzero(block <= tol)
+        block[rows, cols] = 1.0
+        kernel_of_distance(params, block, out=block)
+        if cols.size:
+            if diag is None:
+                diag = diagonal_self_energy(cloud, params)
+            block[rows, cols] = diag[cols]
+        values[i0:i1] = block @ masses
+    return values

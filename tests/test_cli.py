@@ -293,8 +293,8 @@ STARTUP = {
     "import": (None, None),
     "version": (["--version"], None),
     "bad_M": (["capacity", "--M", "x"], None),
-    # the spherical harmonics evaluate scipy.special's Legendre functions
-    "fuglede": (["stability", "fuglede", "--modes", "2,0,1", "--eps", "0.1"], "scipy.special"),
+    # the spherical harmonics run their own Legendre recurrence
+    "fuglede": (["stability", "fuglede", "--modes", "2,0,1", "--eps", "0.1"], None),
 }
 _STARTUP_CODE = """
 import json, runpy, sys

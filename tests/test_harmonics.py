@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
+import dropcap as dc
 from dropcap.errors import ValidationError
 from dropcap.harmonics import gauss_sphere_grid, real_sph_harm, real_sph_harm_gradient
 
@@ -55,6 +57,47 @@ def test_column_against_row_equals_the_mesh(n_theta):
             real_sph_harm_gradient(l, m, col, row), real_sph_harm_gradient(l, m, TH, LM)
         ):
             np.testing.assert_array_equal(np.broadcast_to(sep, TH.shape), mesh)
+
+
+def _lpmv_harmonic(l, m, theta, lam):
+    """Y_lm and its gradient from scipy's lpmv with the factorial normalization."""
+    am = abs(m)
+    N = np.sqrt((2 * l + 1) / (4.0 * np.pi) * np.exp(special.gammaln(l - am + 1) - special.gammaln(l + am + 1)))
+    x, s = np.cos(theta), np.sin(theta)
+    P = special.lpmv(am, l, x)
+    Pm1 = special.lpmv(am, l - 1, x) if l > am else np.zeros_like(x)
+    dP = (l * x * P - (l + am) * Pm1) / s
+    if m == 0:
+        return N * P, N * dP, np.zeros_like(x)
+    trig, dtrig = (np.cos, lambda t: -np.sin(t)) if m > 0 else (np.sin, np.cos)
+    c = np.sqrt(2.0) * N
+    return c * P * trig(am * lam), c * dP * trig(am * lam), c * P / s * am * dtrig(am * lam)
+
+
+def test_recurrence_matches_scipy_lpmv_to_degree_sixty():
+    # values on [0, pi], poles included; the gradients away from the
+    # poles, where their 1/sin(theta) does not amplify round-off
+    theta = np.linspace(0.0, np.pi, 41)
+    lam = np.linspace(0.0, 2.0 * np.pi, 41)
+    inner = slice(3, -3)
+    for l in range(61):
+        for m in (*range(l + 1), -l, -(l // 2)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = _lpmv_harmonic(l, m, theta, lam)
+            got = (real_sph_harm(l, m, theta, lam), *real_sph_harm_gradient(l, m, theta, lam))
+            for k, (g, r) in enumerate(zip(got, ref)):
+                g, r = (g, r) if k == 0 else (g[inner], r[inner])
+                scale = max(1.0, np.abs(r).max())
+                np.testing.assert_allclose(g, r, rtol=0, atol=1e-13 * scale, err_msg=f"{(l, m, k)}")
+
+
+def test_high_degree_harmonic_has_unit_norm():
+    # (l + m)! overflows at l = m = 200; the normalized recurrence stays finite
+    TH, LM, W = gauss_sphere_grid(256)
+    Y = real_sph_harm(200, 200, TH, LM)
+    assert float(np.sum(W * Y * Y)) == pytest.approx(1.0, abs=1e-12)
+    shape = dc.NearlySpherical(modes=((200, 200, 1.0),), eps=0.01, quad_order=256)
+    assert np.isfinite(shape.perimeter())
 
 
 def test_gradient_finite_at_poles():

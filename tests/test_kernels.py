@@ -17,10 +17,12 @@ import oracles
 
 
 def test_kernel_of_distance_power_branch():
-    p = KernelParams(3, 1.5)
-    d = np.array([0.5, 1.0, 2.0])
-    np.testing.assert_allclose(kernel_of_distance(p, d), d ** (1.5 - 3.0))
-    assert not p.is_log
+    # alpha - dim = -1 runs as the reciprocal; its values are the power's
+    d = np.concatenate([[0.5, 1.0, 2.0], np.random.default_rng(0).lognormal(0.0, 8.0, 10000)])
+    for dim, alpha in [(3, 1.5), (3, 2.0), (4, 3.0)]:
+        p = KernelParams(dim, alpha)
+        assert np.array_equal(kernel_of_distance(p, d), np.power(d, alpha - dim))
+        assert not p.is_log
 
 
 def test_kernel_of_distance_log_branch():

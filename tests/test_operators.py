@@ -1,18 +1,68 @@
 """Kernel operator assembly: symmetry, positivity, scaling, diagonals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import dropcap as dc
 from dropcap.errors import UnsupportedConfigurationError, ValidationError
-from dropcap.kernels import uniform_ball_self_energy
-from dropcap.operators import potential_at
+from dropcap.kernels import kernel_of_distance, uniform_ball_self_energy
+from dropcap.operators import BLOCK_ROWS, diagonal_self_energy, potential_at
 
 import oracles
 
 
 BALL3 = dc.Ball((0.0, 0.0, 0.0), 1.0)
 COULOMB = dc.KernelParams(3, 2.0)
+LOG2 = dc.KernelParams(2, 2.0)
+
+# (shape, role, kernel) of the clouds the blocked assembly is pinned on
+ASSEMBLY_CASES = {
+    "boundary_ball": (BALL3, "boundary", COULOMB),
+    "volume_ball": (BALL3, "volume", COULOMB),
+    "volume_alpha_0.5": (BALL3, "volume", dc.KernelParams(3, 0.5)),
+    "volume_alpha_1.5": (BALL3, "volume", dc.KernelParams(3, 1.5)),
+    "log_polygon": (
+        dc.ConvexPolygon2D(((0.0, 0.0), (2.0, 0.0), (1.5, 1.0), (0.2, 0.8))),
+        "boundary",
+        LOG2,
+    ),
+    "box": (dc.Box((0.0, 0.0, 0.0), (1.0, 0.5, 0.3)), "volume", COULOMB),
+    "ball_4d": (dc.Ball((0.0,) * 4, 1.0), "volume", dc.KernelParams(4, 2.0)),
+}
+# one node, one block less, one and more than one, and a ragged last block
+ASSEMBLY_SIZES = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 77)
+
+
+def _first_nodes(cloud, n):
+    return replace(
+        cloud,
+        points=cloud.points[:n],
+        weights=cloud.weights[:n],
+        components=cloud.components[:n],
+    )
+
+
+def _reference_matrix(cloud, params):
+    """Every pair from one full distance matrix, diagonal by fill."""
+    dist = cdist(cloud.points, cloud.points)
+    np.fill_diagonal(dist, 1.0)
+    K = kernel_of_distance(params, dist)
+    np.fill_diagonal(K, diagonal_self_energy(cloud, params))
+    return K
+
+
+@pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
+def test_blocked_assembly_equals_the_full_matrix(case):
+    shape, role, params = ASSEMBLY_CASES[case]
+    cloud = dc.discretize(shape, 500, role)
+    assert cloud.n_nodes >= max(ASSEMBLY_SIZES)
+    for n in ASSEMBLY_SIZES:
+        sub = _first_nodes(cloud, n)
+        K = dc.assemble_operator(sub, params).matrix
+        assert np.array_equal(K, _reference_matrix(sub, params)), n
 
 
 def test_matrix_is_symmetric_with_positive_entries(ball_op_2000):
@@ -120,15 +170,30 @@ def test_potential_at_nodes_matches_the_operator_at_any_scale(radius):
     np.testing.assert_allclose(v, op.apply(masses), rtol=1e-12)
 
 
+def _spread_with_a_twin(n, dim, first, second):
+    """n distinct random points in dim with node second moved onto node first."""
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (n, dim))
+    points[second] = points[first]
+    return points
+
+
 def test_coincident_nodes_are_rejected():
-    cloud = dc.NodeCloud(
-        points=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]],
-        weights=[0.1, 0.1, 0.1],
-        role="volume",
-        shape=BALL3,
-        resolution=3,
-        components=[0, 0, 0],
-        component_names=("body",),
-    )
-    with np.errstate(divide="ignore"), pytest.raises(ValidationError, match="nodes may coincide"):
-        dc.assemble_operator(cloud, COULOMB)
+    cases = [
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], COULOMB),
+        # the twin pair lies in the second row block, not the first
+        (_spread_with_a_twin(BLOCK_ROWS + 10, 3, 3, BLOCK_ROWS + 5), COULOMB),
+        (_spread_with_a_twin(BLOCK_ROWS + 10, 2, 3, BLOCK_ROWS + 5), LOG2),
+    ]
+    for points, params in cases:
+        n = len(points)
+        cloud = dc.NodeCloud(
+            points=points,
+            weights=np.full(n, 0.1),
+            role="volume",
+            shape=dc.Ball((0.0,) * params.dim, 1.0),
+            resolution=n,
+            components=np.zeros(n, dtype=int),
+            component_names=("body",),
+        )
+        with np.errstate(divide="ignore"), pytest.raises(ValidationError, match="nodes may coincide"):
+            dc.assemble_operator(cloud, params)
