@@ -9,11 +9,22 @@ boxes get per-face grids; polygons are subdivided by arc length.  Each
 shape class has one boundary placement in _BOUNDARY.  Volume clouds are
 cell-centered Cartesian grids over the shape's bounding box, clipped to
 the shape.
+
+A placement that builds its nodes in reflected pairs records the pairing
+as the cloud's mirror: mirror[i] is node i's reflection through one
+center, and mirror[i] == i for a node at the center.  Sphere lattices
+are [upper; -upper], so balls and both shells of an annulus in 3d are
+mirrored; box faces come in +- pairs.  A volume grid is paired with its
+reversal when its clipped mask and its weights are symmetric, which is
+a property of the shape, and its second half is then made the exact
+reflection of its first; other grids are left as built.  The operators
+solve on the orbits {i, mirror[i]} (Orbits).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +34,7 @@ from .kernels import unit_sphere_area
 
 __all__ = [
     "NodeCloud",
+    "Orbits",
     "discretize",
     "default_role",
     "voronoi_patch_areas",
@@ -32,6 +44,68 @@ __all__ = [
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 _ROLES = ("boundary", "volume")
+
+# Mirrored nodes must have a common midpoint to within this many ulps of
+# the largest coordinate: placements reflect in floating point.
+MIRROR_ULPS = 8
+
+
+class Orbits:
+    """The node orbits of a cloud under its mirror, and vectors over them.
+
+    An orbit is a pair {i, mirror[i]} or a single node at the center; an
+    unmirrored cloud has one orbit per node.  Orbits are ordered pairs
+    first: reps[:n_pairs] holds the lower node of each pair, partners its
+    mirror, and reps[n_pairs:] the centered nodes.  A nodal vector x
+    splits into an even part, given per orbit by its mean or its sum, and
+    an odd part, given per pair by (x[rep] - x[partner]) / 2.  All
+    methods act on the last axis, so they take single vectors and blocks
+    of rows alike.
+    """
+
+    def __init__(self, mirror: np.ndarray | None, n_nodes: int):
+        nodes = np.arange(n_nodes)
+        if mirror is None:
+            self.reps, self.partners = nodes, nodes[:0]
+        else:
+            lower = np.flatnonzero(mirror > nodes)
+            self.reps = np.concatenate([lower, np.flatnonzero(mirror == nodes)])
+            self.partners = mirror[lower]
+        self.n_nodes = n_nodes
+        self.n_pairs = len(self.partners)
+        self.sizes = np.ones(len(self.reps))
+        self.sizes[: self.n_pairs] = 2.0
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Sum over each orbit: the orbit masses of nodal masses."""
+        u = x[..., self.reps]
+        u[..., : self.n_pairs] += x[..., self.partners]
+        return u
+
+    def means(self, x: np.ndarray) -> np.ndarray:
+        """Mean over each orbit: the even part of nodal values."""
+        u = self.sums(x)
+        u[..., : self.n_pairs] *= 0.5
+        return u
+
+    def half_differences(self, x: np.ndarray) -> np.ndarray:
+        """(x[rep] - x[partner]) / 2 per pair: the odd part of nodal values."""
+        return 0.5 * (x[..., self.reps[: self.n_pairs]] - x[..., self.partners])
+
+    def join(self, even: np.ndarray, odd: np.ndarray | None = None) -> np.ndarray:
+        """Nodal values with the given even part per orbit and odd part per pair."""
+        out = np.empty(even.shape[:-1] + (self.n_nodes,))
+        out[..., self.reps] = even
+        paired = even[..., : self.n_pairs]
+        if odd is None:
+            out[..., self.partners] = paired
+        else:
+            out[..., self.reps[: self.n_pairs]] += odd
+            out[..., self.partners] = paired - odd
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +119,7 @@ class NodeCloud:
     resolution: int
     components: np.ndarray
     component_names: tuple[str, ...]
+    mirror: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -62,7 +137,13 @@ class NodeCloud:
             raise ValidationError("node coordinates must be finite, weights positive")
         if comp.min() < 0 or comp.max() >= len(self.component_names):
             raise ValidationError("component labels out of range")
-        for arr in (pts, w, comp):
+        arrays = [pts, w, comp]
+        if self.mirror is not None:
+            mirror = np.ascontiguousarray(np.asarray(self.mirror, dtype=np.int64))
+            _check_mirror(pts, w, mirror)
+            arrays.append(mirror)
+            object.__setattr__(self, "mirror", mirror)
+        for arr in arrays:
             arr.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
@@ -77,6 +158,10 @@ class NodeCloud:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def orbits(self) -> Orbits:
+        return Orbits(self.mirror, self.n_nodes)
+
     def component_masses(self, masses) -> dict[str, float]:
         """Sum a nodal vector over each labeled component."""
         masses = np.asarray(masses, dtype=float)
@@ -86,6 +171,29 @@ class NodeCloud:
         for k, name in enumerate(self.component_names):
             out[name] = float(masses[self.components == k].sum())
         return out
+
+
+def _check_mirror(points: np.ndarray, weights: np.ndarray, mirror: np.ndarray) -> None:
+    """Raise unless mirror reflects the nodes through one center.
+
+    The pairing must be an involution of the node indices, paired weights
+    must be equal, and every pair's midpoint must be the same point to
+    within MIRROR_ULPS ulps of the largest coordinate.
+    """
+    n = len(points)
+    if (
+        mirror.shape != (n,)
+        or mirror.min() < 0
+        or mirror.max() >= n
+        or not np.array_equal(mirror[mirror], np.arange(n))
+    ):
+        raise ValidationError("mirror must pair the node indices among themselves")
+    if not np.array_equal(weights[mirror], weights):
+        raise ValidationError("mirrored nodes must carry equal weights")
+    midpoints = 0.5 * (points + points[mirror])
+    tol = MIRROR_ULPS * np.finfo(float).eps * float(np.abs(points).max())
+    if float(np.ptp(midpoints, axis=0).max()) > tol:
+        raise ValidationError("mirror does not reflect the nodes through one center")
 
 
 def default_role(alpha: float) -> str:
@@ -113,25 +221,30 @@ def _sphere_lattice(n: int) -> np.ndarray:
 
 
 def _round_nodes(center, radius: float, n: int):
-    """Nodes and equal weights on a circle (2D) or a sphere (3D)."""
+    """Nodes, equal weights and mirror on a circle (2D) or a sphere (3D).
+
+    The sphere lattice pairs node k with node k + n/2 (its negation); the
+    circle's nodes are not built in exact pairs and carry no mirror.
+    """
     d = len(center)
     if d == 3:
         n = _even_count(n, 8)
         pts = np.asarray(center) + radius * _sphere_lattice(n)
-        return pts, np.full(n, unit_sphere_area(3) * radius**2 / n)
+        mirror = np.roll(np.arange(n), n // 2)
+        return pts, np.full(n, unit_sphere_area(3) * radius**2 / n), mirror
     if d == 2:
         n = max(4, int(n))
         ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         pts = np.asarray(center) + radius * np.column_stack([np.cos(ang), np.sin(ang)])
-        return pts, np.full(n, 2.0 * np.pi * radius / n)
+        return pts, np.full(n, 2.0 * np.pi * radius / n), None
     raise DiscretizationError(
         f"boundary clouds are available in dimensions 2 and 3, not {d}"
     )
 
 
 def _ball_boundary(shape: shp.Ball, n: int):
-    pts, w = _round_nodes(shape.center, shape.radius, n)
-    return pts, w, np.zeros(len(pts), dtype=int), ("boundary",)
+    pts, w, mirror = _round_nodes(shape.center, shape.radius, n)
+    return pts, w, np.zeros(len(pts), dtype=int), ("boundary",), mirror
 
 
 def _annulus_boundary(shape: shp.Annulus, n: int):
@@ -145,12 +258,15 @@ def _annulus_boundary(shape: shp.Annulus, n: int):
     else:
         n_in = max(4, int(round(n * share)))
         n_out = max(4, n - n_in)
-    pts_in, w_in = _round_nodes(shape.center, shape.r_inner, n_in)
-    pts_out, w_out = _round_nodes(shape.center, shape.r_outer, n_out)
+    pts_in, w_in, mirror_in = _round_nodes(shape.center, shape.r_inner, n_in)
+    pts_out, w_out, mirror_out = _round_nodes(shape.center, shape.r_outer, n_out)
     pts = np.vstack([pts_in, pts_out])
     w = np.concatenate([w_in, w_out])
     comp = np.concatenate([np.zeros(len(pts_in), int), np.ones(len(pts_out), int)])
-    return pts, w, comp, ("inner", "outer")
+    mirror = None
+    if mirror_in is not None:
+        mirror = np.concatenate([mirror_in, mirror_out + len(pts_in)])
+    return pts, w, comp, ("inner", "outer"), mirror
 
 
 def _union_boundary(shape: shp.UnionOfBalls, n: int):
@@ -163,7 +279,7 @@ def _union_boundary(shape: shp.UnionOfBalls, n: int):
         )
     pts_list, w_list, comp_list, names = [], [], [], []
     for i, b in enumerate(shape.balls):
-        p, w = _round_nodes(b.center, b.radius, per)
+        p, w, _ = _round_nodes(b.center, b.radius, per)
         pts_list.append(p)
         w_list.append(w)
         comp_list.append(np.full(len(p), i, dtype=int))
@@ -173,11 +289,28 @@ def _union_boundary(shape: shp.UnionOfBalls, n: int):
         np.concatenate(w_list),
         np.concatenate(comp_list),
         tuple(names),
+        None,
     )
 
 
-def _box_axes(half_widths, n_target: int):
-    """Per-axis cell midpoints and steps that tile the box exactly."""
+def _reflect_second_half(pts: np.ndarray, center) -> np.ndarray:
+    """Make node N-1-k of a centered tensor grid the exact reflection of node k.
+
+    In the row-major order of a grid symmetric about center, node N-1-k is
+    node k reflected through center up to rounding; this overwrites the
+    second half with the reflection of the first, and an odd grid's
+    middle node with the center.
+    """
+    n = len(pts)
+    half = n // 2
+    pts[n - half :] = (2.0 * np.asarray(center) - pts[:half])[::-1]
+    if n % 2:
+        pts[half] = center
+    return pts
+
+
+def _box_grid(half_widths, n_target: int):
+    """Cell midpoints tiling a centered box exactly, reflected in pairs."""
     h = np.asarray(half_widths, dtype=float)
     d = len(h)
     vol = float(np.prod(2.0 * h))
@@ -185,17 +318,13 @@ def _box_axes(half_widths, n_target: int):
     counts = np.maximum(1, np.round(2.0 * h / cell).astype(int))
     steps = 2.0 * h / counts
     axes = [(-h[i] + (np.arange(counts[i]) + 0.5) * steps[i]) for i in range(d)]
-    return axes, steps
-
-
-def _box_grid(half_widths, n_target: int):
-    axes, steps = _box_axes(half_widths, n_target)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    return pts, float(np.prod(steps))
+    return _reflect_second_half(pts, np.zeros(d)), float(np.prod(steps))
 
 
 def _box_boundary(shape: shp.Box, n: int):
+    """Per-face grids; node k of face i- mirrors node N-1-k of face i+."""
     d = shape.dim
     center = np.array(shape.center)
     h = np.array(shape.half_widths)
@@ -203,25 +332,30 @@ def _box_boundary(shape: shp.Box, n: int):
     for i in range(d):
         areas.append(float(np.prod(np.delete(2.0 * h, i))))
     total = 2.0 * sum(areas)
-    pts_list, w_list, comp_list, names = [], [], [], []
-    label = 0
+    pts_list, w_list, comp_list, names, mirror_list = [], [], [], [], []
+    label = start = 0
     for i in range(d):
         m_face = max(1, int(round(n * areas[i] / total)))
         face_pts, cell = _box_grid(np.delete(h, i), m_face)
+        m = len(face_pts)
         for sign, tag in ((-1.0, "-"), (1.0, "+")):
-            full = np.empty((len(face_pts), d))
+            full = np.empty((m, d))
             full[:, np.arange(d) != i] = face_pts
             full[:, i] = sign * h[i]
             pts_list.append(center + full)
-            w_list.append(np.full(len(face_pts), cell))
-            comp_list.append(np.full(len(face_pts), label, dtype=int))
+            w_list.append(np.full(m, cell))
+            comp_list.append(np.full(m, label, dtype=int))
             names.append(f"face_{i}{tag}")
             label += 1
+        # the other face of the pair, its grid reversed
+        mirror_list += [start + 2 * m - 1 - np.arange(m), start + m - 1 - np.arange(m)]
+        start += 2 * m
     return (
         np.vstack(pts_list),
         np.concatenate(w_list),
         np.concatenate(comp_list),
         tuple(names),
+        np.concatenate(mirror_list),
     )
 
 
@@ -244,6 +378,7 @@ def _polygon_boundary(shape: shp.ConvexPolygon2D, n: int):
         np.concatenate(w_list),
         np.concatenate(comp_list),
         tuple(names),
+        None,
     )
 
 
@@ -256,7 +391,7 @@ def _graph_boundary(shape: shp.NearlySpherical, n: int):
     pts = R[:, None] * u
     w = (4.0 * np.pi / n) * R * np.sqrt(R * R + gt * gt + gl * gl)
     comp = np.zeros(n, dtype=int)
-    return pts, w, comp, ("boundary",)
+    return pts, w, comp, ("boundary",), None
 
 
 _BOUNDARY = {
@@ -298,21 +433,27 @@ def _volume_cloud(shape: shp.Shape, n: int):
     comp = np.zeros(len(pts), dtype=int)
     pieces = shape.pieces()
     if pieces[0] is shape:
-        names = ("body",)
         w *= vol / w.sum()
-        return pts, w, comp, names
-    taken = np.zeros(len(pts), dtype=bool)
-    for i, piece in enumerate(pieces):
-        inside = piece.contains(pts) & ~taken
-        comp[inside] = i
-        taken |= inside
-        if not inside.any():
-            raise DiscretizationError(
-                f"no grid cells landed in {piece.variant} {i}; raise n_nodes"
-            )
-        w[inside] *= shp.volume(piece) / w[inside].sum()
-    names = tuple(f"{piece.variant}_{i}" for i, piece in enumerate(pieces))
-    return pts, w, comp, names
+        names = ("body",)
+    else:
+        taken = np.zeros(len(pts), dtype=bool)
+        for i, piece in enumerate(pieces):
+            inside = piece.contains(pts) & ~taken
+            comp[inside] = i
+            taken |= inside
+            if not inside.any():
+                raise DiscretizationError(
+                    f"no grid cells landed in {piece.variant} {i}; raise n_nodes"
+                )
+            w[inside] *= shp.volume(piece) / w[inside].sum()
+        names = tuple(f"{piece.variant}_{i}" for i, piece in enumerate(pieces))
+    # Reversal reflects the grid through its center up to rounding.  If the
+    # clipped mask and the weights are symmetric too, node k pairs with
+    # node N-1-k, and the second half becomes the exact reflection.
+    if np.array_equal(mask, mask[::-1]) and np.array_equal(w, w[::-1]):
+        mirror = np.arange(len(w))[::-1].copy()
+        return _reflect_second_half(pts, center), w, comp, names, mirror
+    return pts, w, comp, names, None
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +473,7 @@ def discretize(shape: shp.Shape, n_nodes: int, role: str) -> NodeCloud:
     if role not in _ROLES:
         raise ValidationError(f"role must be one of {_ROLES}, got {role!r}")
     place = _volume_cloud if role == "volume" else _BOUNDARY[type(shape)]
-    pts, w, comp, names = place(shape, n_nodes)
+    pts, w, comp, names, mirror = place(shape, n_nodes)
     return NodeCloud(
         points=pts,
         weights=w,
@@ -341,6 +482,7 @@ def discretize(shape: shp.Shape, n_nodes: int, role: str) -> NodeCloud:
         resolution=n_nodes,
         components=comp,
         component_names=names,
+        mirror=mirror,
     )
 
 

@@ -14,10 +14,13 @@ on volume clouds with cell volumes V:
 
 with the sign left unconstrained: one unit-charge solve against the
 positive definite 2G, m = (2G)^-1 1 / 1'(2G)^-1 1, which is the
-constrained solve of dropcap.linalg with rhs 0 and total 1.  2G is well
-conditioned (about 1.4 on the unit ball), and conjugate gradients solve
-it in a few products (1/2 pi) K x + (2/V) x, never forming 2G; only if
-CG fails is 2G built, for the bordered LU.  The true
+constrained solve of dropcap.linalg with rhs 0 and total 1.  The
+minimizer is unique, so it is even under the cloud's mirror, and the
+solve runs over orbit masses u with the operator's even block E and
+the orbit volumes W: 2G becomes E/2 pi + diag(2/W) (dropcap.operators).
+2G is well conditioned (about 1.4 on the unit ball), and conjugate
+gradients solve it in a few products (1/2 pi) E u + (2/W) u, never
+forming 2G; only if CG fails is 2G built, for the bordered LU.  The true
 minimizer comes out nonnegative on its own, and nonnegativity is
 reported as a diagnostic rather than enforced.  At the optimum the
 Euler-Lagrange relation (1/2 pi) v_i + 2 rho_i = lambda holds at every
@@ -35,7 +38,7 @@ from .clouds import NodeCloud, discretize
 from .equilibrium import _radial_shells
 from .errors import UnsupportedConfigurationError, ValidationError
 from .kernels import KernelParams
-from .linalg import constrained_solve, symv
+from .linalg import constrained_solve
 from .operators import assemble_operator
 
 __all__ = [
@@ -86,23 +89,28 @@ def solve_entropic(cloud: NodeCloud) -> DensityResult:
             "the entropy-penalized energy is posed in dimension 3"
         )
     params = KernelParams(3, 2.0)
-    K = assemble_operator(cloud, params).matrix
-    coulomb, penalty = 2.0 / params.pde_constant, 2.0 / cloud.weights
+    op = assemble_operator(cloud, params)
+    orbits = op.orbits
+    # the minimizer is even: solve over orbit masses u, each orbit's
+    # volume W taking the place of a node's
+    W = orbits.sums(cloud.weights)
+    coulomb, penalty = 2.0 / params.pde_constant, 2.0 / W
 
     def two_g():
-        A = K * coulomb
-        A.flat[:: cloud.n_nodes + 1] += penalty
+        A = op.even * coulomb
+        A.flat[:: len(W) + 1] += penalty
         return A
 
-    m, lam = constrained_solve(
-        two_g, np.zeros(cloud.n_nodes), 1.0, lambda v: coulomb * symv(K, v) + penalty * v
+    u, lam = constrained_solve(
+        two_g, np.zeros(len(W)), 1.0, lambda v: coulomb * op.apply_even(v) + penalty * v
     )
-    Km = symv(K, m)
-    Gm = Km / params.pde_constant + m / cloud.weights
-    value = float(m @ Gm)
-    el = float(np.max(np.abs(2.0 * Gm - lam)))
-    coulomb = float(m @ Km) / params.pde_constant
-    penalty = float(np.sum(m * m / cloud.weights))
+    Eu = op.apply_even(u)
+    Gu = Eu / params.pde_constant + u / W
+    value = float(u @ Gu)
+    el = float(np.max(np.abs(2.0 * Gu - lam)))
+    coulomb = float(u @ Eu) / params.pde_constant
+    penalty = float(np.sum(u * u / W))
+    m = orbits.join(u / orbits.sizes)
     return DensityResult(
         cloud=cloud,
         density=m / cloud.weights,

@@ -12,11 +12,13 @@ constant is the minimal energy itself; its reciprocal (or, for the
 logarithmic kernel, its negative exponential) is the capacity.  An
 active-set method solves the program to round-off in a handful of
 unit-charge solves on the working set, starting from all nodes active
-and deactivating negative masses until complementarity holds.  Each is
-one call of the constrained solve in dropcap.linalg, K x = lambda 1 with
-sum(x) = 1: conjugate gradients for the Riesz kernels, reusing the full
-operator's cached K^-1 1, and the bordered LU for the planar logarithmic
-kernel or when CG fails.
+and deactivating negative masses until complementarity holds.  The
+minimizer is unique, so on a mirrored cloud it is even, and the program
+is solved over orbit masses with the operator's even block E
+(dropcap.operators).  Each step is one call of the constrained solve in
+dropcap.linalg, E x = lambda 1 with sum(x) = 1: conjugate gradients for
+the Riesz kernels, reusing the full operator's cached E^-1 1, and the
+bordered LU for the planar logarithmic kernel or when CG fails.
 """
 
 from __future__ import annotations
@@ -121,9 +123,9 @@ def _kkt_residual(v: np.ndarray, m: np.ndarray, lam: float):
     return max(on, off)
 
 
-def _negative(x: np.ndarray) -> np.ndarray:
-    """Nodes whose mass x / sum(x) lies below -_NEG_TOL."""
-    return x < -_NEG_TOL * x.sum()
+def _negative(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Orbits whose nodes' mass x / (sizes sum(x)) lies below -_NEG_TOL."""
+    return x / sizes < -_NEG_TOL * x.sum()
 
 
 def _project_simplex(x: np.ndarray) -> np.ndarray:
@@ -164,69 +166,88 @@ def solve_simplex_qp(
 ):
     """Minimize m.T K m over the probability simplex by active sets.
 
-    K is a symmetric matrix or an assembled operator, whose cached
-    K^-1 1 then serves the steps with every node active.  A restricted
-    working set runs conjugate gradients on a copy of K[idx, idx].  Each
-    working set's CG run is screened (dropcap.linalg.cg_solve): if the
-    iterate at |r| <= CG_SCREEN_RTOL |b| has masses below -_NEG_TOL, the
-    run stops and the set loses exactly those nodes.  A set that passes
-    finishes the same recurrence, so the accepted set's masses and
-    multiplier are bit-identical to an unscreened solve's.  On the
-    collapsing alpha = 2 volume ball (2553 nodes, five working sets)
-    that takes 121 products with K instead of 327.  A screened-out full
-    set caches no K^-1 1 on the operator.  A working set that comes
-    round again turns the screen off for the rest of the loop; a loop
-    that still cycles ends after max_iter in the projected-gradient
-    polish.
+    K is a symmetric matrix or an assembled operator.  On an operator the
+    minimizer, being unique, is even under the cloud's mirror, so the
+    program is solved over orbit masses u with the even block E: the
+    same program, whose potentials E u are the node potentials.  Each
+    node of an orbit holds u / size, and the loop judges those node
+    masses, so its decisions are those of the unreduced program.  The
+    operator's cached E^-1 1 serves the steps with every orbit active;
+    a restricted working set runs conjugate gradients on a copy of
+    E[idx, idx].  Each working set's CG run is screened
+    (dropcap.linalg.cg_solve): if the iterate at |r| <= CG_SCREEN_RTOL
+    |b| has node masses below -_NEG_TOL, the run stops and the set loses
+    exactly those orbits.  A set that passes finishes the same
+    recurrence, so the accepted set's masses and multiplier are
+    bit-identical to an unscreened solve's.  On the collapsing alpha = 2
+    volume ball (2553 nodes, five working sets) that takes 121 products
+    with K instead of 327, and 110 with E over its 1277 orbits.  A
+    screened-out full set caches no E^-1 1 on the operator.  A working
+    set that comes round again turns the screen off for the rest of the
+    loop; a loop that still cycles ends after max_iter in the
+    projected-gradient polish.
 
-    Returns (masses, multiplier, iterations, kkt_residual); the
-    multiplier equals the minimum value.  start_active selects the
-    initial working set (all nodes by default); wrong guesses are
-    repaired by the reactivation sweep, so any start converges to the
-    same minimizer.  Raises NonConvergenceError, carrying the best
-    iterate, if the tolerance cannot be met.
+    Returns (masses, multiplier, iterations, kkt_residual), the masses
+    per node; the multiplier equals the minimum value.  start_active
+    selects the initial working set (all nodes by default; an orbit
+    starts active if any of its nodes does); wrong guesses are repaired
+    by the reactivation sweep, so any start converges to the same
+    minimizer.  Raises NonConvergenceError, carrying the best iterate,
+    if the tolerance cannot be met.
     """
     if isinstance(K, KernelOperator):
-        op, K = K, K.matrix
+        op, orbits, K = K, K.orbits, K.even
+        sizes, n_nodes = orbits.sizes, op.n_nodes
     else:
-        op = None
+        op = orbits = None
         K = np.ascontiguousarray(K, dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValidationError("operator must be a square matrix")
+        sizes, n_nodes = np.ones(K.shape[0]), K.shape[0]
     n = K.shape[0]
+
+    def nodal(u):
+        """Node masses of orbit masses u."""
+        return u if orbits is None else orbits.join(u / sizes)
+
     definite = op is None or not op.params.is_log
 
     def solve_on(idx, screen):
         """Masses and multiplier on the working set idx, in one solve."""
         if op is not None and len(idx) == n:
-            return op.solve(np.zeros(n), 1.0, screen)
+            return op.solve_even(np.zeros(n), 1.0, screen)
         A = K if len(idx) == n else K[np.ix_(idx, idx)]
         apply = (lambda v: symv(A, v)) if definite else None
         return constrained_solve(lambda: A, np.zeros(len(idx)), 1.0, apply, screen=screen)
 
-    def keeps_every_node(x):
-        return not _negative(x).any()
-
     if start_active is None:
         active = np.ones(n, dtype=bool)
     else:
-        active = np.array(start_active, dtype=bool).copy()
-        if active.shape != (n,) or not active.any():
+        active = np.array(start_active, dtype=bool)
+        if active.shape != (n_nodes,) or not active.any():
             raise ValidationError("start_active must flag at least one node")
+        if orbits is not None:
+            active = orbits.sums(active.astype(float)) > 0.0
     seen: set[bytes] = set()
-    screen = keeps_every_node
+    screening = True
     m = np.full(n, 1.0 / n)
     for it in range(1, max_iter + 1):
         key = active.tobytes()
         if key in seen:
-            screen = None  # a misjudged set came round again: solve in full
+            screening = False  # a misjudged set came round again: solve in full
         seen.add(key)
         idx = np.flatnonzero(active)
+        w = sizes[idx]
+
+        def keeps_every_node(x):
+            return not _negative(x, w).any()
+
+        screen = keeps_every_node if screening else None
         try:
             m_act, lam = solve_on(idx, screen)
-            neg = m_act < -_NEG_TOL
+            neg = m_act / w < -_NEG_TOL
         except ScreenedOut as stop:
-            neg = _negative(stop.x)
+            neg = _negative(stop.x, w)
         if neg.any():
             active[idx[neg]] = False
             if not active.any():
@@ -244,17 +265,17 @@ def solve_simplex_qp(
             total = m.sum()
             if abs(total - 1.0) > 1e-12:
                 m = m / total
-            return m, lam, it, resid
+            return nodal(m), lam, it, resid
         active[viol] = True
     m = _projected_gradient(K, m)
     v = symv(K, m)
     lam = float(m @ v)
     resid = _kkt_residual(v, m, lam)
     if resid <= tol * max(abs(lam), 1.0):
-        return m, lam, max_iter, resid
+        return nodal(m), lam, max_iter, resid
     raise NonConvergenceError(
         f"active-set iteration stalled at residual {resid:.3e}",
-        result=(m, lam),
+        result=(nodal(m), lam),
         residual=resid,
     )
 

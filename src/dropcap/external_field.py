@@ -8,9 +8,12 @@ is minimal over signed measures of zero total mass, phi being the
 external potential.  Discretely this is the construction used in the
 existence proof: solve K w0 = -phi/2 and K w1 = 1 against the same
 operator, set lambda = -sum(w0)/sum(w1), and return w = w0 + lambda w1.
-That is the constrained solve of dropcap.linalg with rhs -phi/2 and
-total 0: w0 by conjugate gradients, w1 the operator's cached K^-1 1,
-shared with its equilibrium solve, and the bordered LU if CG fails.
+That is KernelOperator.solve with rhs -phi/2 and total 0: w1 is the
+operator's cached E^-1 1, shared with its equilibrium solve, and the odd
+part of phi takes one conjugate-gradient run on the odd block A - B
+(dropcap.operators).  On a cloud mirrored through the origin a linear
+phi is odd, so that run is the whole solve.  The bordered LU serves if
+CG fails.
 At the optimum the stationarity relation 2 v + phi = 2 lambda holds at
 every node, and for any zero-sum competitor nu the exact identity
 F(nu) - F(mu) = I(nu - mu) >= 0 certifies minimality.  Only the
@@ -31,7 +34,6 @@ from .errors import (
     ValidationError,
 )
 from .kernels import KernelParams
-from .linalg import symm
 from .operators import KernelOperator, assemble_operator
 
 __all__ = [
@@ -212,7 +214,7 @@ def verify_optimality(
     Random zero-sum competitors are drawn around the solution; the report
     carries the worst relative violation of the identity and the worst
     (most negative) energy gap, which must be nonnegative.  Each block of
-    up to _AUDIT_BLOCK competitors takes one symmetric matrix product.
+    up to _AUDIT_BLOCK competitors takes one product with the operator.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -232,7 +234,7 @@ def verify_optimality(
         D *= scale
         D -= D.mean(axis=1, keepdims=True)
         X[-1] = w
-        KX = symm(op.matrix, X)
+        KX = op.apply(X)
         KD, Kw = KX[:-1], KX[-1]
         nu = D + w
         F = np.einsum("ij,ij->i", nu, KD + Kw) + np.einsum("ij,j->i", nu, phi)

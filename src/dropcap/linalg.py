@@ -5,6 +5,9 @@
 The equilibrium measure and each active-set working set take rhs 0 and
 total 1; the conductor in an external field A = K, rhs -phi/2 and
 total 0; the entropic density A = K/2 pi + diag(2/V), rhs 0 and total 1.
+On a mirrored cloud K stands for its even block E over the orbits, and
+V for the orbit volumes (dropcap.operators); the odd part of the field
+problem is an unconstrained solve, conjugate gradients on A - B.
 
 For the Riesz kernels A is positive definite and well conditioned, so
 conjugate gradients (Hestenes and Stiefel 1952) reach round-off in tens
@@ -76,20 +79,31 @@ class ScreenedOut(Exception):
         self.x = x
 
 
+# scipy's BLAS routines, bound on first use: an import statement costs
+# more than a small product on every call
+_dsymv = _dsymm = None
+
+
 def symv(A: np.ndarray, x) -> np.ndarray:
     """A @ x for a symmetric C-ordered matrix A, without copying A."""
-    from scipy.linalg.blas import dsymv
+    global _dsymv
+    if _dsymv is None:
+        from scipy.linalg.blas import dsymv
 
+        _dsymv = dsymv
     # A.T is the Fortran-ordered view of the same (symmetric) matrix
-    return dsymv(1.0, A.T, np.asarray(x, dtype=float))
+    return _dsymv(1.0, A.T, np.asarray(x, dtype=float))
 
 
 def symm(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """X @ A for a symmetric C-ordered A: A times each row of a C-ordered X."""
-    from scipy.linalg.blas import dsymm
+    global _dsymm
+    if _dsymm is None:
+        from scipy.linalg.blas import dsymm
 
+        _dsymm = dsymm
     # both transposes are Fortran-ordered views; so is the (n, k) product
-    return dsymm(1.0, A.T, np.ascontiguousarray(X, dtype=float).T).T
+    return _dsymm(1.0, A.T, np.ascontiguousarray(X, dtype=float).T).T
 
 
 def cg_solve(apply, b, screen=None) -> np.ndarray | None:

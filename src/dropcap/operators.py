@@ -10,14 +10,33 @@ m.T @ K @ m is an accurate estimate of the full double interaction
 integral, and the ball and circle oracles hold at the percent level by
 M around 2000.
 
-The matrix is the operator's only n^2 buffer.  assemble_operator fills
-it in one pass over row blocks of the lower triangle: a block of
-pairwise distances, held in one reused buffer, becomes kernel values in
-place and is stored with its transpose, so each entry is computed once.
-potential_at runs its targets through the same row blocks, holding one
-block of kernel values at a time.  KernelOperator.solve hands the
-operator to the one constrained solve of dropcap.linalg: for the Riesz
-kernels that uses only products with K, caching the n values K^-1 1.
+The operator is stored in the orbit coordinates of its cloud's mirror
+(clouds.Orbits).  With the pairs in order, K = [[A, B], [B, A]], and
+the even/odd change of basis splits it exactly (Bossavit 1986;
+Allgower, Boehmer, Georg and Miranda 1992):
+
+- even measures, given by their orbit masses u, have the node
+  potentials E u, E[o, p] being the kernel from o's representative to
+  unit mass spread over orbit p: (A + B)/2 on pairs.  E u = rhs + lambda 1
+  with sum(u) = total is the same constrained solve as on K;
+- odd measures, given by their value z at each pair's lower node, have
+  the potentials (A - B) z there and the negated ones at the partners.
+
+An unmirrored cloud has one orbit per node, and E is K itself.  E is
+assembled with the operator, h^2 kernel entries for h orbits where K
+takes n^2/2; A - B is assembled on the first product with an odd
+vector, as 2 (A - E), so from h^2/2 entries of A alone, and an
+equilibrium-only run never stores it; the full K is
+formed only when asked for, by the bordered fallback or a test.  Each
+block is filled in one pass over row blocks of its lower triangle: a
+block of pairwise distances, held in one reused buffer, becomes kernel
+values in place and is stored with its transpose, so each entry is
+computed once and the block is exactly symmetric.  potential_at runs its
+targets through the same row blocks, holding one block of kernel values
+at a time.  KernelOperator.solve hands the even part to the one
+constrained solve of dropcap.linalg, which for the Riesz kernels uses
+only products with E, caching the h values E^-1 1, and the odd part to
+conjugate gradients on A - B.
 """
 
 from __future__ import annotations
@@ -27,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clouds import NodeCloud
+from .clouds import NodeCloud, Orbits
 from .errors import UnsupportedConfigurationError, ValidationError
 from .kernels import (
     DISK_SELF_ENERGY_COEFF,
@@ -37,7 +56,7 @@ from .kernels import (
     uniform_ball_self_energy,
     unit_ball_volume,
 )
-from .linalg import cg_solve, constrained_solve, symv
+from .linalg import bordered_solve, cg_solve, constrained_solve, symm, symv
 
 __all__ = [
     "KernelOperator",
@@ -53,59 +72,93 @@ __all__ = [
 BLOCK_ROWS = 128
 
 
+def _product(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M times a vector, or times each row of a block of rows, M symmetric."""
+    return symv(M, x) if x.ndim == 1 else symm(M, x)
+
+
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """Symmetric kernel matrix with its cloud and kernel provenance.
+    """Kernel operator of a cloud, stored as its even block over the orbits.
 
-    K^-1 1 is computed on first use and kept, so every solve against one
-    operator shares a single conjugate-gradient solve of K x = 1.
+    E^-1 1 is computed on first use and kept, so every solve against one
+    operator shares a single conjugate-gradient solve of E u = 1.
     """
 
-    matrix: np.ndarray
+    even: np.ndarray
     cloud: NodeCloud
     params: KernelParams
 
     def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("operator matrix must be square")
-        if m.shape[0] != self.cloud.n_nodes:
-            raise ValidationError("operator size must match the cloud")
+        m = np.ascontiguousarray(np.asarray(self.even, dtype=float))
+        h = len(self.cloud.orbits)
+        if m.shape != (h, h):
+            raise ValidationError(
+                f"the even block must be square over the cloud's {h} orbits"
+            )
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "even", m)
 
     @property
     def n_nodes(self) -> int:
-        return self.matrix.shape[0]
+        return self.cloud.n_nodes
+
+    @property
+    def orbits(self) -> Orbits:
+        return self.cloud.orbits
+
+    @cached_property
+    def odd(self) -> np.ndarray:
+        """A - B over the pairs, assembled on first use."""
+        o = self.orbits
+        pairs, paired = o.reps[: o.n_pairs], self.even[: o.n_pairs, : o.n_pairs]
+        return _orbit_block(self.cloud, self.params, pairs, pairs[:0], even=paired)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The full n x n kernel matrix in node order, formed on first use."""
+        if not self.orbits.n_pairs:
+            return self.even
+        nodes = np.arange(self.n_nodes)
+        return _orbit_block(self.cloud, self.params, nodes, nodes[:0])
 
     @cached_property
     def inverse_ones(self) -> np.ndarray | None:
-        """K^-1 1 by conjugate gradients, or None.
+        """E^-1 1 by conjugate gradients, or None.
 
-        These are the masses whose potential is 1 at every node.  None
-        for the planar logarithmic kernel, which is only conditionally
-        positive definite, and when CG fails; those operators are solved
-        through the bordered system.
+        These are the orbit masses whose potential is 1 at every node.
+        None for the planar logarithmic kernel, which is only
+        conditionally positive definite, and when CG fails; those
+        operators are solved through the bordered system.
         """
         return self._inverse_ones()
 
     def _inverse_ones(self, screen=None) -> np.ndarray | None:
         if self.params.is_log:
             return None
-        x = cg_solve(self.apply, np.ones(self.n_nodes), screen)
+        x = cg_solve(self.apply_even, np.ones(len(self.even)), screen)
         if x is not None:
             x.setflags(write=False)  # shared by every solve on this operator
         return x
 
+    def apply_even(self, u) -> np.ndarray:
+        """Node potentials, one per orbit, of the even measure with orbit masses u."""
+        return _product(self.even, u)
+
     def apply(self, masses) -> np.ndarray:
-        return symv(self.matrix, masses)
+        """Node potentials of nodal masses, or of each row of a block of them."""
+        x = np.asarray(masses, dtype=float)
+        o = self.orbits
+        u, z = o.sums(x), o.half_differences(x)
+        even = self.apply_even(u) if u.any() else np.zeros_like(u)
+        return o.join(even, _product(self.odd, z) if z.any() else None)
 
-    def solve(self, rhs, total: float, screen=None) -> tuple[np.ndarray, float]:
-        """x and lambda with K x = rhs + lambda 1 and sum(x) = total.
+    def solve_even(self, rhs, total: float, screen=None) -> tuple[np.ndarray, float]:
+        """Orbit masses u and lambda with E u = rhs + lambda 1 and sum(u) = total.
 
-        Reuses the cached K^-1 1; without it (the planar log kernel, or
-        CG failed on K x = 1) the solve goes through the bordered LU.
-        screen screens the CG run for K^-1 1 if none is cached yet
+        Reuses the cached E^-1 1; without it (the planar log kernel, or
+        CG failed on E u = 1) the solve goes through the bordered LU of E.
+        screen screens the CG run for E^-1 1 if none is cached yet
         (cg_solve): a run that finishes is cached, one the screen
         rejects raises ScreenedOut and caches nothing.
         """
@@ -113,13 +166,36 @@ class KernelOperator:
             # fill the inverse_ones cache, unless the screen stops the run
             vars(self)["inverse_ones"] = self._inverse_ones(screen)
         w1 = self.inverse_ones
-        apply = None if w1 is None else self.apply
-        return constrained_solve(lambda: self.matrix, rhs, total, apply, w1)
+        apply = None if w1 is None else self.apply_even
+        return constrained_solve(lambda: self.even, rhs, total, apply, w1)
+
+    def solve(self, rhs, total: float) -> tuple[np.ndarray, float]:
+        """Nodal x and lambda with K x = rhs + lambda 1 and sum(x) = total.
+
+        The even part of rhs goes to solve_even, the odd part to
+        conjugate gradients on A - B; if those fail, the whole system
+        goes through the bordered LU of the full matrix.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        o = self.orbits
+        u, lam = self.solve_even(o.means(rhs), total)
+        odd_rhs = o.half_differences(rhs)
+        z = None
+        if odd_rhs.any():
+            z = cg_solve(lambda v: symv(self.odd, v), odd_rhs)
+            if z is None:
+                return bordered_solve(self.matrix, rhs, total)
+        return o.join(u / o.sizes, z), lam
 
     def energy(self, masses) -> float:
         """Full double interaction integral of a nodal measure."""
         m = np.asarray(masses, dtype=float)
-        return float(m @ symv(self.matrix, m))
+        o = self.orbits
+        u, z = o.sums(m), o.half_differences(m)
+        value = float(u @ symv(self.even, u)) if u.any() else 0.0
+        if z.any():
+            value += 2.0 * float(z @ symv(self.odd, z))
+        return value
 
 
 def diagonal_self_energy(cloud: NodeCloud, params: KernelParams) -> np.ndarray:
@@ -163,31 +239,71 @@ def _distance_blocks(rows, cols, lower: bool = False):
         yield i0, i1, cdist(rows[i0:i1], c, out=block)
 
 
-def assemble_operator(cloud: NodeCloud, params: KernelParams) -> KernelOperator:
-    """Kernel matrix over a cloud with the desingularized diagonal.
+def _kernel_blocks(params: KernelParams, rows, cols, diag=None):
+    """Row blocks of kernel values from rows to cols over the lower triangle.
 
-    One pass over row blocks of the lower triangle: each block's
-    distances become kernel values in place, the block's diagonal gets
-    the self-energies, and the block is stored with its transpose, so
-    each entry is computed once and K is exactly symmetric.
+    Yields (i0, i1, block) with block[k, j] = k(|rows[i0 + k] - cols[j]|)
+    for j < i1 (and j < len(cols)), in one reused buffer.  With diag,
+    rows and cols are the same nodes, and the block's diagonal holds
+    their self-energies instead.
+    """
+    for i0, i1, block in _distance_blocks(rows, cols, lower=True):
+        on_diag = block[:, i0:i1]  # a view: fill_diagonal writes into block
+        if diag is not None:
+            np.fill_diagonal(on_diag, 1.0)
+        kernel_of_distance(params, block, out=block)
+        if diag is not None:
+            np.fill_diagonal(on_diag, diag[i0:i1])
+        if not np.isfinite(block).all():
+            raise ValidationError("operator has non-finite entries; nodes may coincide")
+        yield i0, i1, block
+
+
+def _orbit_block(
+    cloud: NodeCloud, params: KernelParams, reps, partners, even=None
+) -> np.ndarray:
+    """A kernel block over orbits whose first len(partners) are pairs.
+
+    Entry [o, p] is the mean of k(rep o, rep p) and k(rep o, partner p),
+    the even block, (A + B)/2 on pairs; orbits without a partner keep
+    k(rep o, rep p), so with no partners this is the plain kernel matrix
+    over reps.  Given the even block over pairs with no partners passed,
+    it is the odd block A - B = 2 (A - E), for which only A is evaluated.
+    """
+    diag = diagonal_self_energy(cloud, params)
+    rows = cloud.points[reps]
+    M = np.empty((len(reps), len(reps)))
+    mirrored = None
+    if len(partners):
+        mirrored = _kernel_blocks(params, rows, cloud.points[partners])
+    for i0, i1, block in _kernel_blocks(params, rows, rows, diag[reps]):
+        if even is not None:
+            block -= even[i0:i1, :i1]
+            block *= 2.0
+        elif mirrored is not None:
+            reflected = next(mirrored)[2]
+            pairs = block[:, : reflected.shape[1]]
+            pairs += reflected
+            pairs *= 0.5
+        M[i0:i1, :i1] = block
+        M[:i1, i0:i1] = block.T
+    M.setflags(write=False)
+    return M
+
+
+def assemble_operator(cloud: NodeCloud, params: KernelParams) -> KernelOperator:
+    """The kernel operator of a cloud, with the desingularized diagonal.
+
+    Assembles the even block over the cloud's orbits (K itself for an
+    unmirrored cloud); the odd block and the full matrix wait until used.
     """
     if params.dim != cloud.dim:
         raise ValidationError(
             f"kernel dimension {params.dim} does not match cloud dimension {cloud.dim}"
         )
-    diag = diagonal_self_energy(cloud, params)
-    n = cloud.n_nodes
-    K = np.empty((n, n))
-    for i0, i1, block in _distance_blocks(cloud.points, cloud.points, lower=True):
-        on_diag = block[:, i0:i1]  # a view: fill_diagonal writes into block
-        np.fill_diagonal(on_diag, 1.0)
-        kernel_of_distance(params, block, out=block)
-        np.fill_diagonal(on_diag, diag[i0:i1])
-        if not np.isfinite(block).all():
-            raise ValidationError("operator has non-finite entries; nodes may coincide")
-        K[i0:i1, :i1] = block
-        K[:i1, i0:i1] = block.T
-    return KernelOperator(matrix=K, cloud=cloud, params=params)
+    o = cloud.orbits
+    even = _orbit_block(cloud, params, o.reps, o.partners)
+    return KernelOperator(even=even, cloud=cloud, params=params)
 
 
 def potential_at(

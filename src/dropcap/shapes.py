@@ -210,15 +210,34 @@ class UnionOfBalls(Shape):
 
 
 def _check_disjoint(balls: tuple[Ball, ...]) -> None:
-    """Raise on the first (lowest-index) pair of balls that meet."""
-    from scipy.spatial import cKDTree
+    """Raise on the first (lowest-index) pair of balls that meet.
 
+    Sweep and prune: sorted by where they start along the axis the
+    centers spread most, a ball can meet only the balls that start
+    before it ends there, so the k-th pass compares each ball with the
+    one k places on, while any ball still reaches that far.  A union of
+    far-apart balls takes one pass.
+    """
     centers = np.array([b.center for b in balls])
     radii = np.array([b.radius for b in balls])
-    # only centers within twice the largest radius can meet
-    for i, j in sorted(cKDTree(centers).query_pairs(2.0 * float(radii.max()))):
-        if np.linalg.norm(centers[i] - centers[j]) <= radii[i] + radii[j]:
-            raise ValidationError(f"balls {i} and {j} are not disjoint")
+    x = centers[:, np.argmax(np.ptp(centers, axis=0))]
+    # the slack keeps balls that touch to rounding among the candidates
+    slack = 1e-12 * (np.abs(x) + radii)
+    lo, hi = x - radii - slack, x + radii + slack
+    order = np.argsort(lo, kind="stable")
+    reach = np.searchsorted(lo[order], hi[order], side="right")
+    pos = np.arange(len(balls))
+    found = []
+    for k in range(1, len(balls)):
+        near = np.flatnonzero(reach > pos + k)
+        if not near.size:
+            break
+        a, b = order[near], order[near + k]
+        meet = np.linalg.norm(centers[a] - centers[b], axis=1) <= radii[a] + radii[b]
+        found += zip(np.minimum(a, b)[meet].tolist(), np.maximum(a, b)[meet].tolist())
+    if found:
+        i, j = min(found)
+        raise ValidationError(f"balls {i} and {j} are not disjoint")
 
 
 @dataclass(frozen=True)

@@ -62,28 +62,29 @@ def test_screened_solve_is_the_kkt_point_of_the_unscreened_one(kind, order, R, t
 
 
 def test_a_working_set_seen_twice_is_solved_in_full(monkeypatch):
-    # a screen that wrongly rejects the full set, dropping the support node
-    # of largest mass: that node comes back and the full set is seen again
+    # a screen that wrongly rejects the full set, dropping the support
+    # orbit of largest mass: that orbit comes back and the full set is
+    # seen again
     cloud = dc.discretize(dc.Ball(ORIGIN, 1.0), 300, "boundary")
     params = dc.KernelParams(3, 2.0)
-    n = cloud.n_nodes
+    h = len(cloud.orbits)
     negative = dropcap.equilibrium._negative
     screened = []
 
-    def wrong(x):
+    def wrong(x, sizes):
         screened.append(len(x))
-        flagged = negative(x)
-        if len(x) == n:
+        flagged = negative(x, sizes)
+        if len(x) == h:
             flagged[np.argmax(x)] = True
         return flagged
 
     monkeypatch.setattr(dropcap.equilibrium, "_negative", wrong)
     op = dc.assemble_operator(cloud, params)
     m, lam, iters, resid = solve_simplex_qp(op)
-    # the full set is screened out (the screen, then the nodes it drops),
-    # the set without that node passes, and the full set, seen a second
+    # the full set is screened out (the screen, then the orbits it drops),
+    # the set without that orbit passes, and the full set, seen a second
     # time, is solved with the screen off
-    assert screened == [n, n, n - 1]
+    assert screened == [h, h, h - 1]
     assert iters == 3
     monkeypatch.setattr(dropcap.equilibrium, "_negative", negative)
     m_full, lam_full, iters_full, resid_full = _unscreened(cloud, params)

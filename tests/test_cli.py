@@ -295,6 +295,8 @@ STARTUP = {
     "bad_M": (["capacity", "--M", "x"], None),
     # the spherical harmonics run their own Legendre recurrence
     "fuglede": (["stability", "fuglede", "--modes", "2,0,1", "--eps", "0.1"], None),
+    # closed forms; the union's disjointness check is numpy only
+    "many_balls": (["family", "many-balls", "--beta", "0.6", "--n", "4,16"], None),
 }
 _STARTUP_CODE = """
 import json, runpy, sys

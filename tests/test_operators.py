@@ -42,6 +42,7 @@ def _first_nodes(cloud, n):
         points=cloud.points[:n],
         weights=cloud.weights[:n],
         components=cloud.components[:n],
+        mirror=None,
     )
 
 
@@ -148,7 +149,7 @@ def test_unsupported_boundary_diagonal_raises():
 def test_operator_cloud_mismatch_guard(ball_cloud_2000):
     op = dc.assemble_operator(dc.discretize(BALL3, 100, "boundary"), COULOMB)
     with pytest.raises(ValidationError):
-        dc.KernelOperator(matrix=op.matrix[:50, :50], cloud=op.cloud, params=COULOMB)
+        dc.KernelOperator(even=op.even[:-1, :-1], cloud=op.cloud, params=COULOMB)
 
 
 def test_potential_at_coincident_targets(ball_cloud_2000, ball_op_2000):

@@ -239,3 +239,26 @@ def test_overlap_inside_a_large_union_is_rejected():
     balls[41] = dc.Ball((3.0 * 40 + 1.5, 0.0, 0.0), 1.0)  # meets ball 40
     with pytest.raises(ValidationError, match="balls 40 and 41 are not disjoint"):
         dc.UnionOfBalls(tuple(balls))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 30), dim=st.sampled_from([2, 3]))
+def test_disjointness_names_the_lowest_index_pair_that_meets(seed, k, dim):
+    # balls spread over a box a few radii wide: some unions are disjoint,
+    # most have several meeting pairs
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 4.0 * k ** (1.0 / dim), (k, dim))
+    radii = rng.uniform(0.1, 1.0, k)
+    balls = tuple(dc.Ball(tuple(c), r) for c, r in zip(centers, radii))
+    meeting = [
+        (i, j)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if np.linalg.norm(centers[i] - centers[j]) <= radii[i] + radii[j]
+    ]
+    if not meeting:
+        assert dc.UnionOfBalls(balls).balls == balls
+        return
+    i, j = meeting[0]
+    with pytest.raises(ValidationError, match=f"balls {i} and {j} are not disjoint$"):
+        dc.UnionOfBalls(balls)
