@@ -471,7 +471,7 @@ def main(argv=None) -> int:
     except DropcapError as err:
         msg = " ".join(str(err).split())
         print(f"error: {msg}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(err, NonConvergenceError) else 2
     except FileNotFoundError as err:
         print(f"error: shape file not found: {err.filename}", file=sys.stderr)
         return 2

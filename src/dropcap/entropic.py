@@ -12,19 +12,19 @@ on volume clouds with cell volumes V:
 
     minimize m.T G m,  G = K/(4 pi) + diag(1/V),  sum(m) = 1,
 
-with the sign left unconstrained: one unit-charge solve against the
-positive definite 2G, m = (2G)^-1 1 / 1'(2G)^-1 1, which is the
-constrained solve of dropcap.linalg with rhs 0 and total 1.  The
-minimizer is unique, so it is even under the cloud's mirror, and the
-solve runs over orbit masses u with the operator's even block E and
-the orbit volumes W: 2G becomes E/2 pi + diag(2/W) (dropcap.operators).
-2G is well conditioned (about 1.4 on the unit ball), and conjugate
-gradients solve it in a few products (1/2 pi) E u + (2/W) u, never
-forming 2G; only if CG fails is 2G built, for the bordered LU.  The true
-minimizer comes out nonnegative on its own, and nonnegativity is
-reported as a diagnostic rather than enforced.  At the optimum the
-Euler-Lagrange relation (1/2 pi) v_i + 2 rho_i = lambda holds at every
-node and J = lambda / 2.
+with the sign left unconstrained: 2G m = lambda 1 with sum(m) = 1 for
+the positive definite 2G, the constrained solve of dropcap.linalg with
+rhs 0 and total 1.  The minimizer is unique, so it is even under the
+cloud's mirror, and the solve runs over orbit masses u with the
+operator's even block E and the orbit volumes W: 2G becomes
+E/2 pi + diag(2/W) (dropcap.operators).  2G is well conditioned (about
+1.4 on the unit ball), and projected conjugate gradients solve it in a
+few products (1/2 pi) E u + (2/W) u, never forming 2G.  A CG run that
+breaks down, diverges or stalls raises NonConvergenceError carrying the
+node masses and multiplier reached.  The true minimizer comes out
+nonnegative on its own, and nonnegativity is reported as a diagnostic
+rather than enforced.  At the optimum the Euler-Lagrange relation
+(1/2 pi) v_i + 2 rho_i = lambda holds at every node and J = lambda / 2.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import shapes as shp
 from .clouds import NodeCloud, discretize
 from .equilibrium import _radial_shells
-from .errors import UnsupportedConfigurationError, ValidationError
+from .errors import NonConvergenceError, UnsupportedConfigurationError, ValidationError
 from .kernels import KernelParams
 from .linalg import constrained_solve
 from .operators import assemble_operator
@@ -95,15 +95,14 @@ def solve_entropic(cloud: NodeCloud) -> DensityResult:
     # volume W taking the place of a node's
     W = orbits.sums(cloud.weights)
     coulomb, penalty = 2.0 / params.pde_constant, 2.0 / W
-
-    def two_g():
-        A = op.even * coulomb
-        A.flat[:: len(W) + 1] += penalty
-        return A
-
-    u, lam = constrained_solve(
-        two_g, np.zeros(len(W)), 1.0, lambda v: coulomb * op.apply_even(v) + penalty * v
-    )
+    try:
+        u, lam = constrained_solve(
+            lambda v: coulomb * op.apply_even(v) + penalty * v, np.zeros(len(W)), 1.0
+        )
+    except NonConvergenceError as err:
+        u, lam = err.result
+        err.result = (orbits.join(u / orbits.sizes), lam)
+        raise
     Eu = op.apply_even(u)
     Gu = Eu / params.pde_constant + u / W
     value = float(u @ Gu)

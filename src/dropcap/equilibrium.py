@@ -16,9 +16,8 @@ and deactivating negative masses until complementarity holds.  The
 minimizer is unique, so on a mirrored cloud it is even, and the program
 is solved over orbit masses with the operator's even block E
 (dropcap.operators).  Each step is one call of the constrained solve in
-dropcap.linalg, E x = lambda 1 with sum(x) = 1: conjugate gradients for
-the Riesz kernels, reusing the full operator's cached E^-1 1, and the
-bordered LU for the planar logarithmic kernel or when CG fails.
+dropcap.linalg, E x = lambda 1 with sum(x) = 1, projected conjugate
+gradients for the Riesz and the planar logarithmic kernels alike.
 """
 
 from __future__ import annotations
@@ -128,36 +127,6 @@ def _negative(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return x / sizes < -_NEG_TOL * x.sum()
 
 
-def _project_simplex(x: np.ndarray) -> np.ndarray:
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / (np.arange(len(x)) + 1.0) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(x - theta, 0.0)
-
-
-def _projected_gradient(K: np.ndarray, m0: np.ndarray, iters: int = 500):
-    """Slow but robust polish used only if the active-set loop stalls."""
-    m = _project_simplex(np.array(m0, dtype=float))
-    f = float(m @ symv(K, m))
-    step = 1.0 / max(np.linalg.norm(K, ord=np.inf), 1.0)
-    for _ in range(iters):
-        g = 2.0 * symv(K, m)
-        s = step
-        for _ in range(40):
-            trial = _project_simplex(m - s * g)
-            ft = float(trial @ symv(K, trial))
-            if ft <= f:
-                break
-            s *= 0.5
-        if ft >= f - 1e-16 * max(abs(f), 1.0):
-            if ft < f:
-                m = trial
-            break
-        m, f = trial, ft
-    return m
-
-
 def solve_simplex_qp(
     K: np.ndarray | KernelOperator,
     tol: float = 1e-10,
@@ -171,35 +140,40 @@ def solve_simplex_qp(
     program is solved over orbit masses u with the even block E: the
     same program, whose potentials E u are the node potentials.  Each
     node of an orbit holds u / size, and the loop judges those node
-    masses, so its decisions are those of the unreduced program.  The
-    operator's cached E^-1 1 serves the steps with every orbit active;
-    a restricted working set runs conjugate gradients on a copy of
-    E[idx, idx].  Each working set's CG run is screened
-    (dropcap.linalg.cg_solve): if the iterate at |r| <= CG_SCREEN_RTOL
-    |b| has node masses below -_NEG_TOL, the run stops and the set loses
-    exactly those orbits.  A set that passes finishes the same
-    recurrence, so the accepted set's masses and multiplier are
-    bit-identical to an unscreened solve's.  On the collapsing alpha = 2
-    volume ball (2553 nodes, five working sets) that takes 121 products
-    with K instead of 327, and 110 with E over its 1277 orbits.  A
-    screened-out full set caches no E^-1 1 on the operator.  A working
-    set that comes round again turns the screen off for the rest of the
-    loop; a loop that still cycles ends after max_iter in the
-    projected-gradient polish.
+    masses, so its decisions are those of the unreduced program.  Each
+    working set runs the constrained solve (dropcap.linalg) on E, or on a
+    copy of E[idx, idx] for a restricted set, and its CG run is screened:
+    if the iterate at CG_SCREEN_RTOL has node masses below -_NEG_TOL,
+    the run stops and the set loses exactly those orbits.  A set that
+    passes finishes the same recurrence, so the accepted set's masses
+    and multiplier are bit-identical to an unscreened solve's.  On the
+    collapsing alpha = 2 volume ball (2553 nodes, 1277 orbits, five
+    working sets) that takes 102 products with E instead of 248.  A
+    working set that comes round again turns the screen off for the
+    rest of the loop.
+
+    Where K is not positive definite on a working set's zero-sum
+    measures (volume clouds at alpha > 2, a thin polygon under the
+    log kernel) the CG run steps through the negative curvature
+    (dropcap.linalg); if it breaks down, diverges or stalls instead, the
+    set loses the orbits negative at the run's last iterate, as a
+    screened-out set does.
 
     Returns (masses, multiplier, iterations, kkt_residual), the masses
     per node; the multiplier equals the minimum value.  start_active
     selects the initial working set (all nodes by default; an orbit
     starts active if any of its nodes does); wrong guesses are repaired
     by the reactivation sweep, so any start converges to the same
-    minimizer.  Raises NonConvergenceError, carrying the best iterate,
-    if the tolerance cannot be met.
+    minimizer.  Raises NonConvergenceError if a failed run's last
+    iterate has no negative orbit, or if max_iter working sets do not
+    settle; it carries the last accepted iterate (uniform node masses
+    if none was) and its energy m.K m.
     """
     if isinstance(K, KernelOperator):
-        op, orbits, K = K, K.orbits, K.even
-        sizes, n_nodes = orbits.sizes, op.n_nodes
+        orbits, K = K.orbits, K.even
+        sizes, n_nodes = orbits.sizes, orbits.n_nodes
     else:
-        op = orbits = None
+        orbits = None
         K = np.ascontiguousarray(K, dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValidationError("operator must be a square matrix")
@@ -209,16 +183,6 @@ def solve_simplex_qp(
     def nodal(u):
         """Node masses of orbit masses u."""
         return u if orbits is None else orbits.join(u / sizes)
-
-    definite = op is None or not op.params.is_log
-
-    def solve_on(idx, screen):
-        """Masses and multiplier on the working set idx, in one solve."""
-        if op is not None and len(idx) == n:
-            return op.solve_even(np.zeros(n), 1.0, screen)
-        A = K if len(idx) == n else K[np.ix_(idx, idx)]
-        apply = (lambda v: symv(A, v)) if definite else None
-        return constrained_solve(lambda: A, np.zeros(len(idx)), 1.0, apply, screen=screen)
 
     if start_active is None:
         active = np.ones(n, dtype=bool)
@@ -230,7 +194,8 @@ def solve_simplex_qp(
             active = orbits.sums(active.astype(float)) > 0.0
     seen: set[bytes] = set()
     screening = True
-    m = np.full(n, 1.0 / n)
+    reason = "active-set iteration stalled"
+    m = sizes / n_nodes
     for it in range(1, max_iter + 1):
         key = active.tobytes()
         if key in seen:
@@ -238,20 +203,24 @@ def solve_simplex_qp(
         seen.add(key)
         idx = np.flatnonzero(active)
         w = sizes[idx]
+        A = K if len(idx) == n else K[np.ix_(idx, idx)]
 
         def keeps_every_node(x):
             return not _negative(x, w).any()
 
         screen = keeps_every_node if screening else None
         try:
-            m_act, lam = solve_on(idx, screen)
+            m_act, lam = constrained_solve(lambda v: symv(A, v), np.zeros(len(idx)), 1.0, screen)
             neg = m_act / w < -_NEG_TOL
         except ScreenedOut as stop:
             neg = _negative(stop.x, w)
+        except NonConvergenceError as err:
+            neg = _negative(err.result[0], w)
+            if not neg.any():
+                reason = f"working set of {len(idx)} orbits: {err}"
+                break
         if neg.any():
             active[idx[neg]] = False
-            if not active.any():
-                break
             continue
         m = np.zeros(n)
         m[idx] = np.clip(m_act, 0.0, None)
@@ -261,20 +230,13 @@ def solve_simplex_qp(
         gap[active] = -np.inf
         viol = gap > tol * scale
         if not viol.any():
-            resid = _kkt_residual(v, m, lam)
-            total = m.sum()
-            if abs(total - 1.0) > 1e-12:
-                m = m / total
-            return nodal(m), lam, it, resid
+            return nodal(m), lam, it, _kkt_residual(v, m, lam)
         active[viol] = True
-    m = _projected_gradient(K, m)
     v = symv(K, m)
     lam = float(m @ v)
     resid = _kkt_residual(v, m, lam)
-    if resid <= tol * max(abs(lam), 1.0):
-        return nodal(m), lam, max_iter, resid
     raise NonConvergenceError(
-        f"active-set iteration stalled at residual {resid:.3e}",
+        f"{reason}; best iterate at residual {resid:.3e}",
         result=(nodal(m), lam),
         residual=resid,
     )

@@ -5,15 +5,17 @@ The conductor carries zero net charge; the field rearranges charge until
     F(nu) = I(nu, nu) + integral of phi d nu
 
 is minimal over signed measures of zero total mass, phi being the
-external potential.  Discretely this is the construction used in the
-existence proof: solve K w0 = -phi/2 and K w1 = 1 against the same
-operator, set lambda = -sum(w0)/sum(w1), and return w = w0 + lambda w1.
-That is KernelOperator.solve with rhs -phi/2 and total 0: w1 is the
-operator's cached E^-1 1, shared with its equilibrium solve, and the odd
-part of phi takes one conjugate-gradient run on the odd block A - B
-(dropcap.operators).  On a cloud mirrored through the origin a linear
-phi is odd, so that run is the whole solve.  The bordered LU serves if
-CG fails.
+external potential.  Discretely this is the problem of the existence
+proof: K w = -phi/2 + lambda 1 with sum(w) = 0, the multiplier lambda
+holding the net charge at zero.  KernelOperator.solve runs it with
+rhs -phi/2 and total 0: the even part of phi takes projected conjugate
+gradients on the even block E, from w = 0 within the zero-sum
+measures, and the odd part one conjugate-gradient run on the odd block
+A - B (dropcap.operators).  On a cloud mirrored through the origin a
+linear phi is odd, so its even part is zero, the even solve does no
+product, and the odd run is the whole solve.  A CG run that breaks down,
+diverges or stalls raises NonConvergenceError carrying the nodal w and
+lambda reached.
 At the optimum the stationarity relation 2 v + phi = 2 lambda holds at
 every node, and for any zero-sum competitor nu the exact identity
 F(nu) - F(mu) = I(nu - mu) >= 0 certifies minimality.  Only the

@@ -9,48 +9,62 @@ On a mirrored cloud K stands for its even block E over the orbits, and
 V for the orbit volumes (dropcap.operators); the odd part of the field
 problem is an unconstrained solve, conjugate gradients on A - B.
 
-For the Riesz kernels A is positive definite and well conditioned, so
-conjugate gradients (Hestenes and Stiefel 1952) reach round-off in tens
-of products with A and never factor it.  CG stops when
-|r| <= CG_RTOL |b|, a fixed constant: at 1e-14 the masses differed from
-the bordered LU by up to 6e-12, at 1e-15 by at most 6e-13, for about 8%
-more iterations.
+constrained_solve runs conjugate gradients (Hestenes and Stiefel 1952)
+on the zero-sum subspace 1^perp (projected CG; Gould, Hribar and
+Nocedal 2001).  It starts at the feasible x0 = total/n 1, and each
+search direction and each product A p is projected onto 1^perp, so
+every iterate keeps 1'x = total.  That needs A positive definite on
+1^perp alone, so the one recurrence serves the Riesz kernels, positive
+definite, and the planar logarithmic kernel, only conditionally
+positive definite in the continuum.  lambda = mean(A x - rhs), and as A is symmetric,
+mean(A x) = a'x with a = A 1/n, the start's own product: lambda costs
+no extra one.  A run stops when the projected residual falls to
+CG_RTOL times the start's residual |rhs - A x0|, not times its
+projection: on a circle x0 is already the answer and the projection is
+round-off.  At CG_RTOL = 1e-15 the masses agree with a bordered LU of
+[A -1; 1' 0] to 1e-12.  cg_solve is the same loop without the
+projections, for the odd part of the field problem.
+
+CG's minimization property needs A positive definite on the search
+space, but its recurrence needs only p'Ap != 0.  Some discrete operators
+are indefinite on 1^perp: the planar log kernel on a thin polygon (one
+random polygon at n = 600 has eigenvalue -0.148 there), and volume
+clouds at alpha > 2 (at alpha = 2.5 from a few hundred nodes).  On
+those the run steps through the negative curvature and, when it
+converges, reaches the stationary point a bordered LU would give.  A
+breakdown (p'Ap zero to round-off), a residual grown past |r0|/eps (its
+round-off then exceeds the start's residual), or no convergence after
+max(CG_MAX_ITER, n) products (about a dense factorization's work at
+that size) raises NonConvergenceError carrying the last iterate.  On a
+random polygon a log-kernel equilibrium solve takes 135, 227, 311 and
+424 products with K at n = 600, 2000, 4000 and 8000, the start's and
+the KKT check's included.
 
 A caller that only needs to know whether it will reject the solution
-can screen the run: cg_solve shows the screen the first iterate with
-|r| <= CG_SCREEN_RTOL |b|, and if the screen rejects that iterate the
-run stops with ScreenedOut, which carries it.  A run the screen passes
-goes on with the same recurrence to CG_RTOL, so its result is
-bit-identical to an unscreened run.  The active-set loop of
-solve_simplex_qp screens each working set for negative masses.  On the
-collapsing alpha = 2 volume ball (2553 nodes) its five working sets
-take 136 + 77 + 54 + 32 + 28 = 327 products with A unscreened and
-38 + 24 + 17 + 14 + 28 = 121 screened; on the 2000-node annulus,
-66 + 62 = 128 and 17 + 62 = 79.  A working set that keeps all its
-nodes takes exactly as many products as before.  With
-CG_SCREEN_RTOL = 1e-6 the iteration count and the masses were
-bit-identical to unscreened solves on 90 generated clouds.
+can screen the run: the screen sees the first iterate that reaches
+CG_SCREEN_RTOL but not CG_RTOL, and if it rejects that iterate the run
+stops with ScreenedOut, which carries it.  A run the screen passes goes
+on with the same recurrence to CG_RTOL, so its result is bit-identical
+to an unscreened run.  The active-set loop of solve_simplex_qp screens
+each working set for negative masses.  On the collapsing alpha = 2
+volume ball (2553 nodes, 1277 orbits) its five working sets take
+98 + 59 + 43 + 25 + 23 = 248 products with the even block E
+unscreened and 30 + 21 + 16 + 12 + 23 = 102 screened, each count
+including the start's product; on the 1000 orbits of the 2000-node
+annulus, 54 + 50 = 104 and 15 + 50 = 65.  A working set that keeps all
+its nodes takes exactly as many products as unscreened.
 
-The one dense path is the bordered system
-[A -1; 1' 0] [x; lambda] = [rhs; total], factored by LU, with least
-squares if it is singular.  It serves the planar logarithmic kernel,
-only conditionally positive definite, and any solve on which CG breaks
-down or does not converge.
-
-Every factorization, triangular solve and matrix product here
-runs on scipy's LAPACK and BLAS.  numpy links a separate OpenBLAS, and
-a numpy BLAS call made right after a scipy factorization waits for the
-other library's threads to go idle, which at a few thousand nodes can
-cost as much as the solve itself.
+Every matrix product here runs on scipy's BLAS.  numpy links a separate
+OpenBLAS, and a numpy BLAS call made right after a scipy call waits for
+the other library's threads to go idle, which at a few thousand nodes
+can cost as much as the solve itself.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonConvergenceError
 
 __all__ = [
     "CG_RTOL",
@@ -61,14 +75,14 @@ __all__ = [
     "symm",
     "cg_solve",
     "constrained_solve",
-    "bordered_solve",
 ]
 
-# CG stops at |r| <= CG_RTOL |b|, and gives up after CG_MAX_ITER products;
-# a screen sees the first iterate with |r| <= CG_SCREEN_RTOL |b|
+# CG stops at |r| <= CG_RTOL |r0| and gives up after max(CG_MAX_ITER, n)
+# products; a screen sees the first iterate with |r| <= CG_SCREEN_RTOL |r0|
 CG_RTOL = 1e-15
 CG_SCREEN_RTOL = 1e-6
 CG_MAX_ITER = 1000
+_EPS = float(np.finfo(float).eps)
 
 
 class ScreenedOut(Exception):
@@ -106,101 +120,92 @@ def symm(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _dsymm(1.0, A.T, np.ascontiguousarray(X, dtype=float).T).T
 
 
-def cg_solve(apply, b, screen=None) -> np.ndarray | None:
-    """Solve A x = b by conjugate gradients, apply(v) computing A @ v.
+def _conjugate_gradients(apply, x, r, scale: float, zero_sum: bool, screen):
+    """Run CG from x, whose residual b - A x is r; both change in place.
 
-    Returns None on breakdown (p'Ap <= 0, so A is not positive
-    definite) or when |r| <= CG_RTOL |b| is not reached within
-    CG_MAX_ITER products; the caller then solves another way.  screen,
-    if given, is called once, with the first iterate x that reaches
-    |r| <= CG_SCREEN_RTOL |b| but not CG_RTOL; if it returns False the
-    run raises ScreenedOut(x), and otherwise carries on unchanged.
+    With zero_sum the run stays in 1^perp: r starts there, and each
+    search direction and product is projected onto it.  Stops at
+    |r| <= CG_RTOL scale, with a screen as in cg_solve; raises
+    NonConvergenceError carrying x on breakdown, divergence or a stall.
     """
-    b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = b.copy()
+    p = r.copy()
     rr = float(r @ r)
-    stop = rr * CG_RTOL**2
-    screen_at = -1.0 if screen is None else rr * CG_SCREEN_RTOL**2
-    for _ in range(CG_MAX_ITER):
+    stop = (CG_RTOL * scale) ** 2
+    screen_at = -1.0 if screen is None else (CG_SCREEN_RTOL * scale) ** 2
+    for _ in range(max(CG_MAX_ITER, len(x))):
         if rr <= stop:
-            return x
+            return
         if rr <= screen_at:
             if not screen(x):
                 raise ScreenedOut(x)
             screen_at = -1.0
         Ap = apply(p)
+        if zero_sum:
+            Ap -= Ap.mean()
         pAp = float(p @ Ap)
-        if not pAp > 0.0:
-            return None
+        if not abs(pAp) > _EPS * float(np.linalg.norm(p) * np.linalg.norm(Ap)):
+            reason = "broke down: p'Ap is zero to round-off"
+            break
         step = rr / pAp
         x += step * p
         r -= step * Ap
         rr, rr_old = float(r @ r), rr
+        if rr > (scale / _EPS) ** 2:
+            # the round-off of r now exceeds the start's residual
+            reason = "diverged"
+            break
         p *= rr / rr_old
         p += r
-    return x if rr <= stop else None
+        if zero_sum:
+            p -= p.mean()
+    else:
+        if rr <= stop:
+            return
+        reason = "did not converge"
+    residual = float(np.sqrt(rr)) / scale
+    raise NonConvergenceError(
+        f"conjugate gradients {reason} (relative residual {residual:.3e})",
+        result=x,
+        residual=residual,
+    )
 
 
-def constrained_solve(
-    dense, rhs, total: float = 1.0, apply=None, inverse_ones=None, screen=None
-) -> tuple[np.ndarray, float]:
+def cg_solve(apply, b, screen=None) -> np.ndarray:
+    """Solve A x = b by conjugate gradients, apply(v) computing A @ v.
+
+    Stops at |r| <= CG_RTOL |b|.  screen, if given, is called once, with
+    the first iterate x that reaches |r| <= CG_SCREEN_RTOL |b| but not
+    CG_RTOL; if it returns False the run raises ScreenedOut(x), and
+    otherwise carries on unchanged.  Raises NonConvergenceError, with
+    the last iterate as its result, on breakdown, divergence or a stall.
+    """
+    b = np.asarray(b, dtype=float)
+    x = np.zeros_like(b)
+    _conjugate_gradients(apply, x, b.copy(), float(np.linalg.norm(b)), False, screen)
+    return x
+
+
+def constrained_solve(apply, rhs, total: float = 1.0, screen=None) -> tuple[np.ndarray, float]:
     """x and lambda with A x = rhs + lambda 1 and 1'x = total.
 
-    apply(v) computes A @ v for a positive definite A: x = w0 + lambda w1,
-    A w0 = rhs by CG (no solve for rhs 0) and w1 = inverse_ones, or
-    A^-1 1 by CG if the caller keeps none; screen screens that CG run
-    (cg_solve).  With no apply, or when CG fails, dense() returns A for
-    the bordered LU.  Raises ValidationError if 1'A^-1 1 vanishes.
+    apply(v) computes A @ v for a symmetric A.  CG on
+    v -> A v - mean(A v) from x0 = total/n 1, stopping at a residual of
+    CG_RTOL |rhs - A x0|; screen screens the run (cg_solve).  Raises
+    NonConvergenceError, with the last x and its lambda as its result,
+    on breakdown, divergence or a stall.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if apply is not None:
-        w1 = cg_solve(apply, np.ones(len(rhs)), screen) if inverse_ones is None else inverse_ones
-        w0 = rhs if w1 is None or not rhs.any() else cg_solve(apply, rhs)
-        if w1 is not None and w0 is not None:
-            charge = float(w1.sum())
-            if abs(charge) < 1e-300:
-                raise ValidationError("degenerate operator: unit potential has zero charge")
-            lam = (total - float(w0.sum())) / charge
-            return w0 + lam * w1, lam
-    return bordered_solve(dense(), rhs, total)
-
-
-def _bordered(A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    B = np.empty((n + 1, n + 1))
-    B[:n, :n] = A
-    B[:n, n] = -1.0
-    B[n, :n] = 1.0
-    B[n, n] = 0.0
-    return B
-
-
-def bordered_solve(A: np.ndarray, rhs=None, total: float = 1.0) -> tuple[np.ndarray, float]:
-    """x and lambda with A x = rhs + lambda 1 and 1'x = total, by one LU.
-
-    rhs defaults to zero.  An exactly singular system falls back to the
-    least-squares solution of minimal norm.
-    """
-    from scipy.linalg import LinAlgWarning, lstsq, lu_factor, lu_solve
-
-    B = _bordered(A)
-    n = B.shape[0] - 1
-    b = np.zeros(n + 1)
-    if rhs is not None:
-        b[:n] = rhs
-    b[n] = total
-    with warnings.catch_warnings():
-        # lu_factor only warns on an exact zero pivot; the solve would be NaN
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            # B.T is the Fortran-ordered transpose: factor it in place
-            lu = lu_factor(B.T, overwrite_a=True, check_finite=False)
-        except LinAlgWarning:
-            lu = None
-    if lu is None:
-        sol = lstsq(_bordered(A), b)[0]
-    else:
-        sol = lu_solve(lu, b, trans=1, check_finite=False)
-    return sol[:n], float(sol[n])
+    n = len(rhs)
+    x = np.full(n, total / n)
+    if not (total or rhs.any()):
+        return x, 0.0
+    # lambda = mean(A x - rhs), and A is symmetric, so mean(A x) = a'x
+    # with a = A 1/n, which is A x0 when total is 1
+    a = apply(np.full(n, 1.0 / n))
+    r = rhs - total * a
+    try:
+        _conjugate_gradients(apply, x, r - r.mean(), float(np.linalg.norm(r)), True, screen)
+    except NonConvergenceError as err:
+        err.result = (x, float(a @ x) - float(rhs.mean()))
+        raise
+    return x, float(a @ x) - float(rhs.mean())

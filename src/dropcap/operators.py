@@ -26,17 +26,16 @@ An unmirrored cloud has one orbit per node, and E is K itself.  E is
 assembled with the operator, h^2 kernel entries for h orbits where K
 takes n^2/2; A - B is assembled on the first product with an odd
 vector, as 2 (A - E), so from h^2/2 entries of A alone, and an
-equilibrium-only run never stores it; the full K is
-formed only when asked for, by the bordered fallback or a test.  Each
-block is filled in one pass over row blocks of its lower triangle: a
-block of pairwise distances, held in one reused buffer, becomes kernel
-values in place and is stored with its transpose, so each entry is
-computed once and the block is exactly symmetric.  potential_at runs its
-targets through the same row blocks, holding one block of kernel values
-at a time.  KernelOperator.solve hands the even part to the one
-constrained solve of dropcap.linalg, which for the Riesz kernels uses
-only products with E, caching the h values E^-1 1, and the odd part to
-conjugate gradients on A - B.
+equilibrium-only run never stores it.  The full K (matrix) is formed
+only when a test asks for it; no solve reads it.  Each block is filled
+in one pass over row blocks of its lower triangle: a block of pairwise
+distances, held in one reused buffer, becomes kernel values in place
+and is stored with its transpose, so each entry is computed once and
+the block is exactly symmetric.  potential_at runs its targets through
+the same row blocks, holding one block of kernel values at a time.
+KernelOperator.solve hands the even part to the one constrained solve
+of dropcap.linalg, projected conjugate gradients with products with E,
+and the odd part to conjugate gradients on A - B.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .clouds import NodeCloud, Orbits
-from .errors import UnsupportedConfigurationError, ValidationError
+from .errors import NonConvergenceError, UnsupportedConfigurationError, ValidationError
 from .kernels import (
     DISK_SELF_ENERGY_COEFF,
     SEGMENT_SELF_ENERGY_SHIFT,
@@ -56,7 +55,7 @@ from .kernels import (
     uniform_ball_self_energy,
     unit_ball_volume,
 )
-from .linalg import bordered_solve, cg_solve, constrained_solve, symm, symv
+from .linalg import cg_solve, constrained_solve, symm, symv
 
 __all__ = [
     "KernelOperator",
@@ -79,11 +78,7 @@ def _product(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """Kernel operator of a cloud, stored as its even block over the orbits.
-
-    E^-1 1 is computed on first use and kept, so every solve against one
-    operator shares a single conjugate-gradient solve of E u = 1.
-    """
+    """Kernel operator of a cloud, stored as its even block over the orbits."""
 
     even: np.ndarray
     cloud: NodeCloud
@@ -116,30 +111,14 @@ class KernelOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The full n x n kernel matrix in node order, formed on first use."""
+        """The full n x n kernel matrix in node order, formed on first use.
+
+        Only tests read it: every solve runs on the orbit blocks.
+        """
         if not self.orbits.n_pairs:
             return self.even
         nodes = np.arange(self.n_nodes)
         return _orbit_block(self.cloud, self.params, nodes, nodes[:0])
-
-    @cached_property
-    def inverse_ones(self) -> np.ndarray | None:
-        """E^-1 1 by conjugate gradients, or None.
-
-        These are the orbit masses whose potential is 1 at every node.
-        None for the planar logarithmic kernel, which is only
-        conditionally positive definite, and when CG fails; those
-        operators are solved through the bordered system.
-        """
-        return self._inverse_ones()
-
-    def _inverse_ones(self, screen=None) -> np.ndarray | None:
-        if self.params.is_log:
-            return None
-        x = cg_solve(self.apply_even, np.ones(len(self.even)), screen)
-        if x is not None:
-            x.setflags(write=False)  # shared by every solve on this operator
-        return x
 
     def apply_even(self, u) -> np.ndarray:
         """Node potentials, one per orbit, of the even measure with orbit masses u."""
@@ -153,38 +132,28 @@ class KernelOperator:
         even = self.apply_even(u) if u.any() else np.zeros_like(u)
         return o.join(even, _product(self.odd, z) if z.any() else None)
 
-    def solve_even(self, rhs, total: float, screen=None) -> tuple[np.ndarray, float]:
-        """Orbit masses u and lambda with E u = rhs + lambda 1 and sum(u) = total.
-
-        Reuses the cached E^-1 1; without it (the planar log kernel, or
-        CG failed on E u = 1) the solve goes through the bordered LU of E.
-        screen screens the CG run for E^-1 1 if none is cached yet
-        (cg_solve): a run that finishes is cached, one the screen
-        rejects raises ScreenedOut and caches nothing.
-        """
-        if screen is not None and "inverse_ones" not in vars(self):
-            # fill the inverse_ones cache, unless the screen stops the run
-            vars(self)["inverse_ones"] = self._inverse_ones(screen)
-        w1 = self.inverse_ones
-        apply = None if w1 is None else self.apply_even
-        return constrained_solve(lambda: self.even, rhs, total, apply, w1)
-
     def solve(self, rhs, total: float) -> tuple[np.ndarray, float]:
         """Nodal x and lambda with K x = rhs + lambda 1 and sum(x) = total.
 
-        The even part of rhs goes to solve_even, the odd part to
-        conjugate gradients on A - B; if those fail, the whole system
-        goes through the bordered LU of the full matrix.
+        The even part of rhs goes to the constrained solve on E, the odd
+        part to conjugate gradients on A - B.  A NonConvergenceError from
+        either carries the nodal x and lambda reached so far.
         """
         rhs = np.asarray(rhs, dtype=float)
         o = self.orbits
-        u, lam = self.solve_even(o.means(rhs), total)
         odd_rhs = o.half_differences(rhs)
-        z = None
-        if odd_rhs.any():
-            z = cg_solve(lambda v: symv(self.odd, v), odd_rhs)
-            if z is None:
-                return bordered_solve(self.matrix, rhs, total)
+        u = z = None
+        try:
+            u, lam = constrained_solve(self.apply_even, o.means(rhs), total)
+            if odd_rhs.any():
+                z = cg_solve(lambda v: symv(self.odd, v), odd_rhs)
+        except NonConvergenceError as err:
+            if u is None:
+                u, lam = err.result
+            else:
+                z = err.result
+            err.result = (o.join(u / o.sizes, z), lam)
+            raise
         return o.join(u / o.sizes, z), lam
 
     def energy(self, masses) -> float:

@@ -65,7 +65,8 @@ def _ball_volume(dim: int, radius: float) -> float:
 def _require_finite(shape, *names) -> None:
     for name in names:
         value = getattr(shape, name)
-        if not np.all(np.isfinite(value)):
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(map(math.isfinite, values)):
             raise ValidationError(f"{shape.variant} {name} must be finite, got {value}")
 
 

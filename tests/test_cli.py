@@ -146,6 +146,42 @@ def test_nonconvergence_exits_three_with_the_best_iterate(tmp_path, monkeypatch)
     np.testing.assert_array_equal([float(r["mass"]) for r in rows], masses)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["external-field", "--field", "1,0,0"], ["entropic"]],
+    ids=["external-field", "entropic"],
+)
+def test_a_cg_breakdown_exits_three(capsys, monkeypatch, args):
+    import dropcap.entropic
+    import dropcap.operators
+
+    def vanishing(solve):
+        # the operator vanishes after its first product, so p'Ap = 0 and
+        # conjugate gradients break down
+        def run(apply, *rest):
+            products = []
+
+            def first_only(v):
+                products.append(v)
+                return apply(v) if len(products) == 1 else 0.0 * v
+
+            return solve(first_only, *rest)
+
+        return run
+
+    for module, name in [
+        (dropcap.entropic, "constrained_solve"),
+        (dropcap.operators, "constrained_solve"),
+        (dropcap.operators, "cg_solve"),
+    ]:
+        monkeypatch.setattr(module, name, vanishing(getattr(module, name)))
+    code, out, err = run_cli([*args, "--shape", BALL_JSON, "--M", "300"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "broke down" in err
+    assert "\n" not in err.strip()
+
+
 def test_byte_identical_reruns(tmp_path):
     out = tmp_path / "run.json"
     args = ["capacity", "--shape", BALL_JSON, "--M", "300", "--output", str(out)]

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import dropcap as dc
 from dropcap.equilibrium import solve_simplex_qp
@@ -31,19 +30,10 @@ def test_active_set_drops_dominated_node():
     np.testing.assert_allclose(m[:2], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-10)
 
 
-def test_singular_system_falls_back_to_least_squares(monkeypatch):
-    # CG breaks down on -11' (p'Ap = -4) and its bordered system is singular
-    calls = []
-    lstsq = scipy.linalg.lstsq
-
-    def counted_lstsq(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
-
-    # bordered_solve imports lstsq from scipy.linalg on each call
-    monkeypatch.setattr(scipy.linalg, "lstsq", counted_lstsq)
+def test_singular_system_returns_the_uniform_start():
+    # -11' is zero on zero-sum vectors, so the feasible start 1/n is the
+    # answer and projected CG takes no step
     m, lam, _, resid = solve_simplex_qp(-np.ones((2, 2)))
-    assert calls
     np.testing.assert_allclose(m, [0.5, 0.5], rtol=1e-12)
     assert lam == pytest.approx(-1.0, rel=1e-12)
     assert resid < 1e-12
@@ -118,7 +108,7 @@ def test_volume_run_alpha_two_collapses_to_boundary():
 
 def test_stalled_active_set_raises_with_a_feasible_best_iterate():
     # two active-set steps do not settle the collapsing alpha = 2 volume
-    # ball, so the solve ends in the projected-gradient pass and gives up
+    # ball, so the solve gives up with the last accepted iterate
     cloud = dc.discretize(BALL3, 800, "volume")
     op = dc.assemble_operator(cloud, COULOMB)
     tol = 1e-10

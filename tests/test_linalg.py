@@ -1,16 +1,17 @@
-"""Solve back-ends: CG against the bordered LU system, solve reuse and screening."""
-
-import sys
+"""The constrained solve: projected CG against a bordered reference, screening, breakdown."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dropcap as dc
+import dropcap.equilibrium
 import dropcap.linalg
 from dropcap.equilibrium import solve_simplex_qp
-from dropcap.linalg import CG_SCREEN_RTOL, ScreenedOut, bordered_solve, cg_solve, symv
+from dropcap.errors import NonConvergenceError
+from dropcap.instability import _random_polygon, _regular_polygon
+from dropcap.linalg import CG_SCREEN_RTOL, ScreenedOut, cg_solve, constrained_solve, symv
 
 ORIGIN = (0.0, 0.0, 0.0)
 COULOMB = dc.KernelParams(3, 2.0)
@@ -26,28 +27,32 @@ node_counts = st.integers(150, 500)
 generated = settings(max_examples=6)
 
 
-class _Counter:
-    """Wraps a function and counts its calls."""
+def _bordered(A, rhs=None, total=1.0):
+    """x and lambda with A x = rhs + lambda 1, 1'x = total, from [A -1; 1' 0]."""
+    n = len(A)
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = A
+    B[:n, n] = -1.0
+    B[n, :n] = 1.0
+    b = np.zeros(n + 1)
+    if rhs is not None:
+        b[:n] = rhs
+    b[n] = total
+    sol = np.linalg.solve(B, b)
+    return sol[:n], float(sol[n])
 
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
 
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.fn(*args, **kwargs)
+def _bordered_solve_of(apply, rhs, total=1.0, screen=None):
+    """constrained_solve's answer from _bordered, on the matrix apply forms."""
+    A = np.column_stack([apply(e) for e in np.eye(len(rhs))])
+    return _bordered(A, rhs, total)
 
 
-def _fail(apply, b, screen=None):
-    return None
-
-
-def _patch_cg(monkeypatch, replacement):
-    """Replace cg_solve under every name a dropcap module holds it by."""
-    for module in list(sys.modules.values()):
-        name = getattr(module, "__name__", None) or ""
-        if name.startswith("dropcap") and getattr(module, "cg_solve", None) is cg_solve:
-            monkeypatch.setattr(module, "cg_solve", replacement)
+def _with_bordered_working_sets(fn, *args):
+    """fn(*args) with every active-set working set solved by _bordered."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dropcap.equilibrium, "constrained_solve", _bordered_solve_of)
+        return fn(*args)
 
 
 def _max_rel(a, b):
@@ -66,9 +71,7 @@ def _operator(name, R, M):
 def test_cg_agrees_with_bordered_solve(name, R, M):
     op = _operator(name, R, M)
     m, lam, iters, _ = solve_simplex_qp(op)
-    with pytest.MonkeyPatch.context() as mp:
-        _patch_cg(mp, _fail)
-        m_lu, lam_lu, iters_lu, _ = solve_simplex_qp(op.matrix)
+    m_lu, lam_lu, iters_lu, _ = _with_bordered_working_sets(solve_simplex_qp, op.matrix)
     assert iters == iters_lu
     assert _max_rel(m, m_lu) <= 1e-12
     assert lam == pytest.approx(lam_lu, rel=1e-12)
@@ -84,9 +87,8 @@ def test_restricted_unit_charge_solves_agree(R, M, seed):
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(K), size=len(K) // 2, replace=False))
     K_act = K[np.ix_(idx, idx)]
-    x = cg_solve(lambda v: symv(K_act, v), np.ones(len(idx)))
-    m, lam = x / x.sum(), 1.0 / x.sum()
-    m_lu, lam_lu = bordered_solve(K_act)
+    m, lam = constrained_solve(lambda v: symv(K_act, v), np.zeros(len(idx)), 1.0)
+    m_lu, lam_lu = _bordered(K_act)
     assert _max_rel(m, m_lu) <= 1e-12
     assert lam == pytest.approx(lam_lu, rel=1e-12)
     assert m.sum() == pytest.approx(1.0, rel=1e-14)
@@ -103,12 +105,8 @@ def test_field_solve_agrees_with_bordered_solve(center, R, M, E):
     cloud = dc.discretize(dc.Ball(center, R), M, "boundary")
     op = dc.assemble_operator(cloud, COULOMB)
     rhs = -0.5 * dc.LinearPotential(E).potential_values(cloud.points)
-    counter = _Counter(bordered_solve)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dropcap.linalg, "bordered_solve", counter)
-        w, lam = op.solve(rhs, 0.0)
-    assert counter.calls == 0  # conjugate gradients solved it
-    w_lu, lam_lu = bordered_solve(op.matrix, rhs, 0.0)
+    w, lam = op.solve(rhs, 0.0)
+    w_lu, lam_lu = _bordered(op.matrix, rhs, 0.0)
     assert _max_rel(w, w_lu) <= 1e-12
     # lambda may sit near zero: compare it on the scale of rhs
     assert abs(lam - lam_lu) <= 1e-12 * float(np.abs(rhs).max())
@@ -116,18 +114,10 @@ def test_field_solve_agrees_with_bordered_solve(center, R, M, E):
 
 
 def _old_entropic(cloud):
-    """Masses and multiplier from the bordered system [2G 1; 1' 0]."""
+    """Masses and multiplier from the bordered system of 2G."""
     K = dc.assemble_operator(cloud, COULOMB).matrix
     G = K / (4.0 * np.pi) + np.diag(1.0 / cloud.weights)
-    n = cloud.n_nodes
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = 2.0 * G
-    A[:n, n] = 1.0
-    A[n, :n] = 1.0
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    sol = np.linalg.solve(A, b)
-    return sol[:n], -sol[n]
+    return _bordered(2.0 * G)
 
 
 @generated
@@ -140,42 +130,87 @@ def test_entropic_matches_the_bordered_system(R, M):
     assert res.multiplier == pytest.approx(lam_old, rel=1e-12)
 
 
-def test_fallbacks_agree_when_cg_fails(monkeypatch):
+def _vanishing_after(products):
+    """Wrap a solve so that its operator turns to zero after some products."""
+
+    def wrap(solve):
+        def run(apply, *rest):
+            done = 0
+
+            def vanishing(v):
+                nonlocal done
+                done += 1
+                return apply(v) if done <= products else 0.0 * v
+
+            return solve(vanishing, *rest)
+
+        return run
+
+    return wrap
+
+
+def test_a_cg_breakdown_raises_with_a_feasible_best_iterate(monkeypatch):
     cloud = dc.discretize(dc.Ball(ORIGIN, 1.0), 400, "boundary")
-    op = dc.assemble_operator(cloud, COULOMB)
-    field = dc.LinearPotential((0.3, -1.0, 0.5))
-    eq, fr = dc.equilibrium_measure(op), dc.solve_external(op, field)
     volume = dc.discretize(dc.Ball(ORIGIN, 1.0), 400, "volume")
-    en = dc.solve_entropic(volume)
 
-    _patch_cg(monkeypatch, _fail)
-    op_lu = dc.assemble_operator(cloud, COULOMB)
-    assert op_lu.inverse_ones is None
-    eq_lu, fr_lu = dc.equilibrium_measure(op_lu), dc.solve_external(op_lu, field)
-    en_lu = dc.solve_entropic(volume)
-    assert _max_rel(eq.masses, eq_lu.masses) <= 1e-12
-    assert eq.energy == pytest.approx(eq_lu.energy, rel=1e-12)
-    assert _max_rel(fr.masses, fr_lu.masses) <= 1e-12
-    assert fr.F_value == pytest.approx(fr_lu.F_value, rel=1e-12)
-    assert _max_rel(en.masses, en_lu.masses) <= 1e-12
-    assert en.multiplier == pytest.approx(en_lu.multiplier, rel=1e-12)
+    def field(x):
+        return x[:, 0] ** 2 - x[:, 1]  # an even and an odd part
+
+    # p'Ap = 0 from the fifth product on: a breakdown
+    wrap = _vanishing_after(4)
+    for module, name in [
+        (dropcap.equilibrium, "constrained_solve"),
+        (dropcap.entropic, "constrained_solve"),
+        (dropcap.operators, "constrained_solve"),
+        (dropcap.operators, "cg_solve"),
+    ]:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    op = dc.assemble_operator(cloud, COULOMB)
+    runs = {
+        "equilibrium": (lambda: dc.equilibrium_measure(op), cloud, 1.0),
+        "field": (lambda: dc.solve_external(op, field), cloud, 0.0),
+        "entropic": (lambda: dc.solve_entropic(volume), volume, 1.0),
+    }
+    for label, (run, nodes, total) in runs.items():
+        with pytest.raises(NonConvergenceError, match="broke down") as exc:
+            run()
+        x, lam = exc.value.result
+        assert x.shape == (nodes.n_nodes,), label
+        assert np.all(np.isfinite(x)) and np.isfinite(lam), label
+        assert x.sum() == pytest.approx(total, abs=1e-12), label
+        assert exc.value.residual > 0.0, label
+    # the active-set loop had accepted no working set: uniform node masses
+    with pytest.raises(NonConvergenceError) as exc:
+        dc.equilibrium_measure(op)
+    masses, lam = exc.value.result
+    np.testing.assert_array_equal(masses, np.full(op.n_nodes, 1.0 / op.n_nodes))
 
 
-def test_one_unit_solve_serves_equilibrium_and_field(monkeypatch):
-    ones_solves = []
+def test_a_centred_field_does_no_even_solve(monkeypatch):
+    # a linear field on a cloud mirrored through the origin is odd: the
+    # even solve starts at its answer, zero, and takes no product
+    products = {"even": 0, "odd": 0}
 
-    def counted(apply, b, screen=None):
-        ones_solves.append(bool(np.all(b == 1.0)))
-        return cg_solve(apply, b, screen)
+    def counting(part, solve):
+        def run(apply, *rest):
+            def counted(v):
+                products[part] += 1
+                return apply(v)
 
-    _patch_cg(monkeypatch, counted)
+            return solve(counted, *rest)
+
+        return run
+
+    monkeypatch.setattr(
+        dropcap.operators, "constrained_solve", counting("even", constrained_solve)
+    )
+    monkeypatch.setattr(dropcap.operators, "cg_solve", counting("odd", cg_solve))
     cloud = dc.discretize(dc.Ball(ORIGIN, 1.0), 500, "boundary")
     op = dc.assemble_operator(cloud, COULOMB)
-    eq = dc.equilibrium_measure(op)
     fr = dc.solve_external(op, dc.LinearPotential((1.0, 0.0, 0.0)))
-    # K^-1 1 once, shared; then K w0 = -phi/2 for the field
-    assert ones_solves == [True, False]
-    assert eq.active_fraction == 1.0
+    assert products["even"] == 0
+    assert products["odd"] > 0
+    assert fr.lam == 0.0
     assert fr.el_residual < 1e-10
 
 
@@ -200,19 +235,16 @@ def test_screen_sees_one_loose_iterate():
 
 
 def _count_products(fn, *args):
-    """fn(*args) and the number of products with A its CG runs took."""
+    """fn(*args) and the number of products with K or E the active-set loop took."""
     products = 0
 
-    def counting(apply, b, screen=None):
-        def counted_apply(v):
-            nonlocal products
-            products += 1
-            return apply(v)
-
-        return cg_solve(counted_apply, b, screen)
+    def counted(A, x):
+        nonlocal products
+        products += 1
+        return symv(A, x)
 
     with pytest.MonkeyPatch.context() as mp:
-        _patch_cg(mp, counting)
+        mp.setattr(dropcap.equilibrium, "symv", counted)
         result = fn(*args)
     return result, products
 
@@ -236,10 +268,6 @@ def test_screen_cuts_the_products_of_collapsing_working_sets():
     assert 700 <= op.n_nodes <= 900
     assert iters == iters_full > 2
     assert products <= 0.6 * full
-    # the full set was screened out: K^-1 1 is not cached from a loose iterate
-    assert "inverse_ones" not in vars(op)
-    fresh = dc.assemble_operator(cloud, COULOMB)
-    assert np.array_equal(op.inverse_ones, fresh.inverse_ones)
 
 
 def test_screen_costs_nothing_when_every_node_stays():
@@ -247,38 +275,115 @@ def test_screen_costs_nothing_when_every_node_stays():
     op, screened, unscreened = _screened_and_unscreened(cloud, COULOMB)
     assert screened == unscreened
     assert screened[0] == 1
-    # the screen passed, so the finished run was cached
-    assert "inverse_ones" in vars(op)
 
 
-def test_log_kernel_never_calls_cg(monkeypatch):
-    counter = _Counter(cg_solve)
-    _patch_cg(monkeypatch, counter)
-    cloud = dc.discretize(dc.Ball((0.0, 0.0), 1.0), 300, "boundary")
+def test_log_circle_is_solved_at_the_uniform_start():
+    # equal arcs on a circle: the uniform start is the equilibrium measure,
+    # so the solve takes the start's product and the KKT product only.  (At
+    # radius 1 the multiplier -log(capacity) is near zero, and so is the
+    # start residual the run stops relative to: it steps on round-off.)
+    cloud = dc.discretize(dc.Ball((0.0, 0.0), 2.0), 300, "boundary")
     op = dc.assemble_operator(cloud, dc.KernelParams(2, 2.0))
-    res = dc.equilibrium_measure(op)
-    assert counter.calls == 0
-    assert op.inverse_ones is None
-    assert res.capacity == pytest.approx(1.0, rel=0.02)
-    assert res.kkt_residual < 1e-10
+    (m, lam, iters, resid), products = _count_products(solve_simplex_qp, op)
+    assert products == 2 and iters == 1
+    assert np.array_equal(m, np.full(op.n_nodes, 1.0 / op.n_nodes))
+    assert resid < 1e-12
+    assert dc.capacity_from_energy(lam, op.params) == pytest.approx(2.0, rel=0.02)
 
 
-def test_cg_breakdown_falls_back_to_the_bordered_solve():
-    # K - c 11' with 1'(K - c 11')1 < 0 is symmetric indefinite: CG breaks
-    # down on its first step.  Its bordered solution keeps K's masses and
-    # shifts the multiplier by -c, all masses positive.
+# planar shapes for the log kernel: kind, then a seed, polygon order or radius
+LOG_SHAPES = st.one_of(
+    st.tuples(st.just("random polygon"), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("regular polygon"), st.integers(3, 12)),
+    st.tuples(st.just("disk"), st.sampled_from([1.0, 0.5, 3.0])),
+)
+
+
+def _log_shape(kind, value):
+    if kind == "random polygon":
+        return _random_polygon(np.random.default_rng(value))
+    if kind == "regular polygon":
+        return _regular_polygon(value)
+    return dc.Ball((0.0, 0.0), value)
+
+
+@settings(max_examples=20)
+@given(shape=LOG_SHAPES, M=st.integers(150, 600))
+@example(shape=("random polygon", 1), M=600)
+def test_log_kernel_solves_agree_with_the_bordered_reference(shape, M):
+    kind, value = shape
+    cloud = dc.discretize(_log_shape(kind, value), M, "boundary")
+    op = dc.assemble_operator(cloud, dc.KernelParams(2, 2.0))
+    m, lam, iters, resid = solve_simplex_qp(op)
+    assert resid < 1e-12
+    if kind == "disk" and value != 1.0:
+        # the uniform start is exact here, and the LU is the less accurate side
+        return
+    m_lu, lam_lu, iters_lu, _ = _with_bordered_working_sets(solve_simplex_qp, op.matrix)
+    assert iters == iters_lu
+    assert _max_rel(m, m_lu) <= 1e-12
+    # lambda = -log(capacity) sits near zero for these unit-area shapes
+    assert abs(lam - lam_lu) <= 1e-12 * max(abs(lam_lu), 1.0)
+
+
+def test_a_log_polygon_indefinite_on_zero_sum_vectors_solves_like_the_reference():
+    # a thin random polygon (the third of convex_scan_2d's seed 644015297)
+    # whose K at n = 600 has a negative eigenvalue on zero-sum vectors:
+    # projected CG steps through the negative curvature and reaches the
+    # stationary point of the bordered system, all of its masses positive
+    rng = np.random.default_rng(644015297)
+    shape = [_random_polygon(rng) for _ in range(3)][-1]
+    op = dc.assemble_operator(dc.discretize(shape, 600, "boundary"), dc.KernelParams(2, 2.0))
+    K = op.matrix
+    P = np.eye(len(K)) - 1.0 / len(K)
+    assert np.linalg.eigvalsh(P @ K @ P)[0] < -0.1
+    m, lam, iters, resid = solve_simplex_qp(op)
+    m_lu, lam_lu, iters_lu, _ = _with_bordered_working_sets(solve_simplex_qp, K)
+    assert iters == iters_lu == 1
+    assert m.min() > 0.0
+    assert resid < 1e-12
+    # the negative direction costs a digit against the definite shapes
+    assert _max_rel(m, m_lu) <= 1e-11
+    assert abs(lam - lam_lu) <= 1e-12 * max(abs(lam_lu), 1.0)
+
+
+def test_a_shift_by_c_11t_changes_only_the_multiplier():
+    # K - c 11' with 1'(K - c 11')1 < 0 is indefinite; on zero-sum vectors
+    # it is K, and its constrained solution keeps K's masses and shifts the
+    # multiplier by -c
     K = _operator("boundary ball, alpha=2", 1.0, 200).matrix
     c = 2.0 * K.mean()
     A = K - c
-    assert cg_solve(lambda v: symv(A, v), np.ones(len(A))) is None
+    assert np.linalg.eigvalsh(A)[0] < 0.0
     m, lam, iters, _ = solve_simplex_qp(A)
-    m_lu, lam_lu = bordered_solve(A)
+    m_lu, lam_lu = _bordered(A)
     m_K, lam_K, _, _ = solve_simplex_qp(K)
     assert iters == 1
     assert _max_rel(m, m_lu) <= 1e-12
     assert lam == pytest.approx(lam_lu, rel=1e-12)
     assert _max_rel(m, m_K) <= 1e-12
     assert lam == pytest.approx(lam_K - c, rel=1e-12)
+
+
+def test_a_stalled_run_raises_after_as_many_products_as_unknowns(monkeypatch):
+    # eigenvalues 1 ... 1e12: CG loses orthogonality and has not reached
+    # 1e-15 after n products, so with the fixed floor out of the way the
+    # run stops at n
+    n = 40
+    d = np.logspace(0.0, 12.0, n)
+    calls = 0
+
+    def apply(v):
+        nonlocal calls
+        calls += 1
+        return d * v
+
+    monkeypatch.setattr(dropcap.linalg, "CG_MAX_ITER", 0)
+    with pytest.raises(NonConvergenceError, match="did not converge") as exc:
+        cg_solve(apply, np.ones(n))
+    assert calls == n
+    assert exc.value.result.shape == (n,)
+    assert exc.value.residual > dropcap.linalg.CG_RTOL
 
 
 def test_symmetric_products_match_numpy(ball_op_2000, rng):
