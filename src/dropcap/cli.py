@@ -4,8 +4,10 @@ One subcommand per solver or experiment family, batch-driven, with
 machine-readable JSON or CSV artifacts.  Every JSON artifact embeds the
 fully resolved configuration so a run can be reproduced byte for byte.
 Exit codes: 0 on success, 2 on a validation error (single-line
-diagnostic on stderr), 3 on solver non-convergence (the best iterate is
-still written).
+diagnostic on stderr), 3 on solver non-convergence (single-line
+diagnostic on stderr; capacity and equilibrium still write their best
+iterate, and stability rayleigh its table with the failed amplitudes
+flagged).
 """
 
 from __future__ import annotations
@@ -316,7 +318,7 @@ def _run_rayleigh(args):
                 }
             )
     code = 0 if all(scan.converged) else 3
-    return scan.summary(), rows, code
+    return scan, rows, code
 
 
 def _run_lemma_ratio(args):

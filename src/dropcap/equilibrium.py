@@ -37,7 +37,6 @@ __all__ = [
     "Measure",
     "EquilibriumResult",
     "DropEnergy",
-    "solve_simplex_qp",
     "equilibrium_measure",
     "solve_shape",
     "capacity_from_energy",
@@ -127,19 +126,32 @@ def _negative(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return x / sizes < -_NEG_TOL * x.sum()
 
 
-def solve_simplex_qp(
-    K: np.ndarray | KernelOperator,
+# ---------------------------------------------------------------------------
+# operations
+
+
+def capacity_from_energy(energy: float, params: KernelParams) -> float:
+    """Capacity for an equilibrium energy: 1/E, or exp(-E) in the log case."""
+    if params.is_log:
+        return float(np.exp(-energy))
+    if energy <= 0.0:
+        raise ValidationError("equilibrium energy must be positive below the log case")
+    return 1.0 / energy
+
+
+def equilibrium_measure(
+    op: KernelOperator,
     tol: float = 1e-10,
     max_iter: int = 200,
     start_active: np.ndarray | None = None,
-):
-    """Minimize m.T K m over the probability simplex by active sets.
+) -> EquilibriumResult:
+    """Equilibrium measure of the cloud underlying an assembled operator.
 
-    K is a symmetric matrix or an assembled operator.  On an operator the
+    Minimizes m.T K m over the probability simplex by active sets.  The
     minimizer, being unique, is even under the cloud's mirror, so the
-    program is solved over orbit masses u with the even block E: the
-    same program, whose potentials E u are the node potentials.  Each
-    node of an orbit holds u / size, and the loop judges those node
+    program is solved over orbit masses u with the operator's even block
+    E: the same program, whose potentials E u are the node potentials.
+    Each node of an orbit holds u / size, and the loop judges those node
     masses, so its decisions are those of the unreduced program.  Each
     working set runs the constrained solve (dropcap.linalg) on E, or on a
     copy of E[idx, idx] for a restricted set, and its CG run is screened:
@@ -159,43 +171,32 @@ def solve_simplex_qp(
     set loses the orbits negative at the run's last iterate, as a
     screened-out set does.
 
-    Returns (masses, multiplier, iterations, kkt_residual), the masses
-    per node; the multiplier equals the minimum value.  start_active
+    The energy is the multiplier, the minimum value.  On nodes carrying
+    mass the potential, the loop's own product E u, equals it to within
+    kkt_residual; on bare nodes it is at least as large.  start_active
     selects the initial working set (all nodes by default; an orbit
     starts active if any of its nodes does); wrong guesses are repaired
     by the reactivation sweep, so any start converges to the same
     minimizer.  Raises NonConvergenceError if a failed run's last
     iterate has no negative orbit, or if max_iter working sets do not
-    settle; it carries the last accepted iterate (uniform node masses
+    settle; it carries the last accepted iterate as node masses (uniform
     if none was) and its energy m.K m.
     """
-    if isinstance(K, KernelOperator):
-        orbits, K = K.orbits, K.even
-        sizes, n_nodes = orbits.sizes, orbits.n_nodes
-    else:
-        orbits = None
-        K = np.ascontiguousarray(K, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValidationError("operator must be a square matrix")
-        sizes, n_nodes = np.ones(K.shape[0]), K.shape[0]
-    n = K.shape[0]
-
-    def nodal(u):
-        """Node masses of orbit masses u."""
-        return u if orbits is None else orbits.join(u / sizes)
-
+    if not isinstance(op, KernelOperator):
+        raise ValidationError("equilibrium_measure expects an assembled operator")
+    orbits, K = op.orbits, op.even
+    sizes, n = orbits.sizes, len(orbits)
     if start_active is None:
         active = np.ones(n, dtype=bool)
     else:
         active = np.array(start_active, dtype=bool)
-        if active.shape != (n_nodes,) or not active.any():
+        if active.shape != (orbits.n_nodes,) or not active.any():
             raise ValidationError("start_active must flag at least one node")
-        if orbits is not None:
-            active = orbits.sums(active.astype(float)) > 0.0
+        active = orbits.sums(active.astype(float)) > 0.0
     seen: set[bytes] = set()
     screening = True
     reason = "active-set iteration stalled"
-    m = sizes / n_nodes
+    m = sizes / orbits.n_nodes
     for it in range(1, max_iter + 1):
         key = active.tobytes()
         if key in seen:
@@ -230,59 +231,25 @@ def solve_simplex_qp(
         gap[active] = -np.inf
         viol = gap > tol * scale
         if not viol.any():
-            return nodal(m), lam, it, _kkt_residual(v, m, lam)
+            masses = orbits.join(m / sizes)
+            return EquilibriumResult(
+                measure=Measure(cloud=op.cloud, masses=masses),
+                params=op.params,
+                energy=lam,
+                capacity=capacity_from_energy(lam, op.params),
+                potential_on_nodes=orbits.join(v),
+                kkt_residual=_kkt_residual(v, m, lam),
+                active_fraction=float(np.mean(masses > 0.0)),
+                iterations=it,
+            )
         active[viol] = True
     v = symv(K, m)
     lam = float(m @ v)
     resid = _kkt_residual(v, m, lam)
     raise NonConvergenceError(
         f"{reason}; best iterate at residual {resid:.3e}",
-        result=(nodal(m), lam),
+        result=(orbits.join(m / sizes), lam),
         residual=resid,
-    )
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def capacity_from_energy(energy: float, params: KernelParams) -> float:
-    """Capacity for an equilibrium energy: 1/E, or exp(-E) in the log case."""
-    if params.is_log:
-        return float(np.exp(-energy))
-    if energy <= 0.0:
-        raise ValidationError("equilibrium energy must be positive below the log case")
-    return 1.0 / energy
-
-
-def equilibrium_measure(
-    op: KernelOperator,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    start_active: np.ndarray | None = None,
-) -> EquilibriumResult:
-    """Equilibrium measure of the cloud underlying an assembled operator.
-
-    On nodes carrying mass the potential equals the energy to within
-    kkt_residual; on bare nodes it is at least as large.  If the solver
-    cannot reach the tolerance it raises NonConvergenceError with the
-    best iterate attached.
-    """
-    if not isinstance(op, KernelOperator):
-        raise ValidationError("equilibrium_measure expects an assembled operator")
-    masses, lam, iters, resid = solve_simplex_qp(
-        op, tol=tol, max_iter=max_iter, start_active=start_active
-    )
-    v = op.apply(masses)
-    return EquilibriumResult(
-        measure=Measure(cloud=op.cloud, masses=masses),
-        params=op.params,
-        energy=lam,
-        capacity=capacity_from_energy(lam, op.params),
-        potential_on_nodes=v,
-        kkt_residual=resid,
-        active_fraction=float(np.mean(masses > 0.0)),
-        iterations=iters,
     )
 
 

@@ -8,7 +8,7 @@ is minimal over signed measures of zero total mass, phi being the
 external potential.  Discretely this is the problem of the existence
 proof: K w = -phi/2 + lambda 1 with sum(w) = 0, the multiplier lambda
 holding the net charge at zero.  KernelOperator.solve runs it with
-rhs -phi/2 and total 0: the even part of phi takes projected conjugate
+rhs -phi/2: the even part of phi takes projected conjugate
 gradients on the even block E, from w = 0 within the zero-sum
 measures, and the odd part one conjugate-gradient run on the odd block
 A - B (dropcap.operators).  On a cloud mirrored through the origin a
@@ -161,7 +161,7 @@ def solve_external(op: KernelOperator, field) -> FieldResult:
             "the external-field problem is posed in dimension >= 3"
         )
     phi = _potential_of(field, op.cloud.points)
-    w, lam = op.solve(-0.5 * phi, 0.0)
+    w, lam = op.solve(-0.5 * phi)
     w = w - w.sum() / len(w)
     v = op.apply(w)
     el = float(np.max(np.abs(2.0 * v + phi - 2.0 * lam)))

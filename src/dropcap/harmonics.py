@@ -22,8 +22,8 @@ __all__ = ["real_sph_harm", "real_sph_harm_gradient", "gauss_sphere_grid"]
 def _legendre(l: int, m: int, x, s):
     """Normalized associated Legendre functions of degrees l and l - 1.
 
-    Returns N(l, m) P_l^m(x) and N(l-1, m) P_{l-1}^m(x) for 0 <= m <= l
-    (the second is zero when l == m), with s = sqrt(1 - x^2),
+    Returns N(l, m) P_l^m(x) and N(l-1, m) P_{l-1}^m(x) for 0 <= m, each
+    zero where the order exceeds the degree, with s = sqrt(1 - x^2),
     N(l, m) = sqrt((2l + 1)/(4 pi) (l - m)!/(l + m)!) and the
     Condon-Shortley phase (-1)^m in P_l^m.  The normalization rides
     along the recurrence, so no factorial is formed:
@@ -33,6 +33,9 @@ def _legendre(l: int, m: int, x, s):
         Pn(k, m)   = a_k (x Pn(k-1, m) - Pn(k-2, m)/a_{k-1}),
                      a_k = sqrt((4k^2 - 1)/(k^2 - m^2)).
     """
+    if m > l:
+        zero = np.zeros(np.shape(x))
+        return zero, zero
     p = np.full(np.shape(x), 1.0 / math.sqrt(4.0 * math.pi))
     for k in range(1, m + 1):
         p = -math.sqrt((2 * k + 1) / (2 * k)) * s * p
@@ -68,30 +71,40 @@ def real_sph_harm(l: int, m: int, theta, lam):
 def real_sph_harm_gradient(l: int, m: int, theta, lam):
     """Tangential gradient components (d/dtheta, (1/sin theta) d/dlam).
 
-    Uses d/dtheta P_l^m(cos t) = (l cos(t) P_l^m - (l+m) P_{l-1}^m) / sin t,
-    on the normalized functions N(l, m) P_l^m of _legendre.  At the poles
-    the tangent frame degenerates; both components are reported as zero
-    there.
+    Both come from the neighbouring orders without a division by
+    sin theta, on the normalized functions Pn(l, m) = N(l, m) P_l^m of
+    _legendre:
+
+        d/dtheta Pn(l, m) = (sqrt((l - m)(l + m + 1)) Pn(l, m+1)
+                             - sqrt((l + m)(l - m + 1)) Pn(l, m-1)) / 2,
+        m Pn(l, m) / sin  = -sqrt((2l + 1)/(2l - 1)) / 2
+                            (sqrt((l - m)(l - m - 1)) Pn(l-1, m+1)
+                             + sqrt((l + m)(l + m - 1)) Pn(l-1, m-1)),
+
+    with Pn(l, -1) = -Pn(l, 1).  At the poles, where the tangent frame
+    degenerates, they are the limits along the meridian lam.
     """
     _check_mode(l, m)
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float)
     x = np.cos(theta)
-    s = np.sin(theta)
+    s = np.abs(np.sin(theta))
     am = abs(m)
-    P, Pm1 = _legendre(l, am, x, np.abs(s))
-    # (l + m) N(l, m) / N(l-1, m), the factor of the degree l - 1 term
-    c1 = math.sqrt((2 * l + 1) * (l - am) * (l + am) / (2 * l - 1)) if l > am else 0.0
-    pole = s < 1e-12
-    s_safe = np.where(pole, 1.0, s)
-    dP_dtheta = np.where(pole, 0.0, (l * x * P - c1 * Pm1) / s_safe)
-    if m == 0:
-        return dP_dtheta, np.zeros_like(x)
+    up, up_prev = _legendre(l, am + 1, x, s)
+    if am == 0:
+        return math.sqrt(l * (l + 1)) * up, np.zeros_like(up)
+    down, down_prev = _legendre(l, am - 1, x, s)
+    dP_dtheta = 0.5 * (
+        math.sqrt((l - am) * (l + am + 1)) * up - math.sqrt((l + am) * (l - am + 1)) * down
+    )
+    az = -0.5 * math.sqrt((2 * l + 1) / (2 * l - 1)) * (
+        math.sqrt((l - am) * (l - am - 1)) * up_prev
+        + math.sqrt((l + am) * (l + am - 1)) * down_prev
+    )
     c = np.sqrt(2.0)
-    az = np.where(pole, 0.0, P / s_safe)
     if m > 0:
-        return c * dP_dtheta * np.cos(m * lam), -c * az * m * np.sin(m * lam)
-    return c * dP_dtheta * np.sin(am * lam), c * az * am * np.cos(am * lam)
+        return c * dP_dtheta * np.cos(m * lam), -c * az * np.sin(m * lam)
+    return c * dP_dtheta * np.sin(am * lam), c * az * np.cos(am * lam)
 
 
 @lru_cache(maxsize=16)

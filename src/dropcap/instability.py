@@ -24,7 +24,7 @@ import numpy as np
 
 from . import shapes as shp
 from .clouds import discretize
-from .equilibrium import equilibrium_measure, solve_shape
+from .equilibrium import solve_shape
 from .errors import (
     DiscretizationError,
     NonConvergenceError,
@@ -414,20 +414,6 @@ class StabilityScan:
     d2_interaction: float
     threshold_estimate: float | None
 
-    def summary(self) -> dict:
-        return {
-            "mode": self.mode,
-            "amplitudes": list(self.amplitudes),
-            "charges": list(self.charges),
-            "perimeters": list(self.perimeters),
-            "riesz_energies": list(self.riesz_energies),
-            "converged": list(self.converged),
-            "energy_table": [list(row) for row in self.energy_table],
-            "d2_perimeter": self.d2_perimeter,
-            "d2_interaction": self.d2_interaction,
-            "threshold_estimate": self.threshold_estimate,
-        }
-
 
 def rayleigh_threshold_mode(l: int) -> float:
     """Charge where harmonic mode l turns unstable, sqrt(2 pi (l + 2)).
@@ -467,11 +453,8 @@ def rayleigh_scan(l: int, amplitudes, charges, n_nodes: int = 2000) -> Stability
     for t in amplitudes:
         shape = _renormalized_mode_shape(l, t)
         perims.append(shp.perimeter(shape))
-        cloud = discretize(shape, n_nodes, "boundary")
-        op = assemble_operator(cloud, KernelParams(3, 2.0))
         try:
-            res = equilibrium_measure(op)
-            riesz.append(res.energy)
+            riesz.append(solve_shape(shape, 2.0, n_nodes=n_nodes, role="boundary").energy)
             ok.append(True)
         except NonConvergenceError as err:
             riesz.append(float(err.result[1]))
@@ -523,9 +506,8 @@ def lemma_ratio_check(
     sqrt(perimeter deficit) is tracked on the same samples.
     """
     rng = np.random.default_rng(seed)
-    params = KernelParams(3, 2.0)
-    ball_cloud = discretize(shp.Ball((0.0, 0.0, 0.0), 1.0), n_nodes, "boundary")
-    ball_energy = equilibrium_measure(assemble_operator(ball_cloud, params)).energy
+    ball = shp.Ball((0.0, 0.0, 0.0), 1.0)
+    ball_energy = solve_shape(ball, 2.0, n_nodes=n_nodes, role="boundary").energy
     ratios = []
     iso_ratios = []
     skipped_flat = 0
@@ -549,8 +531,7 @@ def lemma_ratio_check(
         if per_deficit < 1e-9:
             skipped_flat += 1
             continue
-        cloud = discretize(shape, n_nodes, "boundary")
-        energy = equilibrium_measure(assemble_operator(cloud, params)).energy
+        energy = solve_shape(shape, 2.0, n_nodes=n_nodes, role="boundary").energy
         num = ball_energy - energy
         if num <= 0.0:
             skipped_nonpositive += 1

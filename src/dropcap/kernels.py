@@ -135,25 +135,19 @@ def uniform_ball_self_energy(dim: int, alpha: float) -> float:
     )
 
 
-@lru_cache(maxsize=None)
 def unit_cube_self_energy() -> float:
     """1/r self-energy of the uniform unit-charge measure on the unit cube.
 
-    Octant reduction: with delta = x - y distributed with density
-    prod(1 - |delta_i|) on [-1, 1]^3, pass to spherical coordinates so the
-    radial integral is a polynomial and the integrand is bounded.
+    The box integral Delta_3(-1), the mean inverse distance of two
+    uniform points of the unit cube (Bailey, Borwein and Crandall, Box
+    integrals, J. Comput. Appl. Math. 206, 2007):
+
+        (2/5)(1 + sqrt 2 - 2 sqrt 3) - 2 pi/3 + 2 log(1 + sqrt 2) + 2 log(2 + sqrt 3).
     """
-    x, wq = np.polynomial.legendre.leggauss(400)
-    th = 0.25 * np.pi * (x + 1.0)
-    wth = 0.25 * np.pi * wq
-    TH, LM = np.meshgrid(th, th, indexing="ij")
-    W = np.outer(wth, wth) * np.sin(TH)
-    w1 = np.sin(TH) * np.cos(LM)
-    w2 = np.sin(TH) * np.sin(LM)
-    w3 = np.cos(TH)
-    T = 1.0 / np.maximum(np.maximum(w1, w2), w3)
-    e1 = w1 + w2 + w3
-    e2 = w1 * w2 + w1 * w3 + w2 * w3
-    e3 = w1 * w2 * w3
-    radial = T**2 / 2.0 - e1 * T**3 / 3.0 + e2 * T**4 / 4.0 - e3 * T**5 / 5.0
-    return float(8.0 * np.sum(W * radial))
+    r2, r3 = math.sqrt(2.0), math.sqrt(3.0)
+    return (
+        0.4 * (1.0 + r2 - 2.0 * r3)
+        - 2.0 * math.pi / 3.0
+        + 2.0 * math.log(1.0 + r2)
+        + 2.0 * math.log(2.0 + r3)
+    )

@@ -45,7 +45,7 @@ can screen the run: the screen sees the first iterate that reaches
 CG_SCREEN_RTOL but not CG_RTOL, and if it rejects that iterate the run
 stops with ScreenedOut, which carries it.  A run the screen passes goes
 on with the same recurrence to CG_RTOL, so its result is bit-identical
-to an unscreened run.  The active-set loop of solve_simplex_qp screens
+to an unscreened run.  The active-set loop of equilibrium_measure screens
 each working set for negative masses.  On the collapsing alpha = 2
 volume ball (2553 nodes, 1277 orbits) its five working sets take
 98 + 59 + 43 + 25 + 23 = 248 products with the even block E
@@ -125,7 +125,7 @@ def _conjugate_gradients(apply, x, r, scale: float, zero_sum: bool, screen):
 
     With zero_sum the run stays in 1^perp: r starts there, and each
     search direction and product is projected onto it.  Stops at
-    |r| <= CG_RTOL scale, with a screen as in cg_solve; raises
+    |r| <= CG_RTOL scale, with a screen as in constrained_solve; raises
     NonConvergenceError carrying x on breakdown, divergence or a stall.
     """
     p = r.copy()
@@ -170,18 +170,15 @@ def _conjugate_gradients(apply, x, r, scale: float, zero_sum: bool, screen):
     )
 
 
-def cg_solve(apply, b, screen=None) -> np.ndarray:
+def cg_solve(apply, b) -> np.ndarray:
     """Solve A x = b by conjugate gradients, apply(v) computing A @ v.
 
-    Stops at |r| <= CG_RTOL |b|.  screen, if given, is called once, with
-    the first iterate x that reaches |r| <= CG_SCREEN_RTOL |b| but not
-    CG_RTOL; if it returns False the run raises ScreenedOut(x), and
-    otherwise carries on unchanged.  Raises NonConvergenceError, with
-    the last iterate as its result, on breakdown, divergence or a stall.
+    Stops at |r| <= CG_RTOL |b|.  Raises NonConvergenceError, with the
+    last iterate as its result, on breakdown, divergence or a stall.
     """
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
-    _conjugate_gradients(apply, x, b.copy(), float(np.linalg.norm(b)), False, screen)
+    _conjugate_gradients(apply, x, b.copy(), float(np.linalg.norm(b)), False, None)
     return x
 
 
@@ -190,9 +187,12 @@ def constrained_solve(apply, rhs, total: float = 1.0, screen=None) -> tuple[np.n
 
     apply(v) computes A @ v for a symmetric A.  CG on
     v -> A v - mean(A v) from x0 = total/n 1, stopping at a residual of
-    CG_RTOL |rhs - A x0|; screen screens the run (cg_solve).  Raises
-    NonConvergenceError, with the last x and its lambda as its result,
-    on breakdown, divergence or a stall.
+    CG_RTOL |rhs - A x0|.  screen, if given, is called once, with the
+    first iterate x that reaches CG_SCREEN_RTOL |rhs - A x0| but not
+    CG_RTOL; if it returns False the run raises ScreenedOut(x), and
+    otherwise carries on unchanged.  Raises NonConvergenceError, with
+    the last x and its lambda as its result, on breakdown, divergence or
+    a stall.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)

@@ -132,8 +132,8 @@ class KernelOperator:
         even = self.apply_even(u) if u.any() else np.zeros_like(u)
         return o.join(even, _product(self.odd, z) if z.any() else None)
 
-    def solve(self, rhs, total: float) -> tuple[np.ndarray, float]:
-        """Nodal x and lambda with K x = rhs + lambda 1 and sum(x) = total.
+    def solve(self, rhs) -> tuple[np.ndarray, float]:
+        """Nodal x and lambda with K x = rhs + lambda 1 and sum(x) = 0.
 
         The even part of rhs goes to the constrained solve on E, the odd
         part to conjugate gradients on A - B.  A NonConvergenceError from
@@ -144,7 +144,7 @@ class KernelOperator:
         odd_rhs = o.half_differences(rhs)
         u = z = None
         try:
-            u, lam = constrained_solve(self.apply_even, o.means(rhs), total)
+            u, lam = constrained_solve(self.apply_even, o.means(rhs), 0.0)
             if odd_rhs.any():
                 z = cg_solve(lambda v: symv(self.odd, v), odd_rhs)
         except NonConvergenceError as err:

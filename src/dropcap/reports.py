@@ -5,29 +5,13 @@ from __future__ import annotations
 import dataclasses
 import json
 
-import numpy as np
-
-from . import shapes as shp
-
 __all__ = ["jsonable", "render_json"]
 
 
 def jsonable(obj):
     """Recursively coerce results into JSON-serializable structures."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, shp.Shape):
-        return shp.shape_to_dict(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)

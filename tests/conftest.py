@@ -43,5 +43,57 @@ def ball_volume_entropic_2000():
 
 
 @pytest.fixture(scope="session")
+def stand_in_operator():
+    """A symmetric matrix as the operator of an unmirrored stand-in cloud.
+
+    The cloud has one planar node per row and the log-kernel params, so
+    capacity_from_energy takes an energy of either sign.
+    """
+
+    def wrap(K):
+        n = len(K)
+        cloud = dc.NodeCloud(
+            points=np.column_stack([np.arange(n, dtype=float), np.zeros(n)]),
+            weights=np.ones(n),
+            role="boundary",
+            shape=dc.Ball((0.0, 0.0), 1.0),
+            resolution=n,
+            components=np.zeros(n, dtype=int),
+            component_names=("nodes",),
+        )
+        return dc.KernelOperator(even=K, cloud=cloud, params=dc.KernelParams(2, 2.0))
+
+    return wrap
+
+
+@pytest.fixture
+def second_solve_fails(monkeypatch):
+    """Make the second equilibrium solve give up at its uniform start.
+
+    That solve runs with max_iter=0, so it raises NonConvergenceError
+    carrying the uniform masses and their energy; the list this returns
+    receives the error.
+    """
+    import dropcap.equilibrium
+    from dropcap.errors import NonConvergenceError
+
+    solve = dropcap.equilibrium.equilibrium_measure
+    calls, raised = [], []
+
+    def second_fails(op, **kwargs):
+        calls.append(op)
+        if len(calls) != 2:
+            return solve(op, **kwargs)
+        try:
+            return solve(op, max_iter=0)
+        except NonConvergenceError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(dropcap.equilibrium, "equilibrium_measure", second_fails)
+    return raised
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260819)

@@ -6,6 +6,8 @@ Expected values in the tests are frozen from these, never from the code
 under test.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad, solve_bvp
 
@@ -45,6 +47,23 @@ def ball_uniform_self_energy_3d(alpha: float) -> float:
 assert abs(ball_uniform_self_energy_3d(2.0) - 6.0 / 5.0) < 1e-14
 
 
+def riesz_ball_energy_3d(alpha: float) -> float:
+    """Minimal Riesz energy of the unit ball in R^3 (M. Riesz 1938).
+
+    The equilibrium density is proportional to (1 - |x|^2)^(-alpha/2),
+    and its potential at the center is the energy:
+
+        I_alpha(B_1) = G(alpha/2) G(1 + (3 - alpha)/2) / G(3/2).
+    """
+    if not 0.0 < alpha < 3.0:
+        raise ValueError("alpha must lie in (0, 3)")
+    return math.gamma(0.5 * alpha) * math.gamma(1.0 + 0.5 * (3.0 - alpha)) / math.gamma(1.5)
+
+
+# alpha = 2 is Newton's 1/R at R = 1
+assert abs(riesz_ball_energy_3d(2.0) - 1.0) < 1e-14
+
+
 def disk_uniform_log_energy() -> float:
     """Log self-energy of the uniform unit disk, by its distance density.
 
@@ -63,6 +82,30 @@ def disk_uniform_log_energy() -> float:
 # Coulomb self-energy of the uniform unit cube (probability measure),
 # frozen from an octant-reduction quadrature of the 1/r kernel.
 CUBE_SELF_ENERGY = 1.8823126443
+
+
+def cube_self_energy_quadrature(points: int) -> float:
+    """1/r self-energy of the uniform unit cube by Gauss quadrature.
+
+    Octant reduction: with delta = x - y distributed with density
+    prod(1 - |delta_i|) on [-1, 1]^3, pass to spherical coordinates so
+    the radial integral is a polynomial and the integrand is bounded;
+    the two angles take points Gauss-Legendre nodes each.
+    """
+    x, wq = np.polynomial.legendre.leggauss(points)
+    th = 0.25 * np.pi * (x + 1.0)
+    wth = 0.25 * np.pi * wq
+    TH, LM = np.meshgrid(th, th, indexing="ij")
+    W = np.outer(wth, wth) * np.sin(TH)
+    w1 = np.sin(TH) * np.cos(LM)
+    w2 = np.sin(TH) * np.sin(LM)
+    w3 = np.cos(TH)
+    T = 1.0 / np.maximum(np.maximum(w1, w2), w3)
+    e1 = w1 + w2 + w3
+    e2 = w1 * w2 + w1 * w3 + w2 * w3
+    e3 = w1 * w2 * w3
+    radial = T**2 / 2.0 - e1 * T**3 / 3.0 + e2 * T**4 / 4.0 - e3 * T**5 / 5.0
+    return float(8.0 * np.sum(W * radial))
 
 
 # ---------------------------------------------------------------------------

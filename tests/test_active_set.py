@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 import dropcap as dc
 import dropcap.equilibrium
 import dropcap.linalg
-from dropcap.equilibrium import solve_simplex_qp
 
 ORIGIN = (0.0, 0.0, 0.0)
-TOL = 1e-10  # solve_simplex_qp's default
+TOL = 1e-10  # equilibrium_measure's default
 
 # shape for a radius R and a ratio t in [0.3, 0.8]
 SHAPES = {
@@ -29,7 +28,7 @@ ORDERS = [(1.6, "volume"), (2.0, "volume"), (2.0, "boundary"), (2.4, "volume")]
 def _unscreened(cloud, params):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dropcap.linalg, "CG_SCREEN_RTOL", 0.0)
-        return solve_simplex_qp(dc.assemble_operator(cloud, params))
+        return dc.equilibrium_measure(dc.assemble_operator(cloud, params))
 
 
 @settings(max_examples=12)
@@ -47,11 +46,11 @@ def test_screened_solve_is_the_kkt_point_of_the_unscreened_one(kind, order, R, t
     cloud = dc.discretize(SHAPES[kind](R, t), M, role)
     params = dc.KernelParams(3, alpha)
     op = dc.assemble_operator(cloud, params)
-    m, lam, iters, _ = solve_simplex_qp(op)
-    m_full, lam_full, iters_full, _ = _unscreened(cloud, params)
-    assert iters == iters_full
-    assert np.array_equal(m, m_full)
-    assert lam == lam_full
+    res, full = dc.equilibrium_measure(op), _unscreened(cloud, params)
+    m, lam = res.masses, res.energy
+    assert res.iterations == full.iterations
+    assert np.array_equal(m, full.masses)
+    assert lam == full.energy
     assert m.min() >= 0.0
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
     v = op.apply(m)
@@ -80,15 +79,15 @@ def test_a_working_set_seen_twice_is_solved_in_full(monkeypatch):
 
     monkeypatch.setattr(dropcap.equilibrium, "_negative", wrong)
     op = dc.assemble_operator(cloud, params)
-    m, lam, iters, resid = solve_simplex_qp(op)
+    res = dc.equilibrium_measure(op)
     # the full set is screened out (the screen, then the orbits it drops),
     # the set without that orbit passes, and the full set, seen a second
     # time, is solved with the screen off
     assert screened == [h, h, h - 1]
-    assert iters == 3
+    assert res.iterations == 3
     monkeypatch.setattr(dropcap.equilibrium, "_negative", negative)
-    m_full, lam_full, iters_full, resid_full = _unscreened(cloud, params)
-    assert iters_full == 1
-    assert np.array_equal(m, m_full)
-    assert lam == lam_full
-    assert resid == resid_full
+    full = _unscreened(cloud, params)
+    assert full.iterations == 1
+    assert np.array_equal(res.masses, full.masses)
+    assert res.energy == full.energy
+    assert res.kkt_residual == full.kkt_residual

@@ -293,6 +293,23 @@ def test_rayleigh_subcommand(capsys):
     )
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_failed_rayleigh_solve_exits_three_and_writes_its_table(tmp_path, second_solve_fails, fmt):
+    out = tmp_path / f"rayleigh.{fmt}"
+    args = ["stability", "rayleigh", "--l", "2", "--amplitudes=-0.08,0,0.08", "--Q", "0,6", "--M", "300"]
+    assert main([*args, "--format", fmt, "--output", str(out)]) == 3
+    (err,) = second_solve_fails
+    if fmt == "json":
+        result = json.loads(out.read_text())["result"]
+        assert result["converged"] == [True, False, True]
+        assert result["riesz_energies"][1] == err.result[1]
+        assert len(result["energy_table"]) == 2
+    else:
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(r["Q"], r["amplitude"]) for r in rows[:3]] == [("0.0", "-0.08"), ("0.0", "0.0"), ("0.0", "0.08")]
+        assert [r["converged"] for r in rows] == ["True", "False", "True"] * 2
+
+
 def test_fuglede_subcommand_csv(capsys):
     code, out, _ = run_cli(
         ["stability", "fuglede", "--modes", "2,0,1.0", "--eps", "0.2,0.1",

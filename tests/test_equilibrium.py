@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import dropcap as dc
-from dropcap.equilibrium import solve_simplex_qp
 from dropcap.errors import NonConvergenceError, ValidationError
 
 import oracles
@@ -14,29 +13,29 @@ BALL3 = dc.Ball((0.0, 0.0, 0.0), 1.0)
 COULOMB = dc.KernelParams(3, 2.0)
 
 
-def test_two_node_system_solved_exactly():
+def test_two_node_system_solved_exactly(stand_in_operator):
     K = np.array([[1.0, 0.0], [0.0, 2.0]])
-    m, lam, _, resid = solve_simplex_qp(K)
-    np.testing.assert_allclose(m, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
-    assert lam == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert resid < 1e-12
+    res = dc.equilibrium_measure(stand_in_operator(K))
+    np.testing.assert_allclose(res.masses, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
+    assert res.energy == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert res.kkt_residual < 1e-12
 
 
-def test_active_set_drops_dominated_node():
+def test_active_set_drops_dominated_node(stand_in_operator):
     # node 2 is so expensive the optimum ignores it
     K = np.array([[1.0, 0.0, 5.0], [0.0, 2.0, 5.0], [5.0, 5.0, 50.0]])
-    m, lam, _, _ = solve_simplex_qp(K)
+    m = dc.equilibrium_measure(stand_in_operator(K)).masses
     assert m[2] == 0.0
     np.testing.assert_allclose(m[:2], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-10)
 
 
-def test_singular_system_returns_the_uniform_start():
+def test_singular_system_returns_the_uniform_start(stand_in_operator):
     # -11' is zero on zero-sum vectors, so the feasible start 1/n is the
     # answer and projected CG takes no step
-    m, lam, _, resid = solve_simplex_qp(-np.ones((2, 2)))
-    np.testing.assert_allclose(m, [0.5, 0.5], rtol=1e-12)
-    assert lam == pytest.approx(-1.0, rel=1e-12)
-    assert resid < 1e-12
+    res = dc.equilibrium_measure(stand_in_operator(-np.ones((2, 2))))
+    np.testing.assert_allclose(res.masses, [0.5, 0.5], rtol=1e-12)
+    assert res.energy == pytest.approx(-1.0, rel=1e-12)
+    assert res.kkt_residual < 1e-12
 
 
 def test_ball_energy_matches_newton(ball_eq_2000):

@@ -60,33 +60,35 @@ def test_column_against_row_equals_the_mesh(n_theta):
 
 
 def _lpmv_harmonic(l, m, theta, lam):
-    """Y_lm and its gradient from scipy's lpmv with the factorial normalization."""
+    """Y_lm and its gradient from scipy's lpmv with the factorial normalization.
+
+    The gradient comes from the orders m - 1 and m + 1, with no division
+    by sin(theta):
+    d/dtheta P_l^m = (P_l^(m+1) - (l + m)(l - m + 1) P_l^(m-1)) / 2 and
+    P_l^m / sin(theta) = -(P_(l-1)^(m+1) + (l + m - 1)(l + m) P_(l-1)^(m-1)) / (2m).
+    """
     am = abs(m)
     N = np.sqrt((2 * l + 1) / (4.0 * np.pi) * np.exp(special.gammaln(l - am + 1) - special.gammaln(l + am + 1)))
-    x, s = np.cos(theta), np.sin(theta)
+    x = np.cos(theta)
     P = special.lpmv(am, l, x)
-    Pm1 = special.lpmv(am, l - 1, x) if l > am else np.zeros_like(x)
-    dP = (l * x * P - (l + am) * Pm1) / s
     if m == 0:
-        return N * P, N * dP, np.zeros_like(x)
+        return N * P, N * special.lpmv(1, l, x), np.zeros_like(x)
+    dP = 0.5 * (special.lpmv(am + 1, l, x) - (l + am) * (l - am + 1) * special.lpmv(am - 1, l, x))
+    P_over_s = -(special.lpmv(am + 1, l - 1, x) + (l + am - 1) * (l + am) * special.lpmv(am - 1, l - 1, x)) / (2 * am)
     trig, dtrig = (np.cos, lambda t: -np.sin(t)) if m > 0 else (np.sin, np.cos)
     c = np.sqrt(2.0) * N
-    return c * P * trig(am * lam), c * dP * trig(am * lam), c * P / s * am * dtrig(am * lam)
+    return c * P * trig(am * lam), c * dP * trig(am * lam), c * P_over_s * am * dtrig(am * lam)
 
 
 def test_recurrence_matches_scipy_lpmv_to_degree_sixty():
-    # values on [0, pi], poles included; the gradients away from the
-    # poles, where their 1/sin(theta) does not amplify round-off
+    # values and gradients on [0, pi], poles included
     theta = np.linspace(0.0, np.pi, 41)
     lam = np.linspace(0.0, 2.0 * np.pi, 41)
-    inner = slice(3, -3)
     for l in range(61):
         for m in (*range(l + 1), -l, -(l // 2)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ref = _lpmv_harmonic(l, m, theta, lam)
+            ref = _lpmv_harmonic(l, m, theta, lam)
             got = (real_sph_harm(l, m, theta, lam), *real_sph_harm_gradient(l, m, theta, lam))
             for k, (g, r) in enumerate(zip(got, ref)):
-                g, r = (g, r) if k == 0 else (g[inner], r[inner])
                 scale = max(1.0, np.abs(r).max())
                 np.testing.assert_allclose(g, r, rtol=0, atol=1e-13 * scale, err_msg=f"{(l, m, k)}")
 

@@ -42,6 +42,17 @@ def test_many_balls_components_and_shape():
     assert dc.volume(p.shape) <= 4.0 * np.pi / 3.0 + 1e-12
 
 
+def test_many_balls_off_coulomb_solves_the_ball_energy():
+    # below alpha = 2 the unit ball's energy comes from a 1500-node volume
+    # solve; the bound is the largest error of that path at alpha = 1.5
+    # over n = 1189...6403 (ROADMAP item 4), 1.0e-2
+    alpha, beta, charge = 1.5, 0.6, 2.0
+    for p in dc.many_balls_family([4, 16], beta=beta, charge=charge, alpha=alpha):
+        r = float(p.n) ** -beta
+        exact = charge**2 / p.n * r ** (alpha - 3.0) * oracles.riesz_ball_energy_3d(alpha)
+        assert p.components["interaction"] == pytest.approx(exact, rel=1.0e-2)
+
+
 def test_many_balls_numeric_close_to_closed_form():
     p = dc.many_balls_family([8], beta=0.6, charge=1.0, numeric_nodes=500)[0]
     assert p.numeric_energy == pytest.approx(p.analytic_energy, rel=0.02)
@@ -223,6 +234,16 @@ def test_rayleigh_threshold_matches_linear_stability():
     assert scan.d2_perimeter == pytest.approx(
         2.0 * oracles.perimeter_quadratic_form(2), rel=0.05
     )
+
+
+def test_a_failed_rayleigh_solve_keeps_its_best_iterate(second_solve_fails):
+    scan = dc.rayleigh_scan(2, [-0.08, 0.0, 0.08], [0.0, 3.0], n_nodes=300)
+    (err,) = second_solve_fails
+    lam = err.result[1]
+    assert scan.converged == (True, False, True)
+    assert scan.riesz_energies[1] == lam
+    for qi, q in enumerate(scan.charges):
+        assert scan.energy_table[qi][1] == scan.perimeters[1] + q * q * lam
 
 
 def test_rayleigh_amplitude_preconditions():

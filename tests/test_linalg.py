@@ -1,5 +1,7 @@
 """The constrained solve: projected CG against a bordered reference, screening, breakdown."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 import dropcap as dc
 import dropcap.equilibrium
 import dropcap.linalg
-from dropcap.equilibrium import solve_simplex_qp
 from dropcap.errors import NonConvergenceError
 from dropcap.instability import _random_polygon, _regular_polygon
 from dropcap.linalg import CG_SCREEN_RTOL, ScreenedOut, cg_solve, constrained_solve, symv
@@ -48,11 +49,16 @@ def _bordered_solve_of(apply, rhs, total=1.0, screen=None):
     return _bordered(A, rhs, total)
 
 
-def _with_bordered_working_sets(fn, *args):
-    """fn(*args) with every active-set working set solved by _bordered."""
+def _bordered_equilibrium(op):
+    """equilibrium_measure on op's unmirrored copy, every working set solved by _bordered.
+
+    The copy's even block is the full K, so each working set is a system
+    of its nodes, as in the unreduced program.
+    """
+    full = dc.KernelOperator(even=op.matrix, cloud=replace(op.cloud, mirror=None), params=op.params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dropcap.equilibrium, "constrained_solve", _bordered_solve_of)
-        return fn(*args)
+        return dc.equilibrium_measure(full)
 
 
 def _max_rel(a, b):
@@ -70,14 +76,13 @@ def _operator(name, R, M):
 @given(R=radii, M=node_counts)
 def test_cg_agrees_with_bordered_solve(name, R, M):
     op = _operator(name, R, M)
-    m, lam, iters, _ = solve_simplex_qp(op)
-    m_lu, lam_lu, iters_lu, _ = _with_bordered_working_sets(solve_simplex_qp, op.matrix)
-    assert iters == iters_lu
-    assert _max_rel(m, m_lu) <= 1e-12
-    assert lam == pytest.approx(lam_lu, rel=1e-12)
+    res, lu = dc.equilibrium_measure(op), _bordered_equilibrium(op)
+    assert res.iterations == lu.iterations
+    assert _max_rel(res.masses, lu.masses) <= 1e-12
+    assert res.energy == pytest.approx(lu.energy, rel=1e-12)
     if name == "annulus":
         # the inner sphere drops out, so restricted sets were solved
-        assert iters > 1 and np.count_nonzero(m) < len(m)
+        assert res.iterations > 1 and np.count_nonzero(res.masses) < len(res.masses)
 
 
 @generated
@@ -105,7 +110,7 @@ def test_field_solve_agrees_with_bordered_solve(center, R, M, E):
     cloud = dc.discretize(dc.Ball(center, R), M, "boundary")
     op = dc.assemble_operator(cloud, COULOMB)
     rhs = -0.5 * dc.LinearPotential(E).potential_values(cloud.points)
-    w, lam = op.solve(rhs, 0.0)
+    w, lam = op.solve(rhs)
     w_lu, lam_lu = _bordered(op.matrix, rhs, 0.0)
     assert _max_rel(w, w_lu) <= 1e-12
     # lambda may sit near zero: compare it on the scale of rhs
@@ -216,26 +221,29 @@ def test_a_centred_field_does_no_even_solve(monkeypatch):
 
 def test_screen_sees_one_loose_iterate():
     K = _operator("boundary ball, alpha=2", 1.0, 300).matrix
-    b = np.ones(len(K))
+    rhs = np.zeros(len(K))
+    start = np.linalg.norm(K.mean(axis=1))  # the residual of x0 = 1/n
 
     def apply(v):
         return symv(K, v)
 
     def residual(x):
-        return np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+        r = K @ x
+        return np.linalg.norm(r - r.mean()) / start
 
     seen = []
-    x = cg_solve(apply, b, lambda x: seen.append(residual(x)) or True)
-    assert np.array_equal(x, cg_solve(apply, b))  # a passed screen changes nothing
+    x, lam = constrained_solve(apply, rhs, 1.0, lambda x: seen.append(residual(x)) or True)
+    x_plain, lam_plain = constrained_solve(apply, rhs, 1.0)
+    assert np.array_equal(x, x_plain) and lam == lam_plain  # a passed screen changes nothing
     assert len(seen) == 1
     assert 1e-12 < seen[0] <= 2.0 * CG_SCREEN_RTOL
     with pytest.raises(ScreenedOut) as stop:
-        cg_solve(apply, b, lambda x: False)
+        constrained_solve(apply, rhs, 1.0, lambda x: False)
     assert residual(stop.value.x) == pytest.approx(seen[0], rel=1e-6)
 
 
-def _count_products(fn, *args):
-    """fn(*args) and the number of products with K or E the active-set loop took."""
+def _count_products(op):
+    """equilibrium_measure(op) and the number of products with K or E it took."""
     products = 0
 
     def counted(A, x):
@@ -245,20 +253,20 @@ def _count_products(fn, *args):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dropcap.equilibrium, "symv", counted)
-        result = fn(*args)
+        result = dc.equilibrium_measure(op)
     return result, products
 
 
 def _screened_and_unscreened(cloud, params):
-    """(masses, lambda, iterations, products) with the screen on, then off."""
+    """(iterations, products) with the screen on, then off."""
     op = dc.assemble_operator(cloud, params)
-    (m, lam, iters, _), products = _count_products(solve_simplex_qp, op)
+    res, products = _count_products(op)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dropcap.linalg, "CG_SCREEN_RTOL", 0.0)
         op_full = dc.assemble_operator(cloud, params)
-        (m_full, lam_full, iters_full, _), full = _count_products(solve_simplex_qp, op_full)
-    assert np.array_equal(m, m_full) and lam == lam_full
-    return op, (iters, products), (iters_full, full)
+        res_full, full = _count_products(op_full)
+    assert np.array_equal(res.masses, res_full.masses) and res.energy == res_full.energy
+    return op, (res.iterations, products), (res_full.iterations, full)
 
 
 def test_screen_cuts_the_products_of_collapsing_working_sets():
@@ -284,11 +292,11 @@ def test_log_circle_is_solved_at_the_uniform_start():
     # start residual the run stops relative to: it steps on round-off.)
     cloud = dc.discretize(dc.Ball((0.0, 0.0), 2.0), 300, "boundary")
     op = dc.assemble_operator(cloud, dc.KernelParams(2, 2.0))
-    (m, lam, iters, resid), products = _count_products(solve_simplex_qp, op)
-    assert products == 2 and iters == 1
-    assert np.array_equal(m, np.full(op.n_nodes, 1.0 / op.n_nodes))
-    assert resid < 1e-12
-    assert dc.capacity_from_energy(lam, op.params) == pytest.approx(2.0, rel=0.02)
+    res, products = _count_products(op)
+    assert products == 2 and res.iterations == 1
+    assert np.array_equal(res.masses, np.full(op.n_nodes, 1.0 / op.n_nodes))
+    assert res.kkt_residual < 1e-12
+    assert res.capacity == pytest.approx(2.0, rel=0.02)
 
 
 # planar shapes for the log kernel: kind, then a seed, polygon order or radius
@@ -314,16 +322,16 @@ def test_log_kernel_solves_agree_with_the_bordered_reference(shape, M):
     kind, value = shape
     cloud = dc.discretize(_log_shape(kind, value), M, "boundary")
     op = dc.assemble_operator(cloud, dc.KernelParams(2, 2.0))
-    m, lam, iters, resid = solve_simplex_qp(op)
-    assert resid < 1e-12
+    res = dc.equilibrium_measure(op)
+    assert res.kkt_residual < 1e-12
     if kind == "disk" and value != 1.0:
         # the uniform start is exact here, and the LU is the less accurate side
         return
-    m_lu, lam_lu, iters_lu, _ = _with_bordered_working_sets(solve_simplex_qp, op.matrix)
-    assert iters == iters_lu
-    assert _max_rel(m, m_lu) <= 1e-12
+    lu = _bordered_equilibrium(op)
+    assert res.iterations == lu.iterations
+    assert _max_rel(res.masses, lu.masses) <= 1e-12
     # lambda = -log(capacity) sits near zero for these unit-area shapes
-    assert abs(lam - lam_lu) <= 1e-12 * max(abs(lam_lu), 1.0)
+    assert abs(res.energy - lu.energy) <= 1e-12 * max(abs(lu.energy), 1.0)
 
 
 def test_a_log_polygon_indefinite_on_zero_sum_vectors_solves_like_the_reference():
@@ -337,17 +345,16 @@ def test_a_log_polygon_indefinite_on_zero_sum_vectors_solves_like_the_reference(
     K = op.matrix
     P = np.eye(len(K)) - 1.0 / len(K)
     assert np.linalg.eigvalsh(P @ K @ P)[0] < -0.1
-    m, lam, iters, resid = solve_simplex_qp(op)
-    m_lu, lam_lu, iters_lu, _ = _with_bordered_working_sets(solve_simplex_qp, K)
-    assert iters == iters_lu == 1
-    assert m.min() > 0.0
-    assert resid < 1e-12
+    res, lu = dc.equilibrium_measure(op), _bordered_equilibrium(op)
+    assert res.iterations == lu.iterations == 1
+    assert res.masses.min() > 0.0
+    assert res.kkt_residual < 1e-12
     # the negative direction costs a digit against the definite shapes
-    assert _max_rel(m, m_lu) <= 1e-11
-    assert abs(lam - lam_lu) <= 1e-12 * max(abs(lam_lu), 1.0)
+    assert _max_rel(res.masses, lu.masses) <= 1e-11
+    assert abs(res.energy - lu.energy) <= 1e-12 * max(abs(lu.energy), 1.0)
 
 
-def test_a_shift_by_c_11t_changes_only_the_multiplier():
+def test_a_shift_by_c_11t_changes_only_the_multiplier(stand_in_operator):
     # K - c 11' with 1'(K - c 11')1 < 0 is indefinite; on zero-sum vectors
     # it is K, and its constrained solution keeps K's masses and shifts the
     # multiplier by -c
@@ -355,14 +362,15 @@ def test_a_shift_by_c_11t_changes_only_the_multiplier():
     c = 2.0 * K.mean()
     A = K - c
     assert np.linalg.eigvalsh(A)[0] < 0.0
-    m, lam, iters, _ = solve_simplex_qp(A)
+    res = dc.equilibrium_measure(stand_in_operator(A))
+    m, lam = res.masses, res.energy
     m_lu, lam_lu = _bordered(A)
-    m_K, lam_K, _, _ = solve_simplex_qp(K)
-    assert iters == 1
+    on_K = dc.equilibrium_measure(stand_in_operator(K))
+    assert res.iterations == 1
     assert _max_rel(m, m_lu) <= 1e-12
     assert lam == pytest.approx(lam_lu, rel=1e-12)
-    assert _max_rel(m, m_K) <= 1e-12
-    assert lam == pytest.approx(lam_K - c, rel=1e-12)
+    assert _max_rel(m, on_K.masses) <= 1e-12
+    assert lam == pytest.approx(on_K.energy - c, rel=1e-12)
 
 
 def test_a_stalled_run_raises_after_as_many_products_as_unknowns(monkeypatch):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import dropcap as dc
-from dropcap.equilibrium import solve_simplex_qp
 from dropcap.errors import NonConvergenceError, ValidationError
 from dropcap.kernels import kernel_of_distance
 from dropcap.operators import diagonal_self_energy
@@ -172,14 +171,15 @@ def _reflected_cloud(seed, k, with_center):
 
 
 def _kkt_point_or_a_feasible_raise(op, tol=1e-10):
-    """The energy of solve_simplex_qp's KKT point, or None if it raised."""
+    """The energy of equilibrium_measure's KKT point, or None if it raised."""
     try:
-        m, lam, _, resid = solve_simplex_qp(op, tol=tol)
+        res = dc.equilibrium_measure(op, tol=tol)
     except NonConvergenceError as err:
         m, lam = err.result
         lam = None
     else:
-        assert resid <= tol * max(abs(lam), 1.0)
+        m, lam = res.masses, res.energy
+        assert res.kkt_residual <= tol * max(abs(lam), 1.0)
     assert m.min() >= 0.0
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
     return lam
@@ -206,10 +206,9 @@ def test_reflected_random_clouds_solve_like_their_stripped_copies(seed, k, with_
             else:
                 assert lam == pytest.approx(lam_full, rel=1e-13)
             continue
-        m, lam, _, _ = solve_simplex_qp(op)
-        _, lam_full, _, _ = solve_simplex_qp(op_full)
-        assert lam == pytest.approx(lam_full, rel=1e-13)
-        assert np.array_equal(m, m[cloud.mirror])
+        res, res_full = dc.equilibrium_measure(op), dc.equilibrium_measure(op_full)
+        assert res.energy == pytest.approx(res_full.energy, rel=1e-13)
+        assert np.array_equal(res.masses, res.masses[cloud.mirror])
 
 
 @settings(max_examples=10)
