@@ -24,7 +24,6 @@ from .equilibrium import (
     drop_energy,
     equilibrium_measure,
     farfield_check,
-    potential,
     solve_shape,
     support_profile,
 )
@@ -75,7 +74,6 @@ from .shapes import (
     NearlySpherical,
     Shape,
     UnionOfBalls,
-    dim_of,
     perimeter,
     renormalize_to_unit_volume,
     shape_from_dict,
@@ -118,7 +116,6 @@ __all__ = [
     "capacity_from_energy",
     "convex_scan_2d",
     "default_role",
-    "dim_of",
     "discretize",
     "drop_energy",
     "entropic_ball_value",
@@ -133,7 +130,6 @@ __all__ = [
     "many_balls_family",
     "perimeter",
     "perimeter_expansion_coefficients",
-    "potential",
     "potential_at",
     "radial_density_profile",
     "rayleigh_scan",

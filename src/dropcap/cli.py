@@ -27,7 +27,6 @@ from .equilibrium import (
     drop_energy,
     equilibrium_measure,
     farfield_check,
-    support_profile,
 )
 from .errors import DropcapError, NonConvergenceError
 from .external_field import LinearPotential, solve_external, verify_optimality
@@ -81,9 +80,9 @@ def _load_shape(args) -> shp.Shape:
         with open(text, encoding="utf-8") as fh:
             text = fh.read()
     shape = shp.shape_from_json(text)
-    if args.dim is not None and shp.dim_of(shape) != args.dim:
+    if args.dim is not None and shape.dim != args.dim:
         raise shp.ValidationError(
-            f"--dim {args.dim} does not match the shape's dimension {shp.dim_of(shape)}"
+            f"--dim {args.dim} does not match the shape's dimension {shape.dim}"
         )
     return shape
 
@@ -103,13 +102,7 @@ def _write_text(path, text: str):
 
 
 def _csv_cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return int(v)
-    return v
+    return repr(float(v)) if isinstance(v, float) else v
 
 
 def _render_csv(rows: list[dict]) -> str:
@@ -135,8 +128,14 @@ def _emit(args, result, rows) -> None:
 def _solve_cloud(args, shape, alpha):
     role = args.role or default_role(alpha)
     cloud = discretize(shape, args.M, role)
-    op = assemble_operator(cloud, KernelParams(shp.dim_of(shape), alpha))
-    return cloud, op
+    return assemble_operator(cloud, KernelParams(shape.dim, alpha))
+
+
+def _node_rows(cloud, **columns) -> list[dict]:
+    """One row per node: its coordinates x0, x1, ..., then the named columns."""
+    table = {f"x{i}": x for i, x in enumerate(cloud.points.T)} | columns
+    values = (np.asarray(v, dtype=float).tolist() for v in table.values())
+    return [dict(zip(table, row)) for row in zip(*values)]
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +143,11 @@ def _solve_cloud(args, shape, alpha):
 
 
 def _run_capacity(args):
-    shape = _load_shape(args)
-    cloud, op = _solve_cloud(args, shape, args.alpha)
+    op = _solve_cloud(args, _load_shape(args), args.alpha)
     try:
         res = equilibrium_measure(op, tol=args.tol)
     except NonConvergenceError as err:
-        masses, lam = err.result
+        _, lam = err.result
         row = {
             "riesz_energy": float(lam),
             "capacity": None,
@@ -169,46 +167,35 @@ def _run_capacity(args):
 
 
 def _run_equilibrium(args):
-    shape = _load_shape(args)
-    cloud, op = _solve_cloud(args, shape, args.alpha)
+    op = _solve_cloud(args, _load_shape(args), args.alpha)
     try:
         res = equilibrium_measure(op, tol=args.tol)
     except NonConvergenceError as err:
         masses, lam = err.result
         result = {"converged": False, "riesz_energy": float(lam), "kkt_residual": err.residual}
-        rows = [
-            {**{f"x{i}": p[i] for i in range(p.shape[0])}, "mass": m}
-            for p, m in zip(cloud.points, masses)
-        ]
-        return result, rows, 3
+        return result, _node_rows(op.cloud, mass=masses), 3
     result = res.summary()
     result["converged"] = True
-    result["support"] = support_profile(res)
+    result["support"] = result["component_masses"]
     if args.farfield_radii:
         result["farfield"] = farfield_check(res.measure, op.params, args.farfield_radii)
-    rows = []
-    for p, w, m, v in zip(cloud.points, cloud.weights, res.masses, res.potential_on_nodes):
-        row = {f"x{i}": p[i] for i in range(p.shape[0])}
-        row.update(weight=w, mass=m, potential=v)
-        rows.append(row)
+    rows = _node_rows(
+        op.cloud, weight=op.cloud.weights, mass=res.masses, potential=res.potential_on_nodes
+    )
     return result, rows, 0
 
 
 def _run_external_field(args):
     shape = _load_shape(args)
     phi = LinearPotential(args.field)
-    if shp.dim_of(shape) != phi.dim:
+    if shape.dim != phi.dim:
         raise shp.ValidationError("--field must have one component per dimension")
-    cloud, op = _solve_cloud(args, shape, 2.0)
+    op = _solve_cloud(args, shape, 2.0)
     res = solve_external(op, phi)
     result = res.summary()
     result["F"] = res.F_value
     result["optimality"] = verify_optimality(res, op, phi, trials=args.trials, seed=args.seed)
-    rows = []
-    for p, w, m in zip(cloud.points, cloud.weights, res.measure.masses):
-        row = {f"x{i}": p[i] for i in range(p.shape[0])}
-        row.update(weight=w, mass=m)
-        rows.append(row)
+    rows = _node_rows(op.cloud, weight=op.cloud.weights, mass=res.measure.masses)
     return result, rows, 0
 
 
@@ -222,12 +209,7 @@ def _run_entropic(args):
         result["charge"] = args.Q
         result["total_energy"] = total.total
         result["perimeter"] = total.perimeter
-    rows = []
-    for p, w, d in zip(cloud.points, cloud.weights, res.density):
-        row = {f"x{i}": p[i] for i in range(p.shape[0])}
-        row.update(weight=w, density=d)
-        rows.append(row)
-    return result, rows, 0
+    return result, _node_rows(cloud, weight=cloud.weights, density=res.density), 0
 
 
 def _run_energy(args):
@@ -244,20 +226,18 @@ def _run_energy(args):
     return row, [row], 0
 
 
-def _family_rows(points):
-    rows = []
-    for p in points:
-        rows.append(
-            {
-                "n": p.n,
-                "perimeter": p.components["perimeter"],
-                "interaction": p.components["interaction"],
-                "field": p.components["field"],
-                "energy": p.analytic_energy,
-                "numeric_energy": p.numeric_energy,
-            }
-        )
-    return rows
+def _family(name, points, **extra):
+    """The result and the rows of a competitor family: one row per point."""
+    rows = [
+        {
+            "n": p.n,
+            **p.components,
+            "energy": p.analytic_energy,
+            "numeric_energy": p.numeric_energy,
+        }
+        for p in points
+    ]
+    return {"family": name, "points": rows, **extra}, rows, 0
 
 
 def _run_many_balls(args):
@@ -270,9 +250,7 @@ def _run_many_balls(args):
         separation=args.separation,
         numeric_nodes=args.numeric_nodes,
     )
-    rows = _family_rows(points)
-    result = {"family": "many-balls", "points": rows}
-    return result, rows, 0
+    return _family("many-balls", points)
 
 
 def _run_two_balls(args):
@@ -282,21 +260,11 @@ def _run_two_balls(args):
         n_nodes=args.M,
         dim=args.dim if args.dim is not None else 3,
     )
-    rows = _family_rows(points)
-    result = {"family": "two-balls", "points": rows}
-    return result, rows, 0
+    return _family("two-balls", points)
 
 
 def _run_slab(args):
-    out = slab_family(args.n, field_strength=args.E, n_nodes=args.M)
-    rows = _family_rows(out["points"])
-    result = {
-        "family": "slab",
-        "points": rows,
-        "fitted_exponents": out["fitted_exponents"],
-        "crossover": out["crossover"],
-    }
-    return result, rows, 0
+    return _family("slab", **slab_family(args.n, field_strength=args.E, n_nodes=args.M))
 
 
 def _run_fuglede(args):

@@ -116,7 +116,6 @@ class NodeCloud:
     weights: np.ndarray
     role: str
     shape: shp.Shape
-    resolution: int
     components: np.ndarray
     component_names: tuple[str, ...]
     mirror: np.ndarray | None = None
@@ -479,7 +478,6 @@ def discretize(shape: shp.Shape, n_nodes: int, role: str) -> NodeCloud:
         weights=w,
         role=role,
         shape=shape,
-        resolution=n_nodes,
         components=comp,
         component_names=names,
         mirror=mirror,

@@ -40,7 +40,6 @@ __all__ = [
     "equilibrium_measure",
     "solve_shape",
     "capacity_from_energy",
-    "potential",
     "farfield_check",
     "support_profile",
     "drop_energy",
@@ -265,20 +264,12 @@ def solve_shape(
     boundary clouds from 2 up.  Either role is accepted for any
     admissible exponent; the minimizer decides where mass lives.
     """
-    params = KernelParams(shp.dim_of(shape), float(alpha))
+    params = KernelParams(shape.dim, float(alpha))
     if role is None:
         role = default_role(params.alpha)
     cloud = discretize(shape, n_nodes, role)
     op = assemble_operator(cloud, params)
     return equilibrium_measure(op)
-
-
-def potential(measure: Measure, params: KernelParams, points) -> np.ndarray:
-    """Potential of a nodal measure at the given points.
-
-    Points that coincide with nodes pick up the desingularized self term.
-    """
-    return potential_at(params, measure.cloud, measure.masses, points)
 
 
 def _shape_center(shape: shp.Shape, cloud: NodeCloud) -> np.ndarray:
@@ -325,7 +316,7 @@ def farfield_check(measure: Measure, params: KernelParams, radii) -> dict:
     dirs = _directions(cloud.dim)
     rows = []
     for r in radii:
-        v = potential(measure, params, center + r * dirs)
+        v = potential_at(params, cloud, measure.masses, center + r * dirs)
         if params.is_log:
             scaled = float(np.mean(v) + np.log(r))
             target = 0.0
@@ -340,15 +331,12 @@ def farfield_check(measure: Measure, params: KernelParams, radii) -> dict:
     }
 
 
-def support_profile(result: EquilibriumResult, regions="components"):
-    """Distribution of equilibrium mass over regions of the shape.
+def support_profile(result: EquilibriumResult, regions: int) -> list[dict]:
+    """Equilibrium mass in each of regions equal-width radial shells.
 
-    regions="components" sums mass per labeled component (inner/outer
-    sphere, ball index, face).  An integer asks instead for that many
-    equal-width radial shells around the shape center.
+    The shells are centered on the shape's center; the mass per labeled
+    component is EquilibriumResult.summary()["component_masses"].
     """
-    if regions == "components":
-        return result.cloud.component_masses(result.masses)
     return [
         {"r_min": lo, "r_max": hi, "mass": float(result.masses[sel].sum())}
         for lo, hi, sel in _radial_shells(result.cloud, int(regions))

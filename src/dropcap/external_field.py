@@ -184,8 +184,7 @@ def induced_charge(
     role: str = "boundary",
 ) -> FieldResult:
     """Discretize a conductor and solve the external-field problem on it."""
-    dim = shp.dim_of(shape)
-    params = KernelParams(dim, 2.0)
+    params = KernelParams(shape.dim, 2.0)
     cloud = discretize(shape, n_nodes, role)
     op = assemble_operator(cloud, params)
     return solve_external(op, field)

@@ -108,20 +108,19 @@ def real_sph_harm_gradient(l: int, m: int, theta, lam):
 
 
 @lru_cache(maxsize=16)
-def gauss_sphere_grid(n_theta: int, n_lam: int | None = None):
+def gauss_sphere_grid(n_theta: int):
     """Product quadrature grid on the sphere, spectrally accurate.
 
     Gauss-Legendre in cos(theta) times uniform azimuth.  Returns meshed
-    (theta, lam, weights) arrays of shape (n_theta, n_lam); the weights
-    integrate against the surface measure and sum to 4*pi.
+    (theta, lam, weights) arrays of shape (n_theta, 2 n_theta); the
+    weights integrate against the surface measure and sum to 4*pi.
     """
-    if n_lam is None:
-        n_lam = 2 * n_theta
+    n_azimuth = 2 * n_theta
     x, wx = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x)
-    lam = (np.arange(n_lam) + 0.5) * (2.0 * np.pi / n_lam)
+    lam = (np.arange(n_azimuth) + 0.5) * (2.0 * np.pi / n_azimuth)
     TH, LM = np.meshgrid(theta, lam, indexing="ij")
-    W = np.outer(wx, np.full(n_lam, 2.0 * np.pi / n_lam))
+    W = np.outer(wx, np.full(n_azimuth, 2.0 * np.pi / n_azimuth))
     TH.flags.writeable = False
     LM.flags.writeable = False
     W.flags.writeable = False

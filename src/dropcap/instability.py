@@ -102,8 +102,9 @@ def many_balls_family(
     is 1 exactly in the Coulombic three-dimensional case; otherwise the
     equilibrium solver computes it once, on a 1500-node cloud.  Setting
     numeric_nodes > 0 also evaluates the interaction on volume clouds of
-    the droplets, self terms plus all pairwise cross terms (each through
-    potential_at on the one droplet template, shifted).
+    the droplets, self terms plus all pairwise cross terms: one
+    potential_at on the droplet template, shifted, per distance between
+    droplets, since the n - k pairs k places apart interact alike.
     """
     beta = float(beta)
     if not 1.0 < alpha < dim:
@@ -161,15 +162,12 @@ def _droplet_interaction_numeric(n, r, charge, dim, alpha, separation, nodes):
     template = discretize(shp.Ball((0.0,) * dim, r), nodes, "volume")
     op = assemble_operator(template, params)
     u = template.weights / template.weights.sum() * (charge / n)
-    self_one = op.energy(u)
-    total = n * self_one
-    centers = [
-        np.array((separation * i,) + (0.0,) * (dim - 1)) for i in range(1, n + 1)
-    ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            shifted = template.points + (centers[i] - centers[j])
-            total += 2.0 * float(potential_at(params, template, u, shifted) @ u)
+    total = n * op.energy(u)
+    # droplets k places apart interact alike, and n - k pairs are that far apart
+    for k in range(1, n):
+        shifted = template.points.copy()
+        shifted[:, 0] -= k * separation
+        total += 2.0 * (n - k) * float(potential_at(params, template, u, shifted) @ u)
     return total
 
 
@@ -427,8 +425,8 @@ def rayleigh_threshold_mode(l: int) -> float:
     return float(np.sqrt(2.0 * np.pi * (l + 2)))
 
 
-def _renormalized_mode_shape(l: int, t: float, quad_order: int = 48):
-    shape = shp.NearlySpherical(modes=((l, 0, 1.0),), eps=t, quad_order=quad_order)
+def _renormalized_mode_shape(l: int, t: float):
+    shape = shp.NearlySpherical(modes=((l, 0, 1.0),), eps=t)
     return shp.renormalize_to_unit_volume(shape)
 
 

@@ -26,8 +26,7 @@ An unmirrored cloud has one orbit per node, and E is K itself.  E is
 assembled with the operator, h^2 kernel entries for h orbits where K
 takes n^2/2; A - B is assembled on the first product with an odd
 vector, as 2 (A - E), so from h^2/2 entries of A alone, and an
-equilibrium-only run never stores it.  The full K (matrix) is formed
-only when a test asks for it; no solve reads it.  Each block is filled
+equilibrium-only run never stores it.  Each block is filled
 in one pass over row blocks of its lower triangle: a block of pairwise
 distances, held in one reused buffer, becomes kernel values in place
 and is stored with its transpose, so each entry is computed once and
@@ -108,17 +107,6 @@ class KernelOperator:
         o = self.orbits
         pairs, paired = o.reps[: o.n_pairs], self.even[: o.n_pairs, : o.n_pairs]
         return _orbit_block(self.cloud, self.params, pairs, pairs[:0], even=paired)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The full n x n kernel matrix in node order, formed on first use.
-
-        Only tests read it: every solve runs on the orbit blocks.
-        """
-        if not self.orbits.n_pairs:
-            return self.even
-        nodes = np.arange(self.n_nodes)
-        return _orbit_block(self.cloud, self.params, nodes, nodes[:0])
 
     def apply_even(self, u) -> np.ndarray:
         """Node potentials, one per orbit, of the even measure with orbit masses u."""
@@ -264,7 +252,7 @@ def assemble_operator(cloud: NodeCloud, params: KernelParams) -> KernelOperator:
     """The kernel operator of a cloud, with the desingularized diagonal.
 
     Assembles the even block over the cloud's orbits (K itself for an
-    unmirrored cloud); the odd block and the full matrix wait until used.
+    unmirrored cloud); the odd block waits until used.
     """
     if params.dim != cloud.dim:
         raise ValidationError(

@@ -32,7 +32,6 @@ __all__ = [
     "NearlySpherical",
     "Shape",
     "VARIANTS",
-    "dim_of",
     "perimeter",
     "volume",
     "shape_to_dict",
@@ -446,10 +445,6 @@ VARIANTS = {
     cls.variant: cls
     for cls in (Ball, Annulus, UnionOfBalls, Box, ConvexPolygon2D, NearlySpherical)
 }
-
-
-def dim_of(shape: Shape) -> int:
-    return shape.dim
 
 
 def perimeter(shape: Shape) -> float:

@@ -57,7 +57,6 @@ def stand_in_operator():
             weights=np.ones(n),
             role="boundary",
             shape=dc.Ball((0.0, 0.0), 1.0),
-            resolution=n,
             components=np.zeros(n, dtype=int),
             component_names=("nodes",),
         )

@@ -1,9 +1,9 @@
 """Independent oracle values for the test suite.
 
-Everything here is computed without importing the package: closed
-forms, textbook identities, and a radial two-point boundary-value solve.
-Expected values in the tests are frozen from these, never from the code
-under test.
+Everything here but full_kernel_matrix is computed without importing
+the package: closed forms, textbook identities, and a radial two-point
+boundary-value solve.  Expected values in the tests are frozen from
+these, never from the code under test.
 """
 
 import math
@@ -208,3 +208,20 @@ def raw_perimeter_p2(modes) -> float:
 def regular_polygon_perimeter(m: int) -> float:
     R = np.sqrt(2.0 * np.pi / (m * np.sin(2.0 * np.pi / m)))
     return 2.0 * m * R * np.sin(np.pi / m)
+
+
+# ---------------------------------------------------------------------------
+# reference operator
+
+def full_kernel_matrix(cloud, params) -> np.ndarray:
+    """The package's full n x n kernel matrix of a cloud, in node order.
+
+    The operator of the cloud with its mirror dropped: its even block is
+    the unreduced K, which tests compare the orbit blocks and the solves
+    with.
+    """
+    from dataclasses import replace
+
+    import dropcap
+
+    return dropcap.assemble_operator(replace(cloud, mirror=None), params).even

@@ -54,6 +54,10 @@ def test_validation_failures_exit_two(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run_cli(["capacity", "--shape", str(bad)], capsys)
     assert code == 2
+    bad.write_text("[1, 2]")  # a file, since an inline spec starts with "{"
+    code, _, err = run_cli(["capacity", "--shape", str(bad)], capsys)
+    assert code == 2
+    assert err.strip() == "error: shape specification must be a JSON object"
     code, _, err = run_cli(
         ["family", "many-balls", "--beta", "0.4", "--Q", "1", "--n", "4"], capsys
     )
@@ -65,6 +69,7 @@ def test_validation_failures_exit_two(capsys, tmp_path):
 
 
 BALL_4D = '{"variant": "ball", "center": [%s, 0, 0, 0], "radius": 1}'
+BOX_3D = '{"variant": "box", "center": [0, 0, 0], "half_widths": [1, 1, 1]}'
 
 
 # (shape JSON, a word the one-line error must contain)
@@ -101,6 +106,41 @@ MALFORMED = {
     "mode_degree": (
         '{"variant": "nearly_spherical", "modes": [[100000, 0, 1]], "eps": 0.1}',
         "l=100000",
+    ),
+    "ball_1d": ('{"variant": "ball", "center": [0], "radius": 1}', "ball center must have dimension >= 2"),
+    "annulus_1d": (
+        '{"variant": "annulus", "center": [0], "r_inner": 0.5, "r_outer": 1}',
+        "annulus center must have dimension >= 2",
+    ),
+    "empty_union": ('{"variant": "union_of_balls", "balls": []}', "union of balls needs at least one ball"),
+    "union_of_a_box": (
+        '{"variant": "union_of_balls", "balls": [%s]}' % BOX_3D,
+        "union_of_balls entries must be balls",
+    ),
+    "union_mixed_dims": (
+        '{"variant": "union_of_balls", "balls": [%s, %s]}'
+        % (BALL_JSON, '{"variant": "ball", "center": [5, 0], "radius": 1}'),
+        "all balls must share one ambient dimension",
+    ),
+    "box_1d": (
+        '{"variant": "box", "center": [0], "half_widths": [1]}',
+        "box center must have dimension >= 2",
+    ),
+    "box_widths": (
+        '{"variant": "box", "center": [0, 0, 0], "half_widths": [1, 1]}',
+        "box half_widths must match center dimension",
+    ),
+    "polygon_two_vertices": (
+        '{"variant": "convex_polygon", "vertices": [[0, 0], [1, 0]]}',
+        "polygon needs at least 3 vertices",
+    ),
+    "mode_order": (
+        '{"variant": "nearly_spherical", "modes": [[2, 3, 1]], "eps": 0.1}',
+        "invalid mode (l=2, m=3)",
+    ),
+    "mode_twice": (
+        '{"variant": "nearly_spherical", "modes": [[2, 0, 1], [2, 0, 0.5]], "eps": 0.1}',
+        "duplicate mode (l=2, m=0)",
     ),
 }
 
@@ -215,6 +255,30 @@ def test_many_balls_csv_energy_monotone(capsys):
     assert all(a > b for a, b in zip(energies, energies[1:]))
     assert energies[-1] > 4.0 * np.pi
     assert "np.float64" not in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["many-balls", "--beta", "0.75", "--n", "4,8", "--numeric-nodes", "100"],
+        ["many-balls", "--beta", "0.75", "--n", "4,8"],
+        ["two-balls", "--n", "1,2", "--M", "200"],
+        ["slab", "--n", "16,32", "--M", "200"],
+    ],
+    ids=["many-balls-numeric", "many-balls", "two-balls", "slab"],
+)
+def test_family_csv_rows_are_the_json_points(capsys, args):
+    code, out, _ = run_cli(["family", *args], capsys)
+    assert code == 0
+    points = json.loads(out)["result"]["points"]
+    code, out, _ = run_cli(["family", *args, "--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(points)
+    for row, point in zip(rows, points):
+        assert set(row) == set(point)  # the JSON artifact sorts its keys
+        for key, value in point.items():
+            assert row[key] == ("" if value is None else repr(value)), key
 
 
 def test_external_field_oracle(capsys):

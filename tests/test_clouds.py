@@ -154,7 +154,6 @@ def test_cloud_validation():
             weights=-cloud.weights,
             role="boundary",
             shape=BALL3,
-            resolution=100,
             components=cloud.components,
             component_names=cloud.component_names,
         )

@@ -126,12 +126,12 @@ def test_potential_on_and_off_support(ball_eq_2000):
     assert np.max(np.abs(v_nodes - ball_eq_2000.energy)) < 1e-9
     # strictly inside, the potential of the sphere is the constant 1/R
     # (the center value is exact: every node sits at distance R)
-    inside = dc.potential(
-        ball_eq_2000.measure, COULOMB, [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
+    inside = dc.potential_at(
+        COULOMB, ball_eq_2000.cloud, ball_eq_2000.masses, [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
     )
     np.testing.assert_allclose(inside, 1.0, rtol=1e-3)
     # far away it decays like 1/r
-    far = dc.potential(ball_eq_2000.measure, COULOMB, [[50.0, 0.0, 0.0]])
+    far = dc.potential_at(COULOMB, ball_eq_2000.cloud, ball_eq_2000.masses, [[50.0, 0.0, 0.0]])
     assert far[0] == pytest.approx(1.0 / 50.0, rel=1e-3)
 
 

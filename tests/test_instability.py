@@ -58,6 +58,24 @@ def test_many_balls_numeric_close_to_closed_form():
     assert p.numeric_energy == pytest.approx(p.analytic_energy, rel=0.02)
 
 
+def test_droplet_cross_terms_summed_per_distance_match_the_pairwise_sum():
+    from dropcap.instability import _droplet_interaction_numeric
+
+    n, r, charge, alpha, separation, nodes = 6, 0.4, 1.3, 1.5, 7.3, 150
+    params = dc.KernelParams(3, alpha)
+    template = dc.discretize(dc.Ball((0.0, 0.0, 0.0), r), nodes, "volume")
+    u = template.weights / template.weights.sum() * (charge / n)
+    pairwise = n * dc.assemble_operator(template, params).energy(u)
+    centers = separation * np.arange(1, n + 1)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                shifted = template.points + [centers[i] - centers[j], 0.0, 0.0]
+                pairwise += dc.potential_at(params, template, u, shifted) @ u
+    total = _droplet_interaction_numeric(n, r, charge, 3, alpha, separation, nodes)
+    assert total == pytest.approx(pairwise, rel=1e-13)
+
+
 def test_many_balls_rejects_bad_rates():
     with pytest.raises(ValidationError):
         dc.many_balls_family([4], beta=0.5, charge=1.0)

@@ -13,6 +13,7 @@ import dropcap.linalg
 from dropcap.errors import NonConvergenceError
 from dropcap.instability import _random_polygon, _regular_polygon
 from dropcap.linalg import CG_SCREEN_RTOL, ScreenedOut, cg_solve, constrained_solve, symv
+from oracles import full_kernel_matrix
 
 ORIGIN = (0.0, 0.0, 0.0)
 COULOMB = dc.KernelParams(3, 2.0)
@@ -55,7 +56,7 @@ def _bordered_equilibrium(op):
     The copy's even block is the full K, so each working set is a system
     of its nodes, as in the unreduced program.
     """
-    full = dc.KernelOperator(even=op.matrix, cloud=replace(op.cloud, mirror=None), params=op.params)
+    full = dc.assemble_operator(replace(op.cloud, mirror=None), op.params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dropcap.equilibrium, "constrained_solve", _bordered_solve_of)
         return dc.equilibrium_measure(full)
@@ -88,7 +89,7 @@ def test_cg_agrees_with_bordered_solve(name, R, M):
 @generated
 @given(R=radii, M=node_counts, seed=st.integers(0, 2**32 - 1))
 def test_restricted_unit_charge_solves_agree(R, M, seed):
-    K = _operator("boundary ball, alpha=2", R, M).matrix
+    K = full_kernel_matrix(dc.discretize(dc.Ball(ORIGIN, R), M, "boundary"), COULOMB)
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(K), size=len(K) // 2, replace=False))
     K_act = K[np.ix_(idx, idx)]
@@ -111,7 +112,7 @@ def test_field_solve_agrees_with_bordered_solve(center, R, M, E):
     op = dc.assemble_operator(cloud, COULOMB)
     rhs = -0.5 * dc.LinearPotential(E).potential_values(cloud.points)
     w, lam = op.solve(rhs)
-    w_lu, lam_lu = _bordered(op.matrix, rhs, 0.0)
+    w_lu, lam_lu = _bordered(full_kernel_matrix(op.cloud, op.params), rhs, 0.0)
     assert _max_rel(w, w_lu) <= 1e-12
     # lambda may sit near zero: compare it on the scale of rhs
     assert abs(lam - lam_lu) <= 1e-12 * float(np.abs(rhs).max())
@@ -120,7 +121,7 @@ def test_field_solve_agrees_with_bordered_solve(center, R, M, E):
 
 def _old_entropic(cloud):
     """Masses and multiplier from the bordered system of 2G."""
-    K = dc.assemble_operator(cloud, COULOMB).matrix
+    K = full_kernel_matrix(cloud, COULOMB)
     G = K / (4.0 * np.pi) + np.diag(1.0 / cloud.weights)
     return _bordered(2.0 * G)
 
@@ -220,7 +221,7 @@ def test_a_centred_field_does_no_even_solve(monkeypatch):
 
 
 def test_screen_sees_one_loose_iterate():
-    K = _operator("boundary ball, alpha=2", 1.0, 300).matrix
+    K = full_kernel_matrix(dc.discretize(dc.Ball(ORIGIN, 1.0), 300, "boundary"), COULOMB)
     rhs = np.zeros(len(K))
     start = np.linalg.norm(K.mean(axis=1))  # the residual of x0 = 1/n
 
@@ -342,7 +343,7 @@ def test_a_log_polygon_indefinite_on_zero_sum_vectors_solves_like_the_reference(
     rng = np.random.default_rng(644015297)
     shape = [_random_polygon(rng) for _ in range(3)][-1]
     op = dc.assemble_operator(dc.discretize(shape, 600, "boundary"), dc.KernelParams(2, 2.0))
-    K = op.matrix
+    K = full_kernel_matrix(op.cloud, op.params)
     P = np.eye(len(K)) - 1.0 / len(K)
     assert np.linalg.eigvalsh(P @ K @ P)[0] < -0.1
     res, lu = dc.equilibrium_measure(op), _bordered_equilibrium(op)
@@ -358,7 +359,7 @@ def test_a_shift_by_c_11t_changes_only_the_multiplier(stand_in_operator):
     # K - c 11' with 1'(K - c 11')1 < 0 is indefinite; on zero-sum vectors
     # it is K, and its constrained solution keeps K's masses and shifts the
     # multiplier by -c
-    K = _operator("boundary ball, alpha=2", 1.0, 200).matrix
+    K = full_kernel_matrix(dc.discretize(dc.Ball(ORIGIN, 1.0), 200, "boundary"), COULOMB)
     c = 2.0 * K.mean()
     A = K - c
     assert np.linalg.eigvalsh(A)[0] < 0.0
@@ -396,6 +397,6 @@ def test_a_stalled_run_raises_after_as_many_products_as_unknowns(monkeypatch):
 
 def test_symmetric_products_match_numpy(ball_op_2000, rng):
     x = rng.standard_normal(ball_op_2000.n_nodes)
-    Kx = ball_op_2000.matrix @ x
+    Kx = full_kernel_matrix(ball_op_2000.cloud, COULOMB) @ x
     assert _max_rel(ball_op_2000.apply(x), Kx) <= 1e-12
     assert ball_op_2000.energy(x) == pytest.approx(x @ Kx, rel=1e-12)

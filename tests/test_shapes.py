@@ -112,7 +112,7 @@ def test_every_registered_variant(variant):
         t = dc.shape_from_json(text)
         assert type(t) is cls and t == s and dc.shape_to_json(t) == text
         assert dc.shape_to_dict(s)["variant"] == variant
-        assert dc.dim_of(s) == s.dim >= 2
+        assert s.dim >= 2
         assert np.isfinite(dc.perimeter(s)) and dc.perimeter(s) > 0
         assert np.isfinite(dc.volume(s)) and dc.volume(s) > 0
         for role in ("boundary", "volume"):
@@ -135,9 +135,9 @@ def test_unknown_variant_rejected():
 
 
 def test_dim_of():
-    assert dc.dim_of(BALL3) == 3
-    assert dc.dim_of(dc.Ball((0.0, 0.0), 1.0)) == 2
-    assert dc.dim_of(dc.ConvexPolygon2D(((0, 0), (1, 0), (0, 1)))) == 2
+    assert BALL3.dim == 3
+    assert dc.Ball((0.0, 0.0), 1.0).dim == 2
+    assert dc.ConvexPolygon2D(((0, 0), (1, 0), (0, 1))).dim == 2
 
 
 # ---------------------------------------------------------------------------
