@@ -203,6 +203,8 @@ def equilibrium_measure(
         seen.add(key)
         idx = np.flatnonzero(active)
         w = sizes[idx]
+        # K holds E in its lower triangle only, and symv reads only the
+        # copy's lower triangle; idx is ascending, so that comes from E's
         A = K if len(idx) == n else K[np.ix_(idx, idx)]
 
         def keeps_every_node(x):

@@ -54,6 +54,11 @@ including the start's product; on the 1000 orbits of the 2000-node
 annulus, 54 + 50 = 104 and 15 + 50 = 65.  A working set that keeps all
 its nodes takes exactly as many products as unscreened.
 
+symv and symm read one triangle of a symmetric C-ordered matrix, the
+lower one unless told otherwise, so an operator whose even and odd
+blocks share one array, E below its diagonal and A - B above
+(dropcap.operators), is multiplied without a copy.
+
 Every matrix product here runs on scipy's BLAS.  numpy links a separate
 OpenBLAS, and a numpy BLAS call made right after a scipy call waits for
 the other library's threads to go idle, which at a few thousand nodes
@@ -61,6 +66,8 @@ can cost as much as the solve itself.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -98,26 +105,33 @@ class ScreenedOut(Exception):
 _dsymv = _dsymm = None
 
 
-def symv(A: np.ndarray, x) -> np.ndarray:
-    """A @ x for a symmetric C-ordered matrix A, without copying A."""
+def symv(A: np.ndarray, x, lower: bool = True) -> np.ndarray:
+    """A @ x for a symmetric C-ordered A given by one triangle, without copying A.
+
+    Only A's lower triangle, or with lower=False its upper one, is read,
+    the diagonal included.
+    """
     global _dsymv
     if _dsymv is None:
         from scipy.linalg.blas import dsymv
 
         _dsymv = dsymv
-    # A.T is the Fortran-ordered view of the same (symmetric) matrix
-    return _dsymv(1.0, A.T, np.asarray(x, dtype=float))
+    # A.T is the Fortran-ordered view of A; A's lower triangle is its upper
+    return _dsymv(1.0, A.T, np.asarray(x, dtype=float), lower=not lower)
 
 
-def symm(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X @ A for a symmetric C-ordered A: A times each row of a C-ordered X."""
+def symm(A: np.ndarray, X: np.ndarray, lower: bool = True) -> np.ndarray:
+    """X @ A for a symmetric C-ordered A: A times each row of a C-ordered X.
+
+    Reads one triangle of A, as symv does.
+    """
     global _dsymm
     if _dsymm is None:
         from scipy.linalg.blas import dsymm
 
         _dsymm = dsymm
     # both transposes are Fortran-ordered views; so is the (n, k) product
-    return _dsymm(1.0, A.T, np.ascontiguousarray(X, dtype=float).T).T
+    return _dsymm(1.0, A.T, np.ascontiguousarray(X, dtype=float).T, lower=not lower).T
 
 
 def _conjugate_gradients(apply, x, r, scale: float, zero_sum: bool, screen):
@@ -128,11 +142,12 @@ def _conjugate_gradients(apply, x, r, scale: float, zero_sum: bool, screen):
     |r| <= CG_RTOL scale, with a screen as in constrained_solve; raises
     NonConvergenceError carrying x on breakdown, divergence or a stall.
     """
+    n = len(x)
     p = r.copy()
     rr = float(r @ r)
     stop = (CG_RTOL * scale) ** 2
     screen_at = -1.0 if screen is None else (CG_SCREEN_RTOL * scale) ** 2
-    for _ in range(max(CG_MAX_ITER, len(x))):
+    for _ in range(max(CG_MAX_ITER, n)):
         if rr <= stop:
             return
         if rr <= screen_at:
@@ -141,9 +156,11 @@ def _conjugate_gradients(apply, x, r, scale: float, zero_sum: bool, screen):
             screen_at = -1.0
         Ap = apply(p)
         if zero_sum:
-            Ap -= Ap.mean()
+            Ap -= Ap.sum() / n
         pAp = float(p @ Ap)
-        if not abs(pAp) > _EPS * float(np.linalg.norm(p) * np.linalg.norm(Ap)):
+        # the same floating-point operations as mean() and norm(), with
+        # less overhead per call
+        if not abs(pAp) > _EPS * (math.sqrt(p @ p) * math.sqrt(Ap @ Ap)):
             reason = "broke down: p'Ap is zero to round-off"
             break
         step = rr / pAp
@@ -157,7 +174,7 @@ def _conjugate_gradients(apply, x, r, scale: float, zero_sum: bool, screen):
         p *= rr / rr_old
         p += r
         if zero_sum:
-            p -= p.mean()
+            p -= p.sum() / n
     else:
         if rr <= stop:
             return

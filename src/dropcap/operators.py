@@ -22,25 +22,30 @@ Allgower, Boehmer, Georg and Miranda 1992):
 - odd measures, given by their value z at each pair's lower node, have
   the potentials (A - B) z there and the negated ones at the partners.
 
-An unmirrored cloud has one orbit per node, and E is K itself.  E is
-assembled with the operator, h^2 kernel entries for h orbits where K
-takes n^2/2; A - B is assembled on the first product with an odd
-vector, as 2 (A - E), so from h^2/2 entries of A alone, and an
-equilibrium-only run never stores it.  Each block is filled
-in one pass over row blocks of its lower triangle: a block of pairwise
-distances, held in one reused buffer, becomes kernel values in place
-and is stored with its transpose, so each entry is computed once and
-the block is exactly symmetric.  potential_at runs its targets through
-the same row blocks, holding one block of kernel values at a time.
-KernelOperator.solve hands the even part to the one constrained solve
-of dropcap.linalg, projected conjugate gradients with products with E,
-and the odd part to conjugate gradients on A - B.
+An unmirrored cloud has one orbit per node, and E is K itself.  E and
+A - B are symmetric, so one C-ordered (h + 1) x h array over the h
+orbits holds both: the lower triangle of packed[1:] is E and the upper
+triangle of packed[:-1] is A - B, each with its diagonal, A - B zero on
+the rows and columns of centered orbits.  This is the two-triangle
+packing behind LAPACK's rectangular full packed format (Gustavson,
+Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010); the products
+read one triangle each (dropcap.linalg.symv), and an odd vector is
+padded with zeros over the centered orbits.  Both blocks are filled in
+one pass over row blocks of the lower triangle, h^2 kernel entries for
+h orbits where K takes n^2/2: a block of pairwise distances, held in
+one reused buffer, becomes kernel values in place; E goes into the
+rows of the array and A - B, transposed, into its columns, so each
+entry is computed once.  An unmirrored cloud stores E's rows alone.
+potential_at runs its targets through the same row blocks, holding one
+block of kernel values at a time.  KernelOperator.solve hands the even
+part to the one constrained solve of dropcap.linalg, projected
+conjugate gradients with products with E, and the odd part to
+conjugate gradients on A - B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,30 +73,41 @@ __all__ = [
 # before the next is computed.  Chosen from the assembly times by block
 # height recorded in CHANGES.md.
 BLOCK_ROWS = 128
+# where= mask of a diagonal square's upper triangle, the diagonal included
+_UPPER = np.tri(BLOCK_ROWS, dtype=bool).T
 
 
-def _product(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M times a vector, or times each row of a block of rows, M symmetric."""
-    return symv(M, x) if x.ndim == 1 else symm(M, x)
+def _product(M: np.ndarray, x: np.ndarray, lower: bool = True) -> np.ndarray:
+    """M times a vector, or times each row of a block of rows, M symmetric
+    and given by its lower triangle, or with lower=False its upper one."""
+    return symv(M, x, lower) if x.ndim == 1 else symm(M, x, lower)
 
 
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """Kernel operator of a cloud, stored as its even block over the orbits."""
+    """Kernel operator of a cloud, stored as its even and odd orbit blocks.
 
-    even: np.ndarray
+    packed is one C-ordered (h + 1) x h array over the cloud's h orbits:
+    the lower triangle of even = packed[1:] is E, and the upper triangle
+    of odd = packed[:-1] is A - B over the pairs, zero on the rows and
+    columns of centered orbits.  Each triangle includes its diagonal.  An
+    unmirrored cloud has no pairs, and its odd triangle is never written
+    or read.
+    """
+
+    packed: np.ndarray
     cloud: NodeCloud
     params: KernelParams
 
     def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.even, dtype=float))
+        m = np.ascontiguousarray(np.asarray(self.packed, dtype=float))
         h = len(self.cloud.orbits)
-        if m.shape != (h, h):
+        if m.shape != (h + 1, h):
             raise ValidationError(
-                f"the even block must be square over the cloud's {h} orbits"
+                f"the packed blocks must be (h + 1) x h over the cloud's h = {h} orbits"
             )
         m.setflags(write=False)
-        object.__setattr__(self, "even", m)
+        object.__setattr__(self, "packed", m)
 
     @property
     def n_nodes(self) -> int:
@@ -101,16 +117,26 @@ class KernelOperator:
     def orbits(self) -> Orbits:
         return self.cloud.orbits
 
-    @cached_property
+    @property
+    def even(self) -> np.ndarray:
+        """E in the lower triangle, the diagonal included."""
+        return self.packed[1:]
+
+    @property
     def odd(self) -> np.ndarray:
-        """A - B over the pairs, assembled on first use."""
-        o = self.orbits
-        pairs, paired = o.reps[: o.n_pairs], self.even[: o.n_pairs, : o.n_pairs]
-        return _orbit_block(self.cloud, self.params, pairs, pairs[:0], even=paired)
+        """A - B in the upper triangle, the diagonal included, over h orbits."""
+        return self.packed[:-1]
 
     def apply_even(self, u) -> np.ndarray:
         """Node potentials, one per orbit, of the even measure with orbit masses u."""
         return _product(self.even, u)
+
+    def apply_odd(self, z) -> np.ndarray:
+        """(A - B) z for odd values z, one per pair, or for each row of a block of them."""
+        o = self.orbits
+        padded = np.zeros(z.shape[:-1] + (len(o),))
+        padded[..., : o.n_pairs] = z
+        return _product(self.odd, padded, lower=False)[..., : o.n_pairs]
 
     def apply(self, masses) -> np.ndarray:
         """Node potentials of nodal masses, or of each row of a block of them."""
@@ -118,7 +144,7 @@ class KernelOperator:
         o = self.orbits
         u, z = o.sums(x), o.half_differences(x)
         even = self.apply_even(u) if u.any() else np.zeros_like(u)
-        return o.join(even, _product(self.odd, z) if z.any() else None)
+        return o.join(even, self.apply_odd(z) if z.any() else None)
 
     def solve(self, rhs) -> tuple[np.ndarray, float]:
         """Nodal x and lambda with K x = rhs + lambda 1 and sum(x) = 0.
@@ -134,7 +160,7 @@ class KernelOperator:
         try:
             u, lam = constrained_solve(self.apply_even, o.means(rhs), 0.0)
             if odd_rhs.any():
-                z = cg_solve(lambda v: symv(self.odd, v), odd_rhs)
+                z = cg_solve(self.apply_odd, odd_rhs)
         except NonConvergenceError as err:
             if u is None:
                 u, lam = err.result
@@ -149,9 +175,9 @@ class KernelOperator:
         m = np.asarray(masses, dtype=float)
         o = self.orbits
         u, z = o.sums(m), o.half_differences(m)
-        value = float(u @ symv(self.even, u)) if u.any() else 0.0
+        value = float(u @ self.apply_even(u)) if u.any() else 0.0
         if z.any():
-            value += 2.0 * float(z @ symv(self.odd, z))
+            value += 2.0 * float(z @ self.apply_odd(z))
         return value
 
 
@@ -216,51 +242,61 @@ def _kernel_blocks(params: KernelParams, rows, cols, diag=None):
         yield i0, i1, block
 
 
-def _orbit_block(
-    cloud: NodeCloud, params: KernelParams, reps, partners, even=None
-) -> np.ndarray:
-    """A kernel block over orbits whose first len(partners) are pairs.
+def _orbit_blocks(cloud: NodeCloud, params: KernelParams) -> np.ndarray:
+    """The even and odd blocks over the cloud's orbits, packed in one pass.
 
-    Entry [o, p] is the mean of k(rep o, rep p) and k(rep o, partner p),
-    the even block, (A + B)/2 on pairs; orbits without a partner keep
-    k(rep o, rep p), so with no partners this is the plain kernel matrix
-    over reps.  Given the even block over pairs with no partners passed,
-    it is the odd block A - B = 2 (A - E), for which only A is evaluated.
+    Returns the (h + 1) x h array KernelOperator holds.  Over each row
+    block of the lower triangle over the orbits' representatives, A
+    holds k(rep o, rep p), and B k(rep o, partner p) for the pairs p.
+    E is (A + B)/2 on pairs and A elsewhere, so with no partners it is
+    the plain kernel matrix over reps; its rows go below the diagonal of
+    the array.  A - B on pairs goes on and above it, transposed into
+    columns, and the columns of centered orbits there are zeroed.
     """
-    diag = diagonal_self_energy(cloud, params)
-    rows = cloud.points[reps]
-    M = np.empty((len(reps), len(reps)))
+    o = cloud.orbits
+    n_pairs, diag = o.n_pairs, diagonal_self_energy(cloud, params)
+    rows = cloud.points[o.reps]
+    packed = np.empty((len(rows) + 1, len(rows)))
     mirrored = None
-    if len(partners):
-        mirrored = _kernel_blocks(params, rows, cloud.points[partners])
-    for i0, i1, block in _kernel_blocks(params, rows, rows, diag[reps]):
-        if even is not None:
-            block -= even[i0:i1, :i1]
-            block *= 2.0
-        elif mirrored is not None:
-            reflected = next(mirrored)[2]
-            pairs = block[:, : reflected.shape[1]]
-            pairs += reflected
-            pairs *= 0.5
-        M[i0:i1, :i1] = block
-        M[:i1, i0:i1] = block.T
-    M.setflags(write=False)
-    return M
+    if n_pairs:
+        mirrored = _kernel_blocks(params, rows, cloud.points[o.partners])
+    for i0, i1, block in _kernel_blocks(params, rows, rows, diag[o.reps]):
+        even = packed[i0 + 1 : i1 + 1, :i1]
+        if mirrored is None:
+            even[...] = block
+            continue
+        reflected = next(mirrored)[2]
+        pc = reflected.shape[1]  # the pair columns of the block
+        np.add(block[:, :pc], reflected, out=even[:, :pc])
+        even[:, :pc] *= 0.5
+        even[:, pc:] = block[:, pc:]
+        # A - B on the block's k pair rows, in place, then transposed into
+        # the columns i0:pc; of their diagonal square only the triangle on
+        # and above the diagonal, as the rest of it holds E
+        k = min(i1, n_pairs) - i0
+        if k > 0:
+            odd = block[:k, :pc]
+            odd -= reflected[:k]
+            packed[:i0, i0:pc] = odd[:, :i0].T
+            np.copyto(packed[i0:pc, i0:pc], odd[:, i0:].T, where=_UPPER[:k, :k])
+        for c in range(max(i0, n_pairs), i1):
+            packed[: c + 1, c] = 0.0
+    packed.setflags(write=False)
+    return packed
 
 
 def assemble_operator(cloud: NodeCloud, params: KernelParams) -> KernelOperator:
     """The kernel operator of a cloud, with the desingularized diagonal.
 
-    Assembles the even block over the cloud's orbits (K itself for an
-    unmirrored cloud); the odd block waits until used.
+    Assembles the even and odd blocks over the cloud's orbits in one
+    pass; for an unmirrored cloud the even block is K itself and there
+    is no odd one.
     """
     if params.dim != cloud.dim:
         raise ValidationError(
             f"kernel dimension {params.dim} does not match cloud dimension {cloud.dim}"
         )
-    o = cloud.orbits
-    even = _orbit_block(cloud, params, o.reps, o.partners)
-    return KernelOperator(even=even, cloud=cloud, params=params)
+    return KernelOperator(packed=_orbit_blocks(cloud, params), cloud=cloud, params=params)
 
 
 def potential_at(

@@ -47,7 +47,8 @@ def stand_in_operator():
     """A symmetric matrix as the operator of an unmirrored stand-in cloud.
 
     The cloud has one planar node per row and the log-kernel params, so
-    capacity_from_energy takes an energy of either sign.
+    capacity_from_energy takes an energy of either sign.  The packed
+    blocks hold K's lower triangle as the even block and a zero odd one.
     """
 
     def wrap(K):
@@ -60,7 +61,8 @@ def stand_in_operator():
             components=np.zeros(n, dtype=int),
             component_names=("nodes",),
         )
-        return dc.KernelOperator(even=K, cloud=cloud, params=dc.KernelParams(2, 2.0))
+        packed = np.vstack([np.zeros((1, n)), np.tril(K)])
+        return dc.KernelOperator(packed=packed, cloud=cloud, params=dc.KernelParams(2, 2.0))
 
     return wrap
 

@@ -216,12 +216,13 @@ def regular_polygon_perimeter(m: int) -> float:
 def full_kernel_matrix(cloud, params) -> np.ndarray:
     """The package's full n x n kernel matrix of a cloud, in node order.
 
-    The operator of the cloud with its mirror dropped: its even block is
-    the unreduced K, which tests compare the orbit blocks and the solves
-    with.
+    The operator of the cloud with its mirror dropped: the lower triangle
+    of its even block is the unreduced K's, which tests compare the orbit
+    blocks and the solves with.
     """
     from dataclasses import replace
 
     import dropcap
 
-    return dropcap.assemble_operator(replace(cloud, mirror=None), params).even
+    E = dropcap.assemble_operator(replace(cloud, mirror=None), params).even
+    return np.tril(E) + np.tril(E, -1).T

@@ -142,6 +142,15 @@ def test_farfield_check_normalizes_to_one(ball_eq_2000):
         assert row["scaled_potential"] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_equilibrium_measure_rejects_bad_arguments(ball_op_2000):
+    with pytest.raises(ValidationError, match="assembled operator"):
+        dc.equilibrium_measure(ball_op_2000.even)
+    n = ball_op_2000.n_nodes
+    for start in (np.zeros(n, dtype=bool), np.ones(n - 1, dtype=bool)):
+        with pytest.raises(ValidationError, match="start_active"):
+            dc.equilibrium_measure(ball_op_2000, start_active=start)
+
+
 def test_farfield_log_case():
     res = dc.solve_shape(dc.Ball((0.0, 0.0), 1.0), 2.0, n_nodes=400)
     out = dc.farfield_check(res.measure, dc.KernelParams(2, 2.0), [100.0, 400.0])

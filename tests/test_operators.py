@@ -62,7 +62,7 @@ def test_blocked_assembly_equals_the_full_matrix(case):
     assert cloud.n_nodes >= max(ASSEMBLY_SIZES)
     for n in ASSEMBLY_SIZES:
         sub = _first_nodes(cloud, n)
-        K = dc.assemble_operator(sub, params).even
+        K = oracles.full_kernel_matrix(sub, params)
         assert np.array_equal(K, _reference_matrix(sub, params)), n
 
 
@@ -149,7 +149,21 @@ def test_unsupported_boundary_diagonal_raises():
 def test_operator_cloud_mismatch_guard(ball_cloud_2000):
     op = dc.assemble_operator(dc.discretize(BALL3, 100, "boundary"), COULOMB)
     with pytest.raises(ValidationError):
-        dc.KernelOperator(even=op.even[:-1, :-1], cloud=op.cloud, params=COULOMB)
+        dc.KernelOperator(packed=op.packed[:-1], cloud=op.cloud, params=COULOMB)
+    # the right shape for another cloud: one (h + 1) x h buffer per orbit count
+    with pytest.raises(ValidationError, match="packed"):
+        dc.KernelOperator(packed=op.packed, cloud=ball_cloud_2000, params=COULOMB)
+    with pytest.raises(ValidationError, match="kernel dimension 2"):
+        dc.assemble_operator(op.cloud, LOG2)
+
+
+def test_potential_at_checks_masses_and_targets():
+    cloud = dc.discretize(BALL3, 100, "boundary")
+    masses = cloud.weights / cloud.weights.sum()
+    with pytest.raises(ValidationError, match="one mass per node"):
+        potential_at(COULOMB, cloud, masses[:-1], [[2.0, 0.0, 0.0]])
+    with pytest.raises(ValidationError, match="target dimension"):
+        potential_at(COULOMB, cloud, masses, [[2.0, 0.0]])
 
 
 def test_potential_at_coincident_targets(ball_cloud_2000, ball_op_2000):
