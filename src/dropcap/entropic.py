@@ -36,7 +36,12 @@ import numpy as np
 from . import shapes as shp
 from .clouds import NodeCloud, discretize
 from .equilibrium import _radial_shells
-from .errors import NonConvergenceError, UnsupportedConfigurationError, ValidationError
+from .errors import (
+    NonConvergenceError,
+    UnsupportedConfigurationError,
+    ValidationError,
+    require_finite,
+)
 from .kernels import KernelParams
 from .linalg import constrained_solve
 from .operators import assemble_operator
@@ -137,7 +142,7 @@ class EntropicEnergy:
     ) -> EntropicEnergy:
         """Drop energy of a shape from its solved penalized density."""
         per = shp.perimeter(shape)
-        q = float(charge)
+        q = require_finite(charge, "charge")
         return cls(
             perimeter=per,
             charge=q,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import shapes as shp
 from .clouds import NodeCloud, default_role, discretize
-from .errors import NonConvergenceError, ValidationError
+from .errors import NonConvergenceError, ValidationError, require_finite
 from .kernels import KernelParams
 from .linalg import ScreenedOut, constrained_solve, symv
 from .operators import KernelOperator, assemble_operator, potential_at
@@ -374,12 +374,13 @@ def drop_energy(
     role: str | None = None,
 ) -> DropEnergy:
     """Total drop energy: perimeter plus charge^2 times equilibrium energy."""
+    charge = require_finite(charge, "charge")
     res = solve_shape(shape, alpha, n_nodes=n_nodes, role=role)
     per = shp.perimeter(shape)
-    inter = float(charge) ** 2 * res.energy
+    inter = charge**2 * res.energy
     return DropEnergy(
         perimeter=per,
-        charge=float(charge),
+        charge=charge,
         equilibrium_energy=res.energy,
         interaction=inter,
         total=per + inter,

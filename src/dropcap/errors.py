@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the finiteness check."""
+
+import math
 
 
 class DropcapError(Exception):
@@ -32,3 +34,11 @@ class NonConvergenceError(DropcapError):
         super().__init__(message)
         self.result = result
         self.residual = residual
+
+
+def require_finite(value, what: str) -> float:
+    """value as a float; a ValidationError naming what if it is nan or infinite."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValidationError(f"{what} must be finite, got {v}")
+    return v

@@ -5,9 +5,10 @@ sequences: shattering a charged ball into many far-apart droplets (the
 charge cost vanishes while perimeter tends to the sphere's), pulling two
 oppositely charged balls apart along an external field, and stretching
 a thin slab whose end caps carry opposite unit charges.  Each family
-point carries a closed-form energy split into named components, and the
-two field-driven families also evaluate the interaction numerically on
-volume clouds of the moving pieces.
+point carries closed-form energy components, and its energy is their
+sum.  The numeric energy swaps the closed-form interaction for one
+evaluated on a volume cloud of one charged piece: its self energy, and
+its interaction with copies of itself shifted along x1.
 
 The stability half expands the energy of nearly-spherical drops: the
 perimeter's second-order expansion in spherical harmonics, the charge
@@ -18,7 +19,7 @@ convex ranking scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from . import shapes as shp
 from .clouds import discretize
 from .equilibrium import solve_shape
 from .errors import (
-    DiscretizationError,
     NonConvergenceError,
     UnsupportedConfigurationError,
     ValidationError,
+    require_finite,
 )
 from .kernels import (
     KernelParams,
@@ -61,23 +62,31 @@ class FamilyPoint:
 
     n: int
     shape: shp.Shape
-    analytic_energy: float
     components: dict[str, float]
     numeric_energy: float | None = None
 
-    def __post_init__(self):
-        total = sum(self.components.values())
-        if abs(total - self.analytic_energy) > 1e-12 * max(1.0, abs(total)):
-            raise ValidationError("component split must add up to the energy")
+    @property
+    def analytic_energy(self) -> float:
+        """The closed-form energy: the sum of the components."""
+        return sum(self.components.values())
 
 
-def _fit_exponent(n_values, values) -> float:
-    """Slope of log |value| against log n."""
-    n = np.asarray(n_values, dtype=float)
-    v = np.abs(np.asarray(values, dtype=float))
-    if np.any(v <= 0):
-        raise ValidationError("log-log fit needs nonzero values")
-    return float(np.polyfit(np.log(n), np.log(v), 1)[0])
+def _charged_template(shape: shp.Shape, n_nodes: int, charge: float, alpha: float = 2.0):
+    """A charge spread by volume over a cloud of shape.
+
+    Returns its self energy and cross(s), its interaction with the same
+    charge shifted by s along x1.
+    """
+    params = KernelParams(shape.dim, float(alpha))
+    cloud = discretize(shape, n_nodes, "volume")
+    u = cloud.weights / cloud.weights.sum() * charge
+
+    def cross(s: float) -> float:
+        shifted = cloud.points.copy()
+        shifted[:, 0] += s
+        return float(potential_at(params, cloud, u, shifted) @ u)
+
+    return assemble_operator(cloud, params).energy(u), cross
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +111,12 @@ def many_balls_family(
     is 1 exactly in the Coulombic three-dimensional case; otherwise the
     equilibrium solver computes it once, on a 1500-node cloud.  Setting
     numeric_nodes > 0 also evaluates the interaction on volume clouds of
-    the droplets, self terms plus all pairwise cross terms: one
-    potential_at on the droplet template, shifted, per distance between
-    droplets, since the n - k pairs k places apart interact alike.
+    the droplets, self terms plus all pairwise cross terms: one shifted
+    droplet template per distance between droplets, since the n - k
+    pairs k places apart interact alike.
     """
     beta = float(beta)
+    charge = require_finite(charge, "charge")
     if not 1.0 < alpha < dim:
         raise ValidationError(f"alpha must lie in (1, dim), got {alpha}")
     lo, hi = 1.0 / (dim - 1), 1.0 / (dim - alpha)
@@ -134,52 +144,32 @@ def many_balls_family(
         R = (1.0 - used) ** (1.0 / dim)
         perim = sphere_area * (R ** (dim - 1) + n * r ** (dim - 1))
         inter = (charge**2 / n) * r ** (alpha - dim) * ball_energy
-        components = {"perimeter": perim, "interaction": inter, "field": 0.0}
         balls = [shp.Ball((0.0,) * dim, R)]
         for i in range(1, n + 1):
-            center = (separation * i,) + (0.0,) * (dim - 1)
-            balls.append(shp.Ball(center, r))
-        shape = shp.UnionOfBalls(tuple(balls))
+            balls.append(shp.Ball((separation * i,) + (0.0,) * (dim - 1), r))
         numeric = None
         if numeric_nodes > 0:
-            numeric = perim + _droplet_interaction_numeric(
-                n, r, charge, dim, alpha, separation, numeric_nodes
+            self_energy, cross = _charged_template(
+                shp.Ball((0.0,) * dim, r), numeric_nodes, charge / n, alpha
             )
+            inter_num = n * self_energy
+            # droplets k places apart interact alike, and n - k pairs are that far apart
+            for k in range(1, n):
+                inter_num += 2.0 * (n - k) * cross(-k * separation)
+            numeric = perim + inter_num
         points.append(
             FamilyPoint(
                 n=n,
-                shape=shape,
-                analytic_energy=perim + inter,
-                components=components,
+                shape=shp.UnionOfBalls(tuple(balls)),
+                components={"perimeter": perim, "interaction": inter, "field": 0.0},
                 numeric_energy=numeric,
             )
         )
     return points
 
 
-def _droplet_interaction_numeric(n, r, charge, dim, alpha, separation, nodes):
-    params = KernelParams(dim, float(alpha))
-    template = discretize(shp.Ball((0.0,) * dim, r), nodes, "volume")
-    op = assemble_operator(template, params)
-    u = template.weights / template.weights.sum() * (charge / n)
-    total = n * op.energy(u)
-    # droplets k places apart interact alike, and n - k pairs are that far apart
-    for k in range(1, n):
-        shifted = template.points.copy()
-        shifted[:, 0] -= k * separation
-        total += 2.0 * (n - k) * float(potential_at(params, template, u, shifted) @ u)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # two opposite charges pulled apart by a field
-
-
-def _finite_field_strength(field_strength) -> float:
-    E = float(field_strength)
-    if not np.isfinite(E):
-        raise ValidationError(f"field strength must be finite, got {E}")
-    return E
 
 
 def two_balls_field_family(
@@ -192,58 +182,41 @@ def two_balls_field_family(
 
     In the potential phi = -E x1 the configuration's energy has an exact
     closed form (uniform balls interact as point charges in the
-    Coulombic case), and the interaction is also evaluated on volume
-    clouds of the two balls.  The field term grows linearly with the
-    separation while everything else stays bounded, so the total energy
-    decreases without bound.
+    Coulombic case).  The numeric energy evaluates the self and cross
+    interaction on a volume cloud of one ball.  The field term needs
+    only each ball's center of charge, which its symmetric cloud keeps
+    at the center, so both energies share the closed form.  The field
+    term grows linearly with the separation while everything else stays
+    bounded, so the total energy decreases without bound.
     """
     if dim < 3:
         raise UnsupportedConfigurationError(
             "the field-driven family is posed in dimension >= 3"
         )
-    E = _finite_field_strength(field_strength)
+    E = require_finite(field_strength, "field strength")
     r = 0.5 ** (1.0 / dim)
-    params = KernelParams(dim, 2.0)
-    template = discretize(shp.Ball((0.0,) * dim, r), n_nodes, "volume")
-    op = assemble_operator(template, params)
-    u_num = template.weights.copy()
-    self_num = op.energy(u_num)
     q = unit_ball_volume(dim) * r**dim
+    self_num, cross = _charged_template(shp.Ball((0.0,) * dim, r), n_nodes, q)
     self_exact = q**2 * uniform_ball_self_energy(dim, 2.0) * r ** (2.0 - dim)
     perim = 2.0 * unit_sphere_area(dim) * r ** (dim - 1)
     points = []
     for n in sorted(int(n) for n in n_list):
         if n <= r:
             raise ValidationError(f"separation n={n} makes the balls overlap")
-        e1 = np.zeros(dim)
-        e1[0] = 1.0
-        shape = shp.UnionOfBalls(
-            (
-                shp.Ball(tuple(n * e1), r),
-                shp.Ball(tuple(-n * e1), r),
-            )
-        )
-        cross_exact = -2.0 * q**2 * (2.0 * n) ** (2.0 - dim)
+        center = (float(n),) + (0.0,) * (dim - 1)
         field_term = -2.0 * E * n * q
-        components = {
-            "perimeter": perim,
-            "interaction": 2.0 * self_exact + cross_exact,
-            "field": field_term,
-        }
-        shifted = template.points + 2.0 * n * e1
-        cross_num = -2.0 * float(potential_at(params, template, u_num, shifted) @ u_num)
-        x1 = template.points[:, 0]
-        field_num = -E * (
-            float(u_num @ (x1 + n)) - float(u_num @ (x1 - n))
-        )
-        numeric = perim + 2.0 * self_num + cross_num + field_num
         points.append(
             FamilyPoint(
                 n=n,
-                shape=shape,
-                analytic_energy=perim + components["interaction"] + field_term,
-                components=components,
-                numeric_energy=numeric,
+                shape=shp.UnionOfBalls(
+                    (shp.Ball(center, r), shp.Ball(tuple(-c for c in center), r))
+                ),
+                components={
+                    "perimeter": perim,
+                    "interaction": 2.0 * self_exact - 2.0 * q**2 * (2.0 * n) ** (2.0 - dim),
+                    "field": field_term,
+                },
+                numeric_energy=perim + 2.0 * self_num - 2.0 * cross(2.0 * n) + field_term,
             )
         )
     return points
@@ -256,85 +229,81 @@ def two_balls_field_family(
 def slab_family(n_list, field_strength: float, n_nodes: int = 1000) -> dict:
     """Thin slab of unit-ball volume with oppositely charged cube end caps.
 
-    The slab spans x1 in [-n/2, n/2] with square cross-section of side
-    eps_n = (|B_1|/n)^(1/2); the last eps_n of each end carries charge
-    +-1 spread uniformly.  Returns the family points together with
-    log-log fitted growth exponents of the three energy components and
-    the separation beyond which the total energy turns negative.
+    The slab of length x spans x1 in [-x/2, x/2] with square
+    cross-section of side eps = (|B_1|/x)^(1/2); the last eps of each
+    end carries charge +-1 spread uniformly.  Both caps fit only on
+    slabs longer than 2 eps, that is x > (4|B_1|)^(1/3) ~ 2.5589, and
+    the family lives on those lengths alone.  Returns the family points
+    together with log-log fitted growth exponents of the energy
+    components that are not identically zero (the interaction's from
+    the numeric energy), and the crossover: the admissible length where
+    the total energy turns negative, the shortest one if it is not
+    positive there already, None if it stays positive up to 1e9.
     """
     from scipy.optimize import brentq
 
-    E = _finite_field_strength(field_strength)
+    E = require_finite(field_strength, "field strength")
     v1 = unit_ball_volume(3)
-    params = KernelParams(3, 2.0)
-    template = discretize(
-        shp.Box((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)), n_nodes, "volume"
-    )
-    if template.n_nodes < 16:
-        raise DiscretizationError("cap resolution too small to resolve the end caps")
-    op = assemble_operator(template, params)
-    u = template.weights / template.weights.sum()
-    cube_num = op.energy(u)
+    shortest = (4.0 * v1) ** (1.0 / 3.0)
     cube_exact = unit_cube_self_energy()
+
+    def member(x):
+        """The slab of length x: its shape, cap side eps and energy components."""
+        eps = (v1 / x) ** 0.5
+        shape = shp.Box((0.0, 0.0, 0.0), (0.5 * x, 0.5 * eps, 0.5 * eps))
+        gap = x - eps
+        return shape, eps, {
+            "perimeter": shp.perimeter(shape),
+            "interaction": 2.0 * cube_exact / eps - 2.0 / gap,
+            "field": -E * gap,
+        }
+
+    cube_num, cross = _charged_template(
+        shp.Box((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)), n_nodes, 1.0
+    )
     points = []
     for n in sorted(int(n) for n in n_list):
-        eps = (v1 / n) ** 0.5
-        if n <= 2.0 * eps:
-            raise ValidationError(f"slab length n={n} cannot fit two {eps:.3g} caps")
-        shape = shp.Box((0.0, 0.0, 0.0), (0.5 * n, 0.5 * eps, 0.5 * eps))
-        perim = shp.perimeter(shape)
-        gap = n - eps
-        inter_exact = 2.0 * cube_exact / eps - 2.0 / gap
-        field_term = -E * gap
-        components = {
-            "perimeter": perim,
-            "interaction": inter_exact,
-            "field": field_term,
-        }
-        # caps of side eps at +-gap/2: the 1/r kernel scales as 1/eps
-        shifted = template.points + np.array([gap / eps, 0.0, 0.0])
-        cross_num = float(potential_at(params, template, u, shifted) @ u) / eps
-        inter_num = 2.0 * cube_num / eps - 2.0 * cross_num
-        numeric = perim + inter_num + field_term
+        if n <= shortest:
+            raise ValidationError(
+                f"slab length n={n} cannot fit two caps; it must exceed {shortest:.6g}"
+            )
+        shape, eps, components = member(n)
+        # caps of side eps, n - eps apart: the 1/r kernel scales as 1/eps
+        inter_num = 2.0 * cube_num / eps - 2.0 * (cross((n - eps) / eps) / eps)
         points.append(
             FamilyPoint(
                 n=n,
                 shape=shape,
-                analytic_energy=perim + inter_exact + field_term,
                 components=components,
-                numeric_energy=numeric,
+                numeric_energy=components["perimeter"] + inter_num + components["field"],
             )
         )
-    n_vals = [p.n for p in points]
     fitted = {}
     if len(points) >= 2:
-        caps_inter = [
-            p.numeric_energy - p.components["perimeter"] - p.components["field"]
-            for p in points
-        ]
+        series = {
+            "perimeter": [p.components["perimeter"] for p in points],
+            "interaction": [
+                p.numeric_energy - p.components["perimeter"] - p.components["field"]
+                for p in points
+            ],
+            "field": [p.components["field"] for p in points],
+        }
+        log_n = np.log([p.n for p in points])
         fitted = {
-            "perimeter": _fit_exponent(n_vals, [p.components["perimeter"] for p in points]),
-            "interaction": _fit_exponent(n_vals, caps_inter),
-            "field": _fit_exponent(n_vals, [p.components["field"] for p in points]),
+            name: float(np.polyfit(log_n, np.log(np.abs(v)), 1)[0])
+            for name, v in series.items()
+            if any(v)
         }
 
-    def total(x):
-        eps = (v1 / x) ** 0.5
-        return (
-            2.0 * eps * eps
-            + 4.0 * x * eps
-            + 2.0 * cube_exact / eps
-            - 2.0 / (x - eps)
-            - E * (x - eps)
-        )
+    def energy(x):
+        return sum(member(x)[2].values())
 
+    hi = shortest
+    while energy(hi) > 0 and hi < 1e9:
+        hi *= 2.0
     crossover = None
-    if E > 0:
-        hi = 4.0
-        while total(hi) > 0 and hi < 1e9:
-            hi *= 2.0
-        if total(hi) < 0:
-            crossover = float(brentq(total, hi / 2.0 if total(hi / 2.0) > 0 else 2.5, hi))
+    if energy(hi) <= 0:
+        crossover = hi if hi == shortest else float(brentq(energy, hi / 2.0, hi))
     return {"points": points, "fitted_exponents": fitted, "crossover": crossover}
 
 
@@ -440,7 +409,7 @@ def rayleigh_scan(l: int, amplitudes, charges, n_nodes: int = 2000) -> Stability
     """
     l = int(l)
     amplitudes = tuple(float(t) for t in amplitudes)
-    charges = tuple(float(q) for q in charges)
+    charges = tuple(require_finite(q, "charge") for q in charges)
     if 0.0 not in amplitudes:
         raise ValidationError("amplitudes must include 0")
     steps = sorted({abs(t) for t in amplitudes if t != 0.0 and -t in amplitudes})
@@ -570,13 +539,9 @@ def _random_polygon(rng) -> shp.ConvexPolygon2D:
         pts = rng.standard_normal((12, 2))
         hull = ConvexHull(pts)
         verts = pts[hull.vertices]
-        area = 0.5 * float(
-            np.dot(verts[:, 0], np.roll(verts[:, 1], -1))
-            - np.dot(verts[:, 1], np.roll(verts[:, 0], -1))
-        )
-        verts = verts * np.sqrt(np.pi / area)
         try:
-            return shp.ConvexPolygon2D(tuple(map(tuple, verts)))
+            area = shp.volume(shp.ConvexPolygon2D(tuple(map(tuple, verts))))
+            return shp.ConvexPolygon2D(tuple(map(tuple, verts * np.sqrt(np.pi / area))))
         except ValidationError:
             continue
 
@@ -590,16 +555,18 @@ def convex_scan_2d(
 ) -> dict:
     """Rank equal-area convex shapes by logarithmic drop energy.
 
-    The family holds the unit disk, the regular m-gons of m_gons, and
-    n_random random convex hulls drawn from seed, all normalized to area
-    pi.  For each shape the scan records perimeter and logarithmic
-    equilibrium energy, then the total energy per charge; rankings list
-    shape labels from lowest to highest energy.
+    The family holds the unit disk, the regular m-gons of m_gons (each
+    m >= 3), and n_random random convex hulls drawn from seed, all
+    normalized to area pi.  For each shape the scan records perimeter
+    and logarithmic equilibrium energy, then the total energy per
+    charge; rankings list shape labels from lowest to highest energy.
     """
-    charges = tuple(float(q) for q in charges)
+    charges = tuple(require_finite(q, "charge") for q in charges)
     shapes: list[tuple[str, shp.Shape]] = [("disk", shp.Ball((0.0, 0.0), 1.0))]
-    for m in m_gons:
-        shapes.append((f"gon_{int(m)}", _regular_polygon(int(m))))
+    for m in map(int, m_gons):
+        if m < 3:
+            raise ValidationError(f"a regular polygon needs m >= 3 sides, got {m}")
+        shapes.append((f"gon_{m}", _regular_polygon(m)))
     rng = np.random.default_rng(seed)
     for i in range(int(n_random)):
         shapes.append((f"random_{i}", _random_polygon(rng)))

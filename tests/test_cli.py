@@ -344,6 +344,24 @@ def test_slab_subcommand_reports_exponents(capsys):
     assert result["crossover"] == pytest.approx(101.0, abs=5.0)
 
 
+def test_slab_subcommand_in_a_strong_field_crosses_at_the_shortest_slab(capsys):
+    # the energy is negative already where both caps first fit
+    code, out, _ = run_cli(["family", "slab", "--n", "16", "--E", "50", "--M", "100"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["crossover"] == pytest.approx((16.0 * np.pi / 3.0) ** (1.0 / 3.0), rel=1e-15)
+
+
+def test_slab_subcommand_without_field_fits_no_field_exponent(capsys):
+    code, out, _ = run_cli(
+        ["family", "slab", "--n", "16,32", "--E", "0", "--M", "100"], capsys
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert set(result["fitted_exponents"]) == {"perimeter", "interaction"}
+    assert result["crossover"] is None
+
+
 def test_rayleigh_subcommand(capsys):
     code, out, _ = run_cli(
         ["stability", "rayleigh", "--l", "2", "--amplitudes=-0.08,0,0.08",
@@ -498,6 +516,7 @@ def test_bad_field_exits_two(capsys, field):
 _TRIALS = ["external-field", "--field", "1,0,0", "--M", "200", "--trials"]
 _TWO_BALLS = ["family", "two-balls", "--n", "2", "--M", "100", "--E"]
 _SLAB = ["family", "slab", "--n", "16,64", "--M", "100", "--E"]
+_CONVEX = ["stability", "convex-2d", "--n-random", "0", "--M", "100"]
 
 # (argv, a word the one-line error must contain)
 BAD_NUMBERS = {
@@ -507,6 +526,20 @@ BAD_NUMBERS = {
     "two_balls_inf": ([*_TWO_BALLS, "inf"], "field strength"),
     "slab_nan": ([*_SLAB, "nan"], "field strength"),
     "slab_inf": ([*_SLAB, "inf"], "field strength"),
+    "convex_2d_m_gons_0": ([*_CONVEX, "--Q", "0", "--m-gons", "0"], "sides"),
+    # a non-finite charge would reach the artifact as NaN or Infinity
+    "energy_Q_nan": (["energy", "--M", "100", "--Q", "nan"], "charge"),
+    "entropic_Q_inf": (["entropic", "--M", "100", "--Q", "inf"], "charge"),
+    "many_balls_Q_nan": (
+        ["family", "many-balls", "--beta", "0.6", "--n", "4", "--Q", "nan"],
+        "charge",
+    ),
+    "rayleigh_Q_inf": (
+        ["stability", "rayleigh", "--l", "2", "--amplitudes=-0.1,0,0.1", "--M", "100",
+         "--Q", "0,inf"],
+        "charge",
+    ),
+    "convex_2d_Q_nan": ([*_CONVEX, "--Q", "0,nan"], "charge"),
 }
 
 

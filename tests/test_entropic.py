@@ -86,6 +86,12 @@ def test_role_and_dimension_guards():
         dc.solve_entropic(disk)
 
 
+@pytest.mark.parametrize("charge", [np.nan, np.inf])
+def test_entropic_energy_rejects_a_nonfinite_charge(charge):
+    with pytest.raises(ValidationError, match="charge must be finite"):
+        dc.entropic_energy(BALL3, charge, n_nodes=100)
+
+
 def test_entropic_energy_combines_terms():
     out = dc.entropic_energy(BALL3, 2.0, n_nodes=800)
     assert out.total == pytest.approx(out.perimeter + 4.0 * out.J_value, rel=1e-14)

@@ -210,6 +210,12 @@ def test_drop_energy_combines_terms():
     assert out.interaction == pytest.approx(4.0 * out.equilibrium_energy, rel=1e-14)
 
 
+@pytest.mark.parametrize("charge", [np.nan, np.inf, -np.inf])
+def test_drop_energy_rejects_a_nonfinite_charge(charge):
+    with pytest.raises(ValidationError, match="charge must be finite"):
+        dc.drop_energy(BALL3, charge, 2.0, n_nodes=100)
+
+
 def test_capacity_from_energy_branches():
     assert dc.capacity_from_energy(2.0, COULOMB) == pytest.approx(0.5)
     assert dc.capacity_from_energy(-np.log(2.0), dc.KernelParams(2, 2.0)) == pytest.approx(2.0)

@@ -59,11 +59,13 @@ def test_many_balls_numeric_close_to_closed_form():
 
 
 def test_droplet_cross_terms_summed_per_distance_match_the_pairwise_sum():
-    from dropcap.instability import _droplet_interaction_numeric
-
-    n, r, charge, alpha, separation, nodes = 6, 0.4, 1.3, 1.5, 7.3, 150
+    n, beta, charge, alpha, separation, nodes = 6, 0.6, 1.3, 1.5, 7.3, 150
+    p = dc.many_balls_family(
+        [n], beta=beta, charge=charge, alpha=alpha, separation=separation,
+        numeric_nodes=nodes,
+    )[0]
     params = dc.KernelParams(3, alpha)
-    template = dc.discretize(dc.Ball((0.0, 0.0, 0.0), r), nodes, "volume")
+    template = dc.discretize(dc.Ball((0.0, 0.0, 0.0), n**-beta), nodes, "volume")
     u = template.weights / template.weights.sum() * (charge / n)
     pairwise = n * dc.assemble_operator(template, params).energy(u)
     centers = separation * np.arange(1, n + 1)
@@ -72,7 +74,7 @@ def test_droplet_cross_terms_summed_per_distance_match_the_pairwise_sum():
             if i != j:
                 shifted = template.points + [centers[i] - centers[j], 0.0, 0.0]
                 pairwise += dc.potential_at(params, template, u, shifted) @ u
-    total = _droplet_interaction_numeric(n, r, charge, 3, alpha, separation, nodes)
+    total = p.numeric_energy - p.components["perimeter"]
     assert total == pytest.approx(pairwise, rel=1e-13)
 
 
@@ -85,6 +87,24 @@ def test_many_balls_rejects_bad_rates():
         dc.many_balls_family([1], beta=0.51, charge=1.0)
     with pytest.raises(ValidationError):
         dc.many_balls_family([4], beta=0.6, charge=1.0, separation=1.0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 3.0, 0.5])
+def test_many_balls_rejects_alpha_outside_one_to_dim(alpha):
+    with pytest.raises(ValidationError, match="alpha"):
+        dc.many_balls_family([4], beta=0.6, charge=1.0, alpha=alpha)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_many_balls_rejects_nonpositive_counts(n):
+    with pytest.raises(ValidationError, match="positive"):
+        dc.many_balls_family([4, n], beta=0.6, charge=1.0)
+
+
+@pytest.mark.parametrize("charge", [np.nan, np.inf])
+def test_many_balls_rejects_a_nonfinite_charge(charge):
+    with pytest.raises(ValidationError, match="charge"):
+        dc.many_balls_family([4], beta=0.6, charge=charge)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +159,22 @@ def test_two_balls_overlap_rejected():
         dc.two_balls_field_family([0], field_strength=1.0, n_nodes=400)
 
 
+def test_two_balls_is_posed_from_three_dimensions():
+    with pytest.raises(dc.UnsupportedConfigurationError, match="dimension"):
+        dc.two_balls_field_family([2], field_strength=1.0, n_nodes=400, dim=2)
+
+
+def test_two_balls_numeric_field_term_is_the_closed_form():
+    # the volume cloud of a ball centered at the origin has its x1 moment
+    # at round-off, so the field term on the cloud is the closed form
+    E, n, r = 1.7, 3, 0.5 ** (1.0 / 3.0)
+    p = dc.two_balls_field_family([n], field_strength=E, n_nodes=400)[0]
+    cloud = dc.discretize(dc.Ball((0.0, 0.0, 0.0), r), 400, "volume")
+    w, x1 = cloud.weights, cloud.points[:, 0]
+    on_cloud = -E * (float(w @ (x1 + n)) - float(w @ (x1 - n)))
+    assert on_cloud == pytest.approx(p.components["field"], rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # slab
 
@@ -167,6 +203,47 @@ def test_slab_field_term_is_exact():
 def test_slab_too_short_rejected():
     with pytest.raises(ValidationError):
         dc.slab_family([2], field_strength=1.0, n_nodes=600)
+    with pytest.raises(ValidationError, match="cannot fit"):
+        dc.slab_family([16, 0], field_strength=1.0, n_nodes=200)
+
+
+SHORTEST_SLAB = (4.0 * 4.0 * np.pi / 3.0) ** (1.0 / 3.0)  # where 2 eps = n
+
+
+@pytest.mark.parametrize("E", [14.0, 20.0, 50.0, 1000.0])
+def test_slab_crossover_in_a_strong_field_is_the_shortest_slab(E):
+    # the energy is already negative on the shortest slab whose caps fit,
+    # so no shorter (overlapping) slab may be reported
+    out = dc.slab_family([16], field_strength=E, n_nodes=200)
+    assert out["crossover"] == pytest.approx(SHORTEST_SLAB, rel=1e-15)
+    assert out["crossover"] == pytest.approx(2.558878, abs=1e-6)
+
+
+@pytest.mark.parametrize("E, root", [(1.0, 101.05368677965224), (10.0, 3.0942882977638537)])
+def test_slab_crossover_is_the_root_of_the_closed_form(E, root):
+    # the roots found on the closed-form energy before the search moved to
+    # admissible lengths only; 2e-12 is brentq's absolute tolerance
+    out = dc.slab_family([16], field_strength=E, n_nodes=200)
+    assert out["crossover"] == pytest.approx(root, abs=2e-12)
+    assert out["crossover"] > SHORTEST_SLAB
+
+
+def test_slab_without_field_fits_only_the_nonzero_components():
+    out = dc.slab_family([16, 32, 64], field_strength=0.0, n_nodes=200)
+    assert set(out["fitted_exponents"]) == {"perimeter", "interaction"}
+    assert out["crossover"] is None
+    assert all(p.components["field"] == 0.0 for p in out["points"])
+
+
+def test_family_energy_is_the_component_sum():
+    families = [
+        dc.many_balls_family([4, 16], beta=0.6, charge=1.5),
+        dc.two_balls_field_family([2, 5], field_strength=1.0, n_nodes=200),
+        dc.slab_family([16, 32], field_strength=2.0, n_nodes=200)["points"],
+    ]
+    for points in families:
+        for p in points:
+            assert p.analytic_energy == sum(p.components.values())
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +393,22 @@ def test_convex_scan_polygon_perimeters_match_closed_form():
             )
 
 
-def test_family_point_component_sum_guard():
-    with pytest.raises(ValidationError):
-        dc.FamilyPoint(
-            n=1,
-            shape=dc.Ball((0.0, 0.0, 0.0), 1.0),
-            analytic_energy=5.0,
-            components={"perimeter": 1.0, "interaction": 1.0, "field": 1.0},
-        )
+@pytest.mark.parametrize("m", [0, 1, 2, -3])
+def test_convex_scan_rejects_polygons_with_fewer_than_three_sides(m):
+    with pytest.raises(ValidationError, match="sides"):
+        dc.convex_scan_2d([0.0], m_gons=(4, m), n_random=0, n_nodes=100)
+
+
+def test_convex_scan_random_polygons_have_the_disk_area():
+    from dropcap.instability import _random_polygon
+
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        assert dc.volume(_random_polygon(rng)) == pytest.approx(np.pi, rel=1e-12)
+
+
+def test_scans_reject_a_nonfinite_charge():
+    with pytest.raises(ValidationError, match="charge"):
+        dc.rayleigh_scan(2, [-0.1, 0.0, 0.1], [0.0, np.inf], n_nodes=100)
+    with pytest.raises(ValidationError, match="charge"):
+        dc.convex_scan_2d([np.nan], n_random=0, n_nodes=100)
