@@ -8,21 +8,30 @@ the node set at rounding level; circles use equally spaced midpoints;
 boxes get per-face grids; polygons are subdivided by arc length.  Each
 shape class has one boundary placement in _BOUNDARY.  Volume clouds are
 cell-centered Cartesian grids over the shape's bounding box, clipped to
-the shape.
+the shape; a grid of more than MAX_GRID_CELLS cells is refused before
+it is built.
 
-A placement that builds its nodes in reflected pairs records the pairing
-as the cloud's mirror: mirror[i] is node i's reflection through one
-center, and mirror[i] == i for a node at the center.  Sphere lattices
-are [upper; -upper], so balls and both shells of an annulus in 3d are
-mirrored; box faces come in +- pairs.  A volume grid is paired with its
-reversal when its clipped mask and its weights are symmetric, which is
-a property of the shape, and its second half is then made the exact
-reflection of its first; other grids are left as built.  The operators
-solve on the orbits {i, mirror[i]} (Orbits).
+A placement that builds its nodes in reflected sets records the
+reflections as the cloud's mirror: one row per generator, mirror[g, i]
+being node i's image under reflection g, which negates some coordinates
+about one center and keeps the rest, and mirror[g, i] == i for a node it
+fixes.  The generators commute, and their products form the cloud's
+reflection group G of 2^k elements.  Sphere lattices are [upper;
+-upper], so balls, both shells of an annulus in 3d, and radial graphs
+whose modes all have even degree carry the one point mirror.  Box faces
+carry one reflection per axis: the two faces across an axis swap, and
+each face grid is reflected in itself along the others.  A volume grid
+carries the reflection along each axis under which its clipped mask
+and its weights are symmetric, a property of the shape, and its axes
+are then made exactly symmetric about the center; a grid symmetric
+only under the point mirror carries that one.  The operators solve on
+the node orbits {g i : g in G} (Orbits); on the 2553-node volume ball
+that is 410 orbits, where the point mirror alone gives 1277.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,82 +44,159 @@ from .kernels import unit_sphere_area
 __all__ = [
     "NodeCloud",
     "Orbits",
+    "character_sums",
     "discretize",
     "default_role",
     "voronoi_patch_areas",
     "GOLDEN_ANGLE",
+    "MAX_GRID_CELLS",
 ]
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 _ROLES = ("boundary", "volume")
 
-# Mirrored nodes must have a common midpoint to within this many ulps of
-# the largest coordinate: placements reflect in floating point.
+# Reflected nodes must have a common midpoint in each coordinate they
+# negate, and equal other coordinates, to within this many ulps of the
+# largest coordinate: placements reflect in floating point.
 MIRROR_ULPS = 8
+
+# A volume grid over the bounding box holds at most this many cells
+# (about 100 MB of coordinates in 3d), whatever its dimension.
+MAX_GRID_CELLS = 4_000_000
+
+
+def character_sums(slabs, out: np.ndarray | None = None, spare: np.ndarray | None = None) -> list:
+    """Sums of per-element slabs over a reflection group, one per sign character.
+
+    slabs[a] is the slab of group element a, whose bits name the
+    generators it is the product of.  Returns the characters' slabs: at
+    s, the sum over a of (-1)^popcount(s & a) slabs[a]; s = 0 is the
+    trivial character, whose sum is the plain one and goes to out if
+    given.  This is a fast Walsh-Hadamard transform of two array
+    operations per butterfly, the sum into a free array and the
+    difference in place, so the slabs are overwritten and returned in
+    another order.  spare is the free array, allocated if needed and
+    not given; a group of one or two elements with out given needs none.
+    """
+    slabs, size, step = list(slabs), len(slabs), 1
+    if size == 1 and out is not None:
+        np.copyto(out, slabs[0])
+        return [out]
+    while step < size:
+        for start in range(0, size, 2 * step):
+            for a in range(start, start + step):
+                low, high = slabs[a], slabs[a + step]
+                if a == 0 and 2 * step == size and out is not None:
+                    total = out
+                else:
+                    total = spare if spare is not None else np.empty_like(low)
+                    spare = high
+                np.add(low, high, out=total)
+                np.subtract(low, high, out=low)
+                slabs[a], slabs[a + step] = total, low
+        step *= 2
+    return slabs
+
+
+def _group_elements(generators: np.ndarray) -> np.ndarray:
+    """The 2^k node permutations of the group generated by k commuting involutions.
+
+    Row a is the product of the generators whose bits are set in a; row
+    0 is the identity.
+    """
+    k, n = generators.shape
+    elements = np.empty((2**k, n), dtype=np.int64)
+    elements[0] = np.arange(n)
+    for i in range(k):
+        elements[2**i : 2 ** (i + 1)] = generators[i][elements[: 2**i]]
+    return elements
 
 
 class Orbits:
-    """The node orbits of a cloud under its mirror, and vectors over them.
+    """The node orbits of a cloud under its reflection group, and vectors over them.
 
-    An orbit is a pair {i, mirror[i]} or a single node at the center; an
-    unmirrored cloud has one orbit per node.  Orbits are ordered pairs
-    first: reps[:n_pairs] holds the lower node of each pair, partners its
-    mirror, and reps[n_pairs:] the centered nodes.  A nodal vector x
-    splits into an even part, given per orbit by its mean or its sum, and
-    an odd part, given per pair by (x[rep] - x[partner]) / 2.  All
+    An orbit is the set {g i : g in G} of a node i, represented by its
+    smallest node; an unmirrored cloud has one orbit per node.  Orbits
+    are ordered by size, largest first, then by representative, so under
+    a point mirror the pairs come first and the centered nodes last.
+    images[a, o] is the image of orbit o's representative under group
+    element a, and sizes the orbit sizes, 2^k over the size of the
+    representative's stabilizer.
+
+    A nodal vector x splits into one part per sign character s of G: the
+    part of x with x[g i] = chi_s(g) x[i].  An orbit carries s when
+    chi_s is 1 on its stabilizer, and the part of s is given over the
+    orbits that carry it, carriers[s] in ascending order, by its value
+    at each representative.  s = 0 is the trivial character: its part is
+    the orbit mean, carried by every orbit.  Under a point mirror s = 1
+    is the odd part, (x[rep] - x[partner]) / 2 on the pairs.  All
     methods act on the last axis, so they take single vectors and blocks
     of rows alike.
     """
 
-    def __init__(self, mirror: np.ndarray | None, n_nodes: int):
+    def __init__(self, generators: np.ndarray | None, n_nodes: int):
+        if generators is None:
+            generators = np.empty((0, n_nodes), dtype=np.int64)
+        elements = _group_elements(generators)
         nodes = np.arange(n_nodes)
-        if mirror is None:
-            self.reps, self.partners = nodes, nodes[:0]
-        else:
-            lower = np.flatnonzero(mirror > nodes)
-            self.reps = np.concatenate([lower, np.flatnonzero(mirror == nodes)])
-            self.partners = mirror[lower]
+        reps = np.flatnonzero(elements.min(axis=0) == nodes)
+        fixed = elements[:, reps] == reps
+        stabilizer = fixed.sum(axis=0)
+        order = np.argsort(stabilizer, kind="stable")
+        self.reps = reps[order]
+        self.images = elements[:, self.reps]
         self.n_nodes = n_nodes
-        self.n_pairs = len(self.partners)
-        self.sizes = np.ones(len(self.reps))
-        self.sizes[: self.n_pairs] = 2.0
+        self.sizes = len(elements) / stabilizer[order]
+        fixed = fixed[:, order]
+        # negative[s, a]: chi_s(a) = -1; an orbit carries s unless an
+        # element of its stabilizer is negative under it
+        group = range(len(elements))
+        negative = np.array([[bin(s & a).count("1") % 2 == 1 for a in group] for s in group])
+        carried = ~(negative[:, :, None] & fixed).any(axis=1)
+        self.carriers = tuple(np.flatnonzero(c) for c in carried)
 
     def __len__(self) -> int:
         return len(self.reps)
 
+    def _character_sums(self, x: np.ndarray) -> list:
+        """sum_g chi_s(g) x[g rep] over the orbits, for each character s."""
+        return character_sums([x[..., images] for images in self.images])
+
     def sums(self, x: np.ndarray) -> np.ndarray:
         """Sum over each orbit: the orbit masses of nodal masses."""
-        u = x[..., self.reps]
-        u[..., : self.n_pairs] += x[..., self.partners]
-        return u
+        return self._character_sums(x)[0] * (self.sizes / len(self.images))
 
-    def means(self, x: np.ndarray) -> np.ndarray:
-        """Mean over each orbit: the even part of nodal values."""
-        u = self.sums(x)
-        u[..., : self.n_pairs] *= 0.5
-        return u
+    def parts(self, x: np.ndarray) -> list[np.ndarray]:
+        """The part of nodal values of each character, over the orbits carrying it."""
+        sums = self._character_sums(x)
+        return [sums[s][..., c] / len(self.images) for s, c in enumerate(self.carriers)]
 
-    def half_differences(self, x: np.ndarray) -> np.ndarray:
-        """(x[rep] - x[partner]) / 2 per pair: the odd part of nodal values."""
-        return 0.5 * (x[..., self.reps[: self.n_pairs]] - x[..., self.partners])
+    def join(self, *values) -> np.ndarray:
+        """Nodal values with the given part of each character.
 
-    def join(self, even: np.ndarray, odd: np.ndarray | None = None) -> np.ndarray:
-        """Nodal values with the given even part per orbit and odd part per pair."""
-        out = np.empty(even.shape[:-1] + (self.n_nodes,))
-        out[..., self.reps] = even
-        paired = even[..., : self.n_pairs]
-        if odd is None:
-            out[..., self.partners] = paired
-        else:
-            out[..., self.reps[: self.n_pairs]] += odd
-            out[..., self.partners] = paired - odd
+        values[s] holds the part of character s over its carriers, or
+        None for a zero part; characters past the last given are zero.
+        """
+        shape = values[0].shape[:-1] + (len(self),)
+        parts = [np.zeros(shape) for _ in self.images]
+        for s, v in enumerate(values):
+            if v is not None:
+                parts[s][..., self.carriers[s]] = v
+        out = np.empty(values[0].shape[:-1] + (self.n_nodes,))
+        for images, slab in zip(self.images, character_sums(parts)):
+            out[..., images] = slab
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class NodeCloud:
-    """Points with cell measures on the boundary or the body of a shape."""
+    """Points with cell measures on the boundary or the body of a shape.
+
+    mirror, if given, holds the generators of the cloud's reflection
+    group, one node permutation per row; a single permutation may be
+    given as a vector.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -138,7 +224,7 @@ class NodeCloud:
             raise ValidationError("component labels out of range")
         arrays = [pts, w, comp]
         if self.mirror is not None:
-            mirror = np.ascontiguousarray(np.asarray(self.mirror, dtype=np.int64))
+            mirror = np.atleast_2d(np.asarray(self.mirror, dtype=np.int64)).copy()
             _check_mirror(pts, w, mirror)
             arrays.append(mirror)
             object.__setattr__(self, "mirror", mirror)
@@ -173,26 +259,38 @@ class NodeCloud:
 
 
 def _check_mirror(points: np.ndarray, weights: np.ndarray, mirror: np.ndarray) -> None:
-    """Raise unless mirror reflects the nodes through one center.
+    """Raise unless the rows of mirror generate a group of coordinate reflections.
 
-    The pairing must be an involution of the node indices, paired weights
-    must be equal, and every pair's midpoint must be the same point to
-    within MIRROR_ULPS ulps of the largest coordinate.
+    Each row must be an involution of the node indices under which
+    weights are equal, and must negate the coordinates it moves about
+    one center: on each, every pair's midpoint is the same to within
+    MIRROR_ULPS ulps of the largest coordinate, and the others stay put
+    to within as much.  The rows must commute and generate 2^k distinct
+    permutations.
     """
-    n = len(points)
+    k, n = mirror.shape if mirror.ndim == 2 else (0, 0)
+    nodes = np.arange(n)
     if (
-        mirror.shape != (n,)
+        k == 0
+        or n != len(points)
         or mirror.min() < 0
         or mirror.max() >= n
-        or not np.array_equal(mirror[mirror], np.arange(n))
+        or any(not np.array_equal(g[g], nodes) for g in mirror)
     ):
         raise ValidationError("mirror must pair the node indices among themselves")
-    if not np.array_equal(weights[mirror], weights):
-        raise ValidationError("mirrored nodes must carry equal weights")
-    midpoints = 0.5 * (points + points[mirror])
     tol = MIRROR_ULPS * np.finfo(float).eps * float(np.abs(points).max())
-    if float(np.ptp(midpoints, axis=0).max()) > tol:
-        raise ValidationError("mirror does not reflect the nodes through one center")
+    for g in mirror:
+        if not np.array_equal(weights[g], weights):
+            raise ValidationError("mirrored nodes must carry equal weights")
+        image = points[g]
+        moved = np.abs(points - image).max(axis=0) > tol
+        midpoints = 0.5 * (points[:, moved] + image[:, moved])
+        if midpoints.size and float(np.ptp(midpoints, axis=0).max()) > tol:
+            raise ValidationError("mirror does not reflect the nodes through one center")
+    if any(not np.array_equal(g[h], h[g]) for i, g in enumerate(mirror) for h in mirror[:i]):
+        raise ValidationError("mirror reflections must commute")
+    if len({e.tobytes() for e in _group_elements(mirror)}) != 2**k:
+        raise ValidationError("mirror reflections must generate 2^k distinct permutations")
 
 
 def default_role(alpha: float) -> str:
@@ -292,38 +390,66 @@ def _union_boundary(shape: shp.UnionOfBalls, n: int):
     )
 
 
-def _reflect_second_half(pts: np.ndarray, center) -> np.ndarray:
-    """Make node N-1-k of a centered tensor grid the exact reflection of node k.
+def _symmetrize(axis: np.ndarray, center: float) -> np.ndarray:
+    """Make an axis of grid coordinates exactly symmetric about center.
 
-    In the row-major order of a grid symmetric about center, node N-1-k is
-    node k reflected through center up to rounding; this overwrites the
-    second half with the reflection of the first, and an odd grid's
-    middle node with the center.
+    Coordinate count-1-k of an axis symmetric about center is coordinate
+    k reflected up to rounding; this overwrites the second half with the
+    reflection of the first, and an odd axis's middle coordinate with
+    the center.
     """
-    n = len(pts)
+    n = len(axis)
     half = n // 2
-    pts[n - half :] = (2.0 * np.asarray(center) - pts[:half])[::-1]
+    axis[n - half :] = (2.0 * center - axis[:half])[::-1]
     if n % 2:
-        pts[half] = center
+        axis[half] = center
+    return axis
+
+
+def _grid_points(axes) -> np.ndarray:
+    """The points of the tensor grid over axes, in row-major order."""
+    counts = [len(a) for a in axes]
+    total = math.prod(counts)
+    pts = np.empty((total, len(axes)))
+    inner = total
+    for i, a in enumerate(axes):
+        inner //= counts[i]
+        pts[:, i] = np.tile(np.repeat(a, inner), total // (inner * counts[i]))
     return pts
 
 
+def _grid_flip(counts, axis: int) -> np.ndarray:
+    """The row-major index of each node of a grid reflected along one axis."""
+    nodes = np.arange(math.prod(counts))
+    stride = math.prod(counts[axis + 1 :])
+    k = nodes // stride % counts[axis]
+    return nodes + (counts[axis] - 1 - 2 * k) * stride
+
+
 def _box_grid(half_widths, n_target: int):
-    """Cell midpoints tiling a centered box exactly, reflected in pairs."""
+    """Cell midpoints tiling a centered box exactly, each axis symmetric about 0.
+
+    Returns the points, the cell volume and the per-axis counts.
+    """
     h = np.asarray(half_widths, dtype=float)
     d = len(h)
     vol = float(np.prod(2.0 * h))
     cell = (vol / max(n_target, 1)) ** (1.0 / d)
-    counts = np.maximum(1, np.round(2.0 * h / cell).astype(int))
+    counts = [int(c) for c in np.maximum(1, np.round(2.0 * h / cell))]
     steps = 2.0 * h / counts
-    axes = [(-h[i] + (np.arange(counts[i]) + 0.5) * steps[i]) for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    return _reflect_second_half(pts, np.zeros(d)), float(np.prod(steps))
+    axes = [
+        _symmetrize(-h[i] + (np.arange(counts[i]) + 0.5) * steps[i], 0.0) for i in range(d)
+    ]
+    return _grid_points(axes), float(np.prod(steps)), counts
 
 
 def _box_boundary(shape: shp.Box, n: int):
-    """Per-face grids; node k of face i- mirrors node N-1-k of face i+."""
+    """Per-face grids, with one reflection per axis.
+
+    Faces i- and i+ share one grid, so the reflection along axis i swaps
+    their nodes index for index, and the reflection along any other axis
+    reflects each face grid in itself.
+    """
     d = shape.dim
     center = np.array(shape.center)
     h = np.array(shape.half_widths)
@@ -331,11 +457,12 @@ def _box_boundary(shape: shp.Box, n: int):
     for i in range(d):
         areas.append(float(np.prod(np.delete(2.0 * h, i))))
     total = 2.0 * sum(areas)
-    pts_list, w_list, comp_list, names, mirror_list = [], [], [], [], []
+    pts_list, w_list, comp_list, names = [], [], [], []
+    mirror_list = []
     label = start = 0
     for i in range(d):
         m_face = max(1, int(round(n * areas[i] / total)))
-        face_pts, cell = _box_grid(np.delete(h, i), m_face)
+        face_pts, cell, counts = _box_grid(np.delete(h, i), m_face)
         m = len(face_pts)
         for sign, tag in ((-1.0, "-"), (1.0, "+")):
             full = np.empty((m, d))
@@ -346,15 +473,21 @@ def _box_boundary(shape: shp.Box, n: int):
             comp_list.append(np.full(m, label, dtype=int))
             names.append(f"face_{i}{tag}")
             label += 1
-        # the other face of the pair, its grid reversed
-        mirror_list += [start + 2 * m - 1 - np.arange(m), start + m - 1 - np.arange(m)]
+        face = np.empty((d, 2 * m), dtype=np.int64)
+        for j in range(d):
+            if j == i:
+                face[j] = np.roll(np.arange(2 * m), m)
+            else:
+                flip = _grid_flip(counts, j - (j > i))
+                face[j] = np.concatenate([flip, flip + m])
+        mirror_list.append(start + face)
         start += 2 * m
     return (
         np.vstack(pts_list),
         np.concatenate(w_list),
         np.concatenate(comp_list),
         tuple(names),
-        np.concatenate(mirror_list),
+        np.hstack(mirror_list),
     )
 
 
@@ -382,15 +515,27 @@ def _polygon_boundary(shape: shp.ConvexPolygon2D, n: int):
 
 
 def _graph_boundary(shape: shp.NearlySpherical, n: int):
+    """The sphere lattice lifted onto the graph r = R(u).
+
+    When every mode has even degree, R(-u) = R(u): the profile is
+    evaluated on the upper half of the lattice alone, the lower half is
+    its exact reflection, and the cloud carries the point mirror.
+    """
     n = _even_count(n, 8)
     u = _sphere_lattice(n)
+    mirror = None
+    if all(l % 2 == 0 for l, _, _ in shape.modes):
+        u = u[: n // 2]
+        mirror = np.roll(np.arange(n), n // 2)
     theta = np.arccos(np.clip(u[:, 2], -1.0, 1.0))
     lam = np.arctan2(u[:, 1], u[:, 0])
     R, gt, gl = shape.profile(theta, lam)
     pts = R[:, None] * u
     w = (4.0 * np.pi / n) * R * np.sqrt(R * R + gt * gt + gl * gl)
+    if mirror is not None:
+        pts, w = np.vstack([pts, -pts]), np.concatenate([w, w])
     comp = np.zeros(n, dtype=int)
-    return pts, w, comp, ("boundary",), None
+    return pts, w, comp, ("boundary",), mirror
 
 
 _BOUNDARY = {
@@ -408,20 +553,29 @@ _BOUNDARY = {
 
 
 def _volume_cloud(shape: shp.Shape, n: int):
+    """A cell-centered grid over the bounding box, clipped to the shape.
+
+    Refuses a grid of more than MAX_GRID_CELLS cells before building it.
+    """
     d = shape.dim
     vol = shp.volume(shape)
     center, half = shape.bounding_box()
     cell = (vol / max(n, 1)) ** (1.0 / d)
-    counts = np.maximum(1, np.round(2.0 * half / cell).astype(int))
+    counts = np.maximum(1.0, np.round(2.0 * half / cell))
     # Odd counts center a node on the shape's midpoint, so radial profiles
     # see the innermost shell at any resolution.
     counts += counts % 2 == 0
+    if not float(np.prod(counts)) <= MAX_GRID_CELLS:
+        raise ValidationError(
+            f"a volume grid of {n} nodes in dimension {d} needs "
+            f"{float(np.prod(counts)):.3g} bounding-box cells, more than {MAX_GRID_CELLS}"
+        )
+    counts = [int(c) for c in counts]
     steps = 2.0 * half / counts
     axes = [
         center[i] - half[i] + (np.arange(counts[i]) + 0.5) * steps[i] for i in range(d)
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    pts = _grid_points(axes)
     mask = shape.contains(pts)
     if not mask.any():
         raise DiscretizationError("no grid cells landed inside the shape; raise n_nodes")
@@ -446,13 +600,30 @@ def _volume_cloud(shape: shp.Shape, n: int):
                 )
             w[inside] *= shp.volume(piece) / w[inside].sum()
         names = tuple(f"{piece.variant}_{i}" for i, piece in enumerate(pieces))
-    # Reversal reflects the grid through its center up to rounding.  If the
-    # clipped mask and the weights are symmetric too, node k pairs with
-    # node N-1-k, and the second half becomes the exact reflection.
-    if np.array_equal(mask, mask[::-1]) and np.array_equal(w, w[::-1]):
-        mirror = np.arange(len(w))[::-1].copy()
-        return _reflect_second_half(pts, center), w, comp, names, mirror
-    return pts, w, comp, names, None
+    # A grid reflection maps the grid onto itself up to rounding.  Each
+    # one under which the clipped mask and the weights are symmetric is
+    # recorded, and the axes it negates are made exactly symmetric.
+    grid_w = np.zeros(len(mask))
+    grid_w[mask] = w
+
+    def symmetric(flip):
+        return np.array_equal(grid_w, grid_w[flip])
+
+    axis_flips = {i: _grid_flip(counts, i) for i in range(d) if counts[i] > 1}
+    reflected = [i for i, flip in axis_flips.items() if symmetric(flip)]
+    flips = [axis_flips[i] for i in reflected]
+    if len(reflected) < len(axis_flips):
+        point = np.arange(len(mask))[::-1]
+        if symmetric(point):
+            flips.append(point)
+            reflected = list(axis_flips)
+    if not flips:
+        return pts, w, comp, names, None
+    for i in reflected:
+        axes[i] = _symmetrize(axes[i], center[i])
+    node = np.cumsum(mask) - 1
+    mirror = np.array([node[flip[mask]] for flip in flips])
+    return _grid_points(axes)[mask], w, comp, names, mirror
 
 
 # ---------------------------------------------------------------------------

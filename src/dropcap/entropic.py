@@ -14,10 +14,11 @@ on volume clouds with cell volumes V:
 
 with the sign left unconstrained: 2G m = lambda 1 with sum(m) = 1 for
 the positive definite 2G, the constrained solve of dropcap.linalg with
-rhs 0 and total 1.  The minimizer is unique, so it is even under the
-cloud's mirror, and the solve runs over orbit masses u with the
-operator's even block E and the orbit volumes W: 2G becomes
-E/2 pi + diag(2/W) (dropcap.operators).  2G is well conditioned (about
+rhs 0 and total 1.  The minimizer is unique, so it is invariant under
+the cloud's reflection group, and the solve runs over orbit masses u
+with the operator's trivial-character block E and the orbit volumes W:
+2G becomes E/2 pi + diag(2/W) (dropcap.operators).  On the unit ball
+at 2000 requested nodes that is 2553 nodes in 410 orbits.  2G is well conditioned (about
 1.4 on the unit ball), and projected conjugate gradients solve it in a
 few products (1/2 pi) E u + (2/W) u, never forming 2G.  A CG run that
 breaks down, diverges or stalls raises NonConvergenceError carrying the
@@ -96,19 +97,19 @@ def solve_entropic(cloud: NodeCloud) -> DensityResult:
     params = KernelParams(3, 2.0)
     op = assemble_operator(cloud, params)
     orbits = op.orbits
-    # the minimizer is even: solve over orbit masses u, each orbit's
-    # volume W taking the place of a node's
+    # the minimizer is invariant: solve over orbit masses u, each
+    # orbit's volume W taking the place of a node's
     W = orbits.sums(cloud.weights)
     coulomb, penalty = 2.0 / params.pde_constant, 2.0 / W
     try:
         u, lam = constrained_solve(
-            lambda v: coulomb * op.apply_even(v) + penalty * v, np.zeros(len(W)), 1.0
+            lambda v: coulomb * op.apply_block(0, v) + penalty * v, np.zeros(len(W)), 1.0
         )
     except NonConvergenceError as err:
         u, lam = err.result
         err.result = (orbits.join(u / orbits.sizes), lam)
         raise
-    Eu = op.apply_even(u)
+    Eu = op.apply_block(0, u)
     Gu = Eu / params.pde_constant + u / W
     value = float(u @ Gu)
     el = float(np.max(np.abs(2.0 * Gu - lam)))

@@ -13,9 +13,9 @@ logarithmic kernel, its negative exponential) is the capacity.  An
 active-set method solves the program to round-off in a handful of
 unit-charge solves on the working set, starting from all nodes active
 and deactivating negative masses until complementarity holds.  The
-minimizer is unique, so on a mirrored cloud it is even, and the program
-is solved over orbit masses with the operator's even block E
-(dropcap.operators).  Each step is one call of the constrained solve in
+minimizer is unique, so it is invariant under the cloud's reflection
+group, and the program is solved over orbit masses with the operator's
+trivial-character block E (dropcap.operators).  Each step is one call of the constrained solve in
 dropcap.linalg, E x = lambda 1 with sum(x) = 1, projected conjugate
 gradients for the Riesz and the planar logarithmic kernels alike.
 """
@@ -147,9 +147,10 @@ def equilibrium_measure(
     """Equilibrium measure of the cloud underlying an assembled operator.
 
     Minimizes m.T K m over the probability simplex by active sets.  The
-    minimizer, being unique, is even under the cloud's mirror, so the
-    program is solved over orbit masses u with the operator's even block
-    E: the same program, whose potentials E u are the node potentials.
+    minimizer, being unique, is invariant under the cloud's reflection
+    group, so the program is solved over orbit masses u with the
+    operator's trivial-character block E: the same program, whose
+    potentials E u are the node potentials.
     Each node of an orbit holds u / size, and the loop judges those node
     masses, so its decisions are those of the unreduced program.  Each
     working set runs the constrained solve (dropcap.linalg) on E, or on a
@@ -158,8 +159,8 @@ def equilibrium_measure(
     the run stops and the set loses exactly those orbits.  A set that
     passes finishes the same recurrence, so the accepted set's masses
     and multiplier are bit-identical to an unscreened solve's.  On the
-    collapsing alpha = 2 volume ball (2553 nodes, 1277 orbits, five
-    working sets) that takes 102 products with E instead of 248.  A
+    collapsing alpha = 2 volume ball (2553 nodes, 410 orbits, five
+    working sets) that takes 106 products with E instead of 253.  A
     working set that comes round again turns the screen off for the
     rest of the loop.
 
@@ -179,10 +180,14 @@ def equilibrium_measure(
     minimizer.  Raises NonConvergenceError if a failed run's last
     iterate has no negative orbit, or if max_iter working sets do not
     settle; it carries the last accepted iterate as node masses (uniform
-    if none was) and its energy m.K m.
+    if none was) and its energy m.K m.  A tol that is not finite and
+    positive raises ValidationError.
     """
     if not isinstance(op, KernelOperator):
         raise ValidationError("equilibrium_measure expects an assembled operator")
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     orbits, K = op.orbits, op.even
     sizes, n = orbits.sizes, len(orbits)
     if start_active is None:

@@ -8,12 +8,15 @@ is minimal over signed measures of zero total mass, phi being the
 external potential.  Discretely this is the problem of the existence
 proof: K w = -phi/2 + lambda 1 with sum(w) = 0, the multiplier lambda
 holding the net charge at zero.  KernelOperator.solve runs it with
-rhs -phi/2: the even part of phi takes projected conjugate
-gradients on the even block E, from w = 0 within the zero-sum
-measures, and the odd part one conjugate-gradient run on the odd block
-A - B (dropcap.operators).  On a cloud mirrored through the origin a
-linear phi is odd, so its even part is zero, the even solve does no
-product, and the odd run is the whole solve.  A CG run that breaks down,
+rhs -phi/2, split into the parts of the cloud's sign characters: the
+trivial part takes projected conjugate gradients on the block E, from
+w = 0 within the zero-sum measures, and every other nonzero part one
+conjugate-gradient run on its own block (dropcap.operators).  On a
+cloud symmetric about the origin a linear phi has no trivial part, so
+the constrained solve does no product.  Under a point mirror phi is
+odd, one run on (A - B)/2; under the three coordinate reflections of a
+volume grid or box faces each axis of phi is its own character, three
+runs on blocks of about n/8 orbits.  A CG run that breaks down,
 diverges or stalls raises NonConvergenceError carrying the nodal w and
 lambda reached.
 At the optimum the stationarity relation 2 v + phi = 2 lambda holds at

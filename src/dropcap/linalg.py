@@ -5,9 +5,10 @@
 The equilibrium measure and each active-set working set take rhs 0 and
 total 1; the conductor in an external field A = K, rhs -phi/2 and
 total 0; the entropic density A = K/2 pi + diag(2/V), rhs 0 and total 1.
-On a mirrored cloud K stands for its even block E over the orbits, and
-V for the orbit volumes (dropcap.operators); the odd part of the field
-problem is an unconstrained solve, conjugate gradients on A - B.
+On a cloud with reflections K stands for its trivial-character block E
+over the orbits, and V for the orbit volumes (dropcap.operators); each
+other character's part of the field problem is an unconstrained solve,
+conjugate gradients on that character's block.
 
 constrained_solve runs conjugate gradients (Hestenes and Stiefel 1952)
 on the zero-sum subspace 1^perp (projected CG; Gould, Hribar and
@@ -23,7 +24,7 @@ CG_RTOL times the start's residual |rhs - A x0|, not times its
 projection: on a circle x0 is already the answer and the projection is
 round-off.  At CG_RTOL = 1e-15 the masses agree with a bordered LU of
 [A -1; 1' 0] to 1e-12.  cg_solve is the same loop without the
-projections, for the odd part of the field problem.
+projections, for the other characters' parts of the field problem.
 
 CG's minimization property needs A positive definite on the search
 space, but its recurrence needs only p'Ap != 0.  Some discrete operators
@@ -47,16 +48,16 @@ stops with ScreenedOut, which carries it.  A run the screen passes goes
 on with the same recurrence to CG_RTOL, so its result is bit-identical
 to an unscreened run.  The active-set loop of equilibrium_measure screens
 each working set for negative masses.  On the collapsing alpha = 2
-volume ball (2553 nodes, 1277 orbits) its five working sets take
-98 + 59 + 43 + 25 + 23 = 248 products with the even block E
-unscreened and 30 + 21 + 16 + 12 + 23 = 102 screened, each count
+volume ball (2553 nodes, 410 orbits) its five working sets take
+105 + 63 + 42 + 23 + 20 = 253 products with the trivial block E
+unscreened and 36 + 21 + 17 + 12 + 20 = 106 screened, each count
 including the start's product; on the 1000 orbits of the 2000-node
 annulus, 54 + 50 = 104 and 15 + 50 = 65.  A working set that keeps all
 its nodes takes exactly as many products as unscreened.
 
 symv and symm read one triangle of a symmetric C-ordered matrix, the
-lower one unless told otherwise, so an operator whose even and odd
-blocks share one array, E below its diagonal and A - B above
+lower one unless told otherwise, so an operator whose character blocks
+share arrays two to one, one below the diagonal and one above
 (dropcap.operators), is multiplied without a copy.
 
 Every matrix product here runs on scipy's BLAS.  numpy links a separate

@@ -47,8 +47,8 @@ def stand_in_operator():
     """A symmetric matrix as the operator of an unmirrored stand-in cloud.
 
     The cloud has one planar node per row and the log-kernel params, so
-    capacity_from_energy takes an energy of either sign.  The packed
-    blocks hold K's lower triangle as the even block and a zero odd one.
+    capacity_from_energy takes an energy of either sign.  The one packed
+    array holds K's lower triangle as the trivial block.
     """
 
     def wrap(K):
@@ -62,7 +62,7 @@ def stand_in_operator():
             component_names=("nodes",),
         )
         packed = np.vstack([np.zeros((1, n)), np.tril(K)])
-        return dc.KernelOperator(packed=packed, cloud=cloud, params=dc.KernelParams(2, 2.0))
+        return dc.KernelOperator(packed=(packed,), cloud=cloud, params=dc.KernelParams(2, 2.0))
 
     return wrap
 

@@ -540,6 +540,17 @@ BAD_NUMBERS = {
         "charge",
     ),
     "convex_2d_Q_nan": ([*_CONVEX, "--Q", "0,nan"], "charge"),
+    # a tolerance that no residual can meet, or that every residual meets
+    "equilibrium_tol_nan": (["equilibrium", "--tol", "nan", "--M", "100"], "tol"),
+    "capacity_tol_neg": (["capacity", "--tol", "-1", "--M", "100"], "tol"),
+    "capacity_tol_0": (["capacity", "--tol", "0", "--M", "100"], "tol"),
+    "equilibrium_tol_inf": (["equilibrium", "--tol", "inf", "--M", "100"], "tol"),
+    # a bounding-box grid past MAX_GRID_CELLS, refused before it is built
+    "two_balls_dim_50": (["family", "two-balls", "--dim", "50", "--n", "2", "--M", "100"], "grid"),
+    "many_balls_numeric_1e8": (
+        ["family", "many-balls", "--beta", "0.6", "--n", "4", "--numeric-nodes", "100000000"],
+        "grid",
+    ),
 }
 
 

@@ -131,6 +131,14 @@ def test_boundary_clouds_reject_four_dimensional_balls_and_unions():
         assert dc.discretize(shape, 400, "volume").dim == 4
 
 
+def test_a_volume_grid_past_the_cell_bound_is_refused_before_it_is_built():
+    # 5^50 bounding-box cells: numpy could not even index the grid
+    with pytest.raises(ValidationError, match="bounding-box cells"):
+        dc.discretize(dc.Ball((0.0,) * 50, 1.0), 100, "volume")
+    with pytest.raises(ValidationError, match=f"more than {dc.clouds.MAX_GRID_CELLS}"):
+        dc.discretize(BALL3, 10 * dc.clouds.MAX_GRID_CELLS, "volume")
+
+
 def test_volume_cloud_too_coarse_raises():
     tiny = dc.Ball((0.0, 0.0, 0.0), 1e-3)
     u = dc.UnionOfBalls((dc.Ball((0, 0, 0), 1.0), dc.Ball((2.5, 0, 0), 1e-3)))

@@ -142,6 +142,12 @@ def test_farfield_check_normalizes_to_one(ball_eq_2000):
         assert row["scaled_potential"] == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_equilibrium_measure_rejects_a_tolerance_not_finite_and_positive(ball_op_2000, tol):
+    with pytest.raises(ValidationError, match="tol must be finite and positive"):
+        dc.equilibrium_measure(ball_op_2000, tol=tol)
+
+
 def test_equilibrium_measure_rejects_bad_arguments(ball_op_2000):
     with pytest.raises(ValidationError, match="assembled operator"):
         dc.equilibrium_measure(ball_op_2000.even)
