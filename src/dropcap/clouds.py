@@ -16,7 +16,8 @@ reflections as the cloud's mirror: one row per generator, mirror[g, i]
 being node i's image under reflection g, which negates some coordinates
 about one center and keeps the rest, and mirror[g, i] == i for a node it
 fixes.  The generators commute, and their products form the cloud's
-reflection group G of 2^k elements.  Sphere lattices are [upper;
+reflection group G of 2^k elements, k at most MAX_REFLECTIONS = 3.
+Sphere lattices are [upper;
 -upper], so balls, both shells of an annulus in 3d, and radial graphs
 whose modes all have even degree carry the one point mirror.  Box faces
 carry one reflection per axis: the two faces across an axis swap, and
@@ -24,7 +25,9 @@ each face grid is reflected in itself along the others.  A volume grid
 carries the reflection along each axis under which its clipped mask
 and its weights are symmetric, a property of the shape, and its axes
 are then made exactly symmetric about the center; a grid symmetric
-only under the point mirror carries that one.  The operators solve on
+only under the point mirror carries that one.  Past three dimensions,
+box faces and volume grids carry the point mirror alone, the product
+of the axis reflections.  The operators solve on
 the node orbits {g i : g in G} (Orbits); on the 2553-node volume ball
 that is 410 orbits, where the point mirror alone gives 1277.
 """
@@ -50,6 +53,7 @@ __all__ = [
     "voronoi_patch_areas",
     "GOLDEN_ANGLE",
     "MAX_GRID_CELLS",
+    "MAX_REFLECTIONS",
 ]
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -64,6 +68,12 @@ MIRROR_ULPS = 8
 # A volume grid over the bounding box holds at most this many cells
 # (about 100 MB of coordinates in 3d), whatever its dimension.
 MAX_GRID_CELLS = 4_000_000
+
+# A cloud records at most this many reflections, one per axis in up to
+# three dimensions: Orbits builds a 2^k x 2^k sign table, and the
+# operators run one kernel pass per group element and one block per
+# sign character, so their bookkeeping grows with 4^k.
+MAX_REFLECTIONS = 3
 
 
 def character_sums(slabs, out: np.ndarray | None = None, spare: np.ndarray | None = None) -> list:
@@ -159,17 +169,13 @@ class Orbits:
     def __len__(self) -> int:
         return len(self.reps)
 
-    def _character_sums(self, x: np.ndarray) -> list:
-        """sum_g chi_s(g) x[g rep] over the orbits, for each character s."""
-        return character_sums([x[..., images] for images in self.images])
-
     def sums(self, x: np.ndarray) -> np.ndarray:
         """Sum over each orbit: the orbit masses of nodal masses."""
-        return self._character_sums(x)[0] * (self.sizes / len(self.images))
+        return x[..., self.images].sum(axis=-2) * (self.sizes / len(self.images))
 
     def parts(self, x: np.ndarray) -> list[np.ndarray]:
         """The part of nodal values of each character, over the orbits carrying it."""
-        sums = self._character_sums(x)
+        sums = character_sums([x[..., images] for images in self.images])
         return [sums[s][..., c] / len(self.images) for s, c in enumerate(self.carriers)]
 
     def join(self, *values) -> np.ndarray:
@@ -266,9 +272,11 @@ def _check_mirror(points: np.ndarray, weights: np.ndarray, mirror: np.ndarray) -
     one center: on each, every pair's midpoint is the same to within
     MIRROR_ULPS ulps of the largest coordinate, and the others stay put
     to within as much.  The rows must commute and generate 2^k distinct
-    permutations.
+    permutations, at most MAX_REFLECTIONS of them.
     """
     k, n = mirror.shape if mirror.ndim == 2 else (0, 0)
+    if k > MAX_REFLECTIONS:
+        raise ValidationError(f"mirror holds at most {MAX_REFLECTIONS} reflections, got {k}")
     nodes = np.arange(n)
     if (
         k == 0
@@ -448,7 +456,8 @@ def _box_boundary(shape: shp.Box, n: int):
 
     Faces i- and i+ share one grid, so the reflection along axis i swaps
     their nodes index for index, and the reflection along any other axis
-    reflects each face grid in itself.
+    reflects each face grid in itself.  Past MAX_REFLECTIONS axes the
+    cloud carries their product alone, the point mirror.
     """
     d = shape.dim
     center = np.array(shape.center)
@@ -482,12 +491,18 @@ def _box_boundary(shape: shp.Box, n: int):
                 face[j] = np.concatenate([flip, flip + m])
         mirror_list.append(start + face)
         start += 2 * m
+    mirror = np.hstack(mirror_list)
+    if d > MAX_REFLECTIONS:
+        point = mirror[0]
+        for g in mirror[1:]:
+            point = g[point]
+        mirror = point[None]
     return (
         np.vstack(pts_list),
         np.concatenate(w_list),
         np.concatenate(comp_list),
         tuple(names),
-        np.hstack(mirror_list),
+        mirror,
     )
 
 
@@ -602,21 +617,23 @@ def _volume_cloud(shape: shp.Shape, n: int):
         names = tuple(f"{piece.variant}_{i}" for i, piece in enumerate(pieces))
     # A grid reflection maps the grid onto itself up to rounding.  Each
     # one under which the clipped mask and the weights are symmetric is
-    # recorded, and the axes it negates are made exactly symmetric.
+    # recorded, and the axes it negates are made exactly symmetric.  Past
+    # MAX_REFLECTIONS axes only the point mirror is tried.
     grid_w = np.zeros(len(mask))
     grid_w[mask] = w
 
     def symmetric(flip):
         return np.array_equal(grid_w, grid_w[flip])
 
-    axis_flips = {i: _grid_flip(counts, i) for i in range(d) if counts[i] > 1}
+    moved = [i for i in range(d) if counts[i] > 1]
+    axis_flips = {i: _grid_flip(counts, i) for i in moved} if d <= MAX_REFLECTIONS else {}
     reflected = [i for i, flip in axis_flips.items() if symmetric(flip)]
     flips = [axis_flips[i] for i in reflected]
-    if len(reflected) < len(axis_flips):
+    if len(reflected) < len(moved):
         point = np.arange(len(mask))[::-1]
         if symmetric(point):
             flips.append(point)
-            reflected = list(axis_flips)
+            reflected = moved
     if not flips:
         return pts, w, comp, names, None
     for i in reflected:

@@ -227,7 +227,7 @@ def test_reduced_solves_match_the_unreduced_ones(case):
 
 def _assert_group_solves_match_the_stripped_ones(cloud, alphas):
     """Equilibrium, field and entropic solves on cloud within 1e-13 of its stripped copy's."""
-    assert cloud.mirror.shape[0] == 3
+    assert cloud.mirror is not None
     full = _stripped(cloud)
     for alpha in alphas:
         params = dc.KernelParams(3, alpha)
@@ -275,6 +275,47 @@ def test_group_reduced_volume_box_solves_match_the_stripped_ones(center, half, M
 def test_group_reduced_box_face_solves_match_the_stripped_ones(center, half, M):
     cloud = dc.discretize(dc.Box(center, half), M, "boundary")
     _assert_group_solves_match_the_stripped_ones(cloud, (2.0,))
+
+
+# volume unions under part of the group: the reflections each records
+GROUP_UNIONS = {
+    # symmetric in y and z about the axis through both centers
+    "two balls on the x axis": (
+        dc.UnionOfBalls((dc.Ball(ORIGIN, 1.0), dc.Ball((3.0, 0.0, 0.0), 0.5))),
+        2,
+        {1.0, 2.0, 4.0},
+    ),
+    # symmetric in x and through the center, not in y or z alone: the x
+    # reflection and the point mirror
+    "two balls across the x axis": (
+        dc.UnionOfBalls((dc.Ball((0.0, 1.0, 1.0), 1.0), dc.Ball((0.0, -1.0, -1.0), 1.0))),
+        2,
+        {2.0, 4.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GROUP_UNIONS))
+def test_group_reduced_union_solves_match_the_stripped_ones(name):
+    shape, generators, sizes = GROUP_UNIONS[name]
+    cloud = dc.discretize(shape, 600, "volume")
+    assert cloud.mirror.shape == (generators, cloud.n_nodes)
+    assert set(cloud.orbits.sizes) == sizes
+    _assert_group_solves_match_the_stripped_ones(cloud, (1.5, 2.0))
+
+
+def test_past_three_dimensions_grids_carry_the_point_mirror_alone():
+    d = 12
+    union = dc.UnionOfBalls((dc.Ball((0.0,) * d, 1.0), dc.Ball((0.0,) * (d - 1) + (3.0,), 1.0)))
+    cloud = dc.discretize(union, 100, "volume")
+    assert cloud.mirror.shape == (1, cloud.n_nodes)
+    # the point mirror through the center of the bounding box
+    center = np.eye(d)[-1] * 1.5
+    np.testing.assert_allclose(cloud.points[cloud.mirror[0]], 2.0 * center - cloud.points, atol=1e-15)
+    faces = dc.discretize(dc.Box((0.5,) * 4, (1.0, 0.8, 0.6, 0.4)), 300, "boundary")
+    assert faces.mirror.shape == (1, faces.n_nodes)
+    np.testing.assert_allclose(faces.points[faces.mirror[0]], 1.0 - faces.points, atol=1e-15)
+    assert len(faces.orbits) == faces.n_nodes // 2
 
 
 def test_even_mode_graphs_carry_the_point_mirror():
@@ -405,8 +446,9 @@ def test_wrong_reflection_generators_are_rejected():
     moved[g[1, 0]] += (1e-9, 0.0, 0.0)
     wrong = {
         "a generator twice": ({"mirror": g[[0, 0, 2]]}, "distinct"),
-        "the identity": ({"mirror": np.vstack([g, np.arange(n)])}, "distinct"),
-        "a product of the others": ({"mirror": np.vstack([g, g[0][g[1]]])}, "distinct"),
+        "the identity": ({"mirror": np.vstack([g[:2], np.arange(n)])}, "distinct"),
+        "four reflections": ({"mirror": np.vstack([g, g[0][g[1]]])}, "at most 3"),
+        "a product of the others": ({"mirror": np.vstack([g[:2], g[0][g[1]]])}, "distinct"),
         "a node off its reflection": ({"points": moved}, "reflect"),
         "three dimensions": ({"mirror": g[None]}, "pair the node indices"),
     }
