@@ -8,6 +8,10 @@ diagnostic on stderr), 3 on solver non-convergence (single-line
 diagnostic on stderr; capacity and equilibrium still write their best
 iterate, and stability rayleigh its table with the failed amplitudes
 flagged).
+
+Only the standard library, the version and the error types load with
+this module, so --version, --help and argument errors answer without
+numpy.  Each runner imports the layers it runs when it runs.
 """
 
 from __future__ import annotations
@@ -17,31 +21,8 @@ import csv
 import io
 import sys
 
-import numpy as np
-
 from . import __version__
-from . import shapes as shp
-from .clouds import default_role, discretize
-from .entropic import EntropicEnergy, solve_entropic
-from .equilibrium import (
-    drop_energy,
-    equilibrium_measure,
-    farfield_check,
-)
-from .errors import DropcapError, NonConvergenceError
-from .external_field import LinearPotential, solve_external, verify_optimality
-from .instability import (
-    convex_scan_2d,
-    fuglede_check,
-    lemma_ratio_check,
-    many_balls_family,
-    rayleigh_scan,
-    slab_family,
-    two_balls_field_family,
-)
-from .kernels import KernelParams
-from .operators import assemble_operator
-from .reports import jsonable, render_json
+from .errors import DropcapError, NonConvergenceError, ValidationError
 
 _CONVENTIONS = (
     f"dropcap {__version__}\n"
@@ -66,22 +47,31 @@ def _modes(text: str) -> tuple[tuple[int, int, float], ...]:
     for chunk in text.split(";"):
         parts = chunk.split(",")
         if len(parts) != 3:
-            raise shp.ValidationError(f"mode {chunk!r} is not an l,m,c triple")
+            raise ValidationError(f"mode {chunk!r} is not an l,m,c triple")
         out.append((int(parts[0]), int(parts[1]), float(parts[2])))
     return tuple(out)
 
 
-def _load_shape(args) -> shp.Shape:
+def _load_shape(args):
+    from . import shapes as shp
+
     if args.shape is None:
         dim = args.dim if args.dim is not None else 3
         return shp.Ball((0.0,) * dim, 1.0)
     text = args.shape.strip()
     if not text.startswith("{"):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
+        path = text
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as err:
+            reason = err.strerror or err
+            raise ValidationError(f"cannot read shape file {path}: {reason}") from None
+        except UnicodeDecodeError:
+            raise ValidationError(f"shape file {path} is not UTF-8 text") from None
     shape = shp.shape_from_json(text)
     if args.dim is not None and shape.dim != args.dim:
-        raise shp.ValidationError(
+        raise ValidationError(
             f"--dim {args.dim} does not match the shape's dimension {shape.dim}"
         )
     return shape
@@ -118,6 +108,8 @@ def _render_csv(rows: list[dict]) -> str:
 
 
 def _emit(args, result, rows) -> None:
+    from .reports import jsonable, render_json
+
     if args.format == "csv":
         _write_text(args.output, _render_csv(rows))
     else:
@@ -126,6 +118,10 @@ def _emit(args, result, rows) -> None:
 
 
 def _solve_cloud(args, shape, alpha):
+    from .clouds import default_role, discretize
+    from .kernels import KernelParams
+    from .operators import assemble_operator
+
     role = args.role or default_role(alpha)
     cloud = discretize(shape, args.M, role)
     return assemble_operator(cloud, KernelParams(shape.dim, alpha))
@@ -133,6 +129,8 @@ def _solve_cloud(args, shape, alpha):
 
 def _node_rows(cloud, **columns) -> list[dict]:
     """One row per node: its coordinates x0, x1, ..., then the named columns."""
+    import numpy as np
+
     table = {f"x{i}": x for i, x in enumerate(cloud.points.T)} | columns
     values = (np.asarray(v, dtype=float).tolist() for v in table.values())
     return [dict(zip(table, row)) for row in zip(*values)]
@@ -143,6 +141,8 @@ def _node_rows(cloud, **columns) -> list[dict]:
 
 
 def _run_capacity(args):
+    from .equilibrium import equilibrium_measure
+
     op = _solve_cloud(args, _load_shape(args), args.alpha)
     try:
         res = equilibrium_measure(op, tol=args.tol)
@@ -167,6 +167,8 @@ def _run_capacity(args):
 
 
 def _run_equilibrium(args):
+    from .equilibrium import equilibrium_measure, farfield_check
+
     op = _solve_cloud(args, _load_shape(args), args.alpha)
     try:
         res = equilibrium_measure(op, tol=args.tol)
@@ -186,10 +188,12 @@ def _run_equilibrium(args):
 
 
 def _run_external_field(args):
+    from .external_field import LinearPotential, solve_external, verify_optimality
+
     shape = _load_shape(args)
     phi = LinearPotential(args.field)
     if shape.dim != phi.dim:
-        raise shp.ValidationError("--field must have one component per dimension")
+        raise ValidationError("--field must have one component per dimension")
     op = _solve_cloud(args, shape, 2.0)
     res = solve_external(op, phi)
     result = res.summary()
@@ -200,6 +204,9 @@ def _run_external_field(args):
 
 
 def _run_entropic(args):
+    from .clouds import discretize
+    from .entropic import EntropicEnergy, solve_entropic
+
     shape = _load_shape(args)
     cloud = discretize(shape, args.M, "volume")
     res = solve_entropic(cloud)
@@ -213,6 +220,8 @@ def _run_entropic(args):
 
 
 def _run_energy(args):
+    from .equilibrium import drop_energy
+
     shape = _load_shape(args)
     res = drop_energy(shape, args.Q, args.alpha, n_nodes=args.M, role=args.role)
     row = {
@@ -241,6 +250,8 @@ def _family(name, points, **extra):
 
 
 def _run_many_balls(args):
+    from .instability import many_balls_family
+
     points = many_balls_family(
         args.n,
         beta=args.beta,
@@ -254,6 +265,8 @@ def _run_many_balls(args):
 
 
 def _run_two_balls(args):
+    from .instability import two_balls_field_family
+
     points = two_balls_field_family(
         args.n,
         field_strength=args.E,
@@ -264,15 +277,21 @@ def _run_two_balls(args):
 
 
 def _run_slab(args):
+    from .instability import slab_family
+
     return _family("slab", **slab_family(args.n, field_strength=args.E, n_nodes=args.M))
 
 
 def _run_fuglede(args):
+    from .instability import fuglede_check
+
     rows = fuglede_check(args.modes, args.eps, quad_order=args.quad_order)
     return {"rows": rows}, rows, 0
 
 
 def _run_rayleigh(args):
+    from .instability import rayleigh_scan
+
     scan = rayleigh_scan(args.l, args.amplitudes, args.Q, n_nodes=args.M)
     rows = []
     for qi, q in enumerate(scan.charges):
@@ -290,6 +309,8 @@ def _run_rayleigh(args):
 
 
 def _run_lemma_ratio(args):
+    from .instability import lemma_ratio_check
+
     result = lemma_ratio_check(
         args.samples, args.eps_max, n_nodes=args.M, seed=args.seed
     )
@@ -297,6 +318,8 @@ def _run_lemma_ratio(args):
 
 
 def _run_convex_2d(args):
+    from .instability import convex_scan_2d
+
     result = convex_scan_2d(
         args.Q,
         m_gons=args.m_gons,
@@ -442,9 +465,6 @@ def main(argv=None) -> int:
         msg = " ".join(str(err).split())
         print(f"error: {msg}", file=sys.stderr)
         return 3 if isinstance(err, NonConvergenceError) else 2
-    except FileNotFoundError as err:
-        print(f"error: shape file not found: {err.filename}", file=sys.stderr)
-        return 2
     _emit(args, result, rows)
     return code
 

@@ -306,10 +306,10 @@ def farfield_check(measure: Measure, params: KernelParams, radii) -> dict:
     For each radius, the potential is averaged over a spread of
     directions and scaled by r^(dim - alpha); the scaled value tends to
     1 for a unit charge (for the logarithmic kernel, v + log r tends to
-    0 instead).  Radii must increase and reach 100 times the measure's
-    characteristic radius.
+    0 instead).  Radii must be finite, increase, and reach 100 times the
+    measure's characteristic radius.
     """
-    radii = [float(r) for r in radii]
+    radii = [require_finite(r, "far-field radius") for r in radii]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly increasing")
     cloud = measure.cloud

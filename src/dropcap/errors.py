@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the finiteness check."""
+"""Exception types shared across the toolkit, and the finiteness and seed checks."""
 
 import math
 
@@ -42,3 +42,10 @@ def require_finite(value, what: str) -> float:
     if not math.isfinite(v):
         raise ValidationError(f"{what} must be finite, got {v}")
     return v
+
+
+def require_seed(seed: int) -> int:
+    """seed itself; a ValidationError if it is negative, which numpy's generators refuse."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed

@@ -37,6 +37,7 @@ from .errors import (
     ConstraintViolationError,
     UnsupportedConfigurationError,
     ValidationError,
+    require_seed,
 )
 from .kernels import KernelParams
 from .operators import KernelOperator, assemble_operator
@@ -224,7 +225,7 @@ def verify_optimality(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     _require_same_cloud(result.cloud, op)
     trials = int(trials)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     w = result.masses
     scale = float(np.abs(w).max()) or 1.0
     phi = _potential_of(field, result.cloud.points)

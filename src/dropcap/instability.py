@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
     require_finite,
+    require_seed,
 )
 from .kernels import (
     KernelParams,
@@ -472,7 +473,7 @@ def lemma_ratio_check(
     quantitative-isoperimetric side ratio |symmetric difference| /
     sqrt(perimeter deficit) is tracked on the same samples.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     ball = shp.Ball((0.0, 0.0, 0.0), 1.0)
     ball_energy = solve_shape(ball, 2.0, n_nodes=n_nodes, role="boundary").energy
     ratios = []
@@ -567,7 +568,7 @@ def convex_scan_2d(
         if m < 3:
             raise ValidationError(f"a regular polygon needs m >= 3 sides, got {m}")
         shapes.append((f"gon_{m}", _regular_polygon(m)))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     for i in range(int(n_random)):
         shapes.append((f"random_{i}", _random_polygon(rng)))
     rows = []

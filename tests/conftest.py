@@ -4,6 +4,11 @@ Every hypothesis test runs one fixed sequence of examples, so a run
 never depends on the last one; each test sets only its max_examples.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,6 +19,20 @@ settings.register_profile("derandomized", deadline=None, database=None, derandom
 settings.load_profile("derandomized")
 
 COULOMB = dc.KernelParams(3, 2.0)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run code in a fresh interpreter that imports this same dropcap; return its stdout."""
+    path = [str(Path(dc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+    def run(code: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

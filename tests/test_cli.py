@@ -3,9 +3,6 @@
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +61,15 @@ def test_validation_failures_exit_two(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(["capacity", "--shape", "/nonexistent/shape.json"], capsys)
     assert code == 2
+    assert err.startswith("error:") and "/nonexistent/shape.json" in err
+    code, _, err = run_cli(["capacity", "--shape", str(tmp_path), "--M", "100"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "\n" not in err.strip()
+    assert str(tmp_path) in err
+    bad.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(["capacity", "--shape", str(bad), "--M", "100"], capsys)
+    assert code == 2
+    assert err.strip() == f"error: shape file {bad} is not UTF-8 text"
     code, _, err = run_cli(["capacity", "--shape", BALL_JSON, "--dim", "2"], capsys)
     assert code == 2
 
@@ -154,7 +160,7 @@ def test_malformed_shapes_exit_two(capsys, spec, word):
 
 
 def test_nonconvergence_exits_three_with_the_best_iterate(tmp_path, monkeypatch):
-    import dropcap.cli
+    import dropcap.equilibrium
     from dropcap.errors import NonConvergenceError
 
     M = 300
@@ -164,7 +170,8 @@ def test_nonconvergence_exits_three_with_the_best_iterate(tmp_path, monkeypatch)
         assert op.n_nodes == M
         raise NonConvergenceError("stalled", result=(masses, 0.987), residual=3.5e-4)
 
-    monkeypatch.setattr(dropcap.cli, "equilibrium_measure", stalled)
+    # the runners look the solver up on its module when they run
+    monkeypatch.setattr(dropcap.equilibrium, "equilibrium_measure", stalled)
     common = ["--shape", BALL_JSON, "--M", str(M)]
 
     out = tmp_path / "capacity.json"
@@ -301,7 +308,6 @@ def test_entropic_subcommand(capsys):
 
 
 def test_entropic_charge_reuses_the_solve(capsys, monkeypatch):
-    import dropcap.cli
     import dropcap.entropic
 
     calls = []
@@ -311,7 +317,6 @@ def test_entropic_charge_reuses_the_solve(capsys, monkeypatch):
         calls.append(cloud.n_nodes)
         return original(cloud)
 
-    monkeypatch.setattr(dropcap.cli, "solve_entropic", counted)
     monkeypatch.setattr(dropcap.entropic, "solve_entropic", counted)
     code, out, _ = run_cli(
         ["entropic", "--shape", BALL_JSON, "--M", "300", "--Q", "2"], capsys
@@ -423,15 +428,24 @@ def test_version_is_the_package_version(capsys):
         assert dropcap.__version__ == tomllib.load(fh)["project"]["version"]
 
 
-# (argv or None for a bare import, the scipy subpackage the run may load)
+_NOT_RUN_BY_CAPACITY = ("dropcap.instability", "dropcap.external_field", "dropcap.entropic")
+
+# (argv or None for a bare import, whether numpy loads, the scipy
+# subpackages the run uses, the dropcap modules it must not load)
 STARTUP = {
-    "import": (None, None),
-    "version": (["--version"], None),
-    "bad_M": (["capacity", "--M", "x"], None),
+    # nothing numeric runs before argparse answers
+    "import": (None, False, set(), ()),
+    "version": (["--version"], False, set(), ()),
+    "help": (["--help"], False, set(), ()),
+    "bad_M": (["capacity", "--M", "x"], False, set(), ()),
     # the spherical harmonics run their own Legendre recurrence
-    "fuglede": (["stability", "fuglede", "--modes", "2,0,1", "--eps", "0.1"], None),
+    "fuglede": (["stability", "fuglede", "--modes", "2,0,1", "--eps", "0.1"], True, set(), ()),
     # closed forms; the union's disjointness check is numpy only
-    "many_balls": (["family", "many-balls", "--beta", "0.6", "--n", "4,16"], None),
+    "many_balls": (["family", "many-balls", "--beta", "0.6", "--n", "4,16"], True, set(), ()),
+    # the BLAS symv and the cdist distances, and only the layers it runs
+    "capacity": (
+        ["capacity", "--M", "200"], True, {"scipy.linalg", "scipy.spatial"}, _NOT_RUN_BY_CAPACITY
+    ),
 }
 _STARTUP_CODE = """
 import json, runpy, sys
@@ -444,27 +458,21 @@ else:
         runpy.run_module("dropcap.cli", run_name="__main__")
     except SystemExit:
         pass
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+roots = ("numpy", "scipy", "dropcap")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in roots)))
 """
 
 
-@pytest.mark.parametrize("argv, loads", list(STARTUP.values()), ids=list(STARTUP))
-def test_startup_loads_scipy_only_where_used(argv, loads):
-    # the fresh interpreter imports this same dropcap
-    path = [str(Path(dropcap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    out = subprocess.run(
-        [sys.executable, "-c", _STARTUP_CODE.format(argv=argv)],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-    ).stdout
-    modules = json.loads(out.splitlines()[-1])
-    if loads is None:
-        assert modules == []
+@pytest.mark.parametrize("argv, numpy, uses, unloaded", list(STARTUP.values()), ids=list(STARTUP))
+def test_startup_loads_scipy_only_where_used(fresh_python, argv, numpy, uses, unloaded):
+    modules = json.loads(fresh_python(_STARTUP_CODE.format(argv=argv)).splitlines()[-1])
+    assert ("numpy" in modules) == numpy
+    scipy = [m for m in modules if m.split(".")[0] == "scipy"]
+    if not uses:
+        assert scipy == []
     else:
-        subpackages = {m for m in modules if m.count(".") == 1 and "._" not in m}
-        assert subpackages - {"scipy.version"} == {loads}
+        assert uses <= {m for m in scipy if m.count(".") == 1}
+    assert not set(unloaded) & set(modules)
 
 
 def test_equilibrium_with_farfield_json_and_csv(capsys):
@@ -551,6 +559,19 @@ BAD_NUMBERS = {
         ["family", "many-balls", "--beta", "0.6", "--n", "4", "--numeric-nodes", "100000000"],
         "grid",
     ),
+    # numpy's generators refuse a negative seed
+    "external_field_seed_neg": ([*_TRIALS, "2", "--seed", "-3"], "seed"),
+    "lemma_ratio_seed_neg": (
+        ["stability", "lemma-ratio", "--samples", "2", "--seed", "-1", "--M", "100"],
+        "seed",
+    ),
+    "convex_2d_seed_neg": (
+        [*_CONVEX, "--Q", "1", "--m-gons", "4", "--seed", "-1"],
+        "seed",
+    ),
+    # a radius that is not finite would reach the artifact as NaN or Infinity
+    "farfield_nan": (["equilibrium", "--M", "100", "--farfield-radii", "nan,200"], "radius"),
+    "farfield_inf": (["equilibrium", "--M", "100", "--farfield-radii", "inf"], "radius"),
 }
 
 
