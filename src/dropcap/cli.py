@@ -117,13 +117,16 @@ def _emit(args, result, rows) -> None:
         _write_text(args.output, render_json(payload))
 
 
-def _solve_cloud(args, shape, alpha):
+def _solve_cloud(args, shape, alpha, check=None):
+    """The operator of the shape's cloud; check(cloud), if given, runs before the assembly."""
     from .clouds import default_role, discretize
     from .kernels import KernelParams
     from .operators import assemble_operator
 
     role = args.role or default_role(alpha)
     cloud = discretize(shape, args.M, role)
+    if check is not None:
+        check(cloud)
     return assemble_operator(cloud, KernelParams(shape.dim, alpha))
 
 
@@ -167,9 +170,14 @@ def _run_capacity(args):
 
 
 def _run_equilibrium(args):
-    from .equilibrium import equilibrium_measure, farfield_check
+    from .equilibrium import _check_farfield_radii, equilibrium_measure, farfield_check
 
-    op = _solve_cloud(args, _load_shape(args), args.alpha)
+    def check(cloud):
+        # the radii need only the cloud: refuse them before the solve
+        if args.farfield_radii:
+            _check_farfield_radii(args.farfield_radii, cloud)
+
+    op = _solve_cloud(args, _load_shape(args), args.alpha, check)
     try:
         res = equilibrium_measure(op, tol=args.tol)
     except NonConvergenceError as err:

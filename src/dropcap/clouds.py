@@ -6,10 +6,15 @@ ball index, face or edge index).  Boundary clouds of spheres use an
 antipodally symmetric golden-angle lattice, which keeps odd moments of
 the node set at rounding level; circles use equally spaced midpoints;
 boxes get per-face grids; polygons are subdivided by arc length.  Each
-shape class has one boundary placement in _BOUNDARY.  Volume clouds are
-cell-centered Cartesian grids over the shape's bounding box, clipped to
-the shape; a grid of more than MAX_GRID_CELLS cells is refused before
-it is built.
+shape class has one boundary placement in _BOUNDARY.  A placement whose
+nodes run around closed curves in order records them as the cloud's
+cycles: a planar circle and a polygon (edge by edge, counter-clockwise)
+one each, a planar annulus two, the inner circle's then the outer's.
+Every other placement records none.  The equilibrium solve
+preconditions on the cycles (dropcap.linalg.curve_preconditioner).
+Volume clouds are cell-centered Cartesian grids over the shape's
+bounding box, clipped to the shape; a grid of more than MAX_GRID_CELLS
+cells is refused before it is built.
 
 A placement that builds its nodes in reflected sets records the
 reflections as the cloud's mirror: one row per generator, mirror[g, i]
@@ -19,7 +24,8 @@ fixes.  The generators commute, and their products form the cloud's
 reflection group G of 2^k elements, k at most MAX_REFLECTIONS = 3.
 Sphere lattices are [upper;
 -upper], so balls, both shells of an annulus in 3d, and radial graphs
-whose modes all have even degree carry the one point mirror.  Box faces
+whose modes all have even degree, or whose amplitude is 0, carry the
+one point mirror.  Box faces
 carry one reflection per axis: the two faces across an axis swap, and
 each face grid is reflected in itself along the others.  A volume grid
 carries the reflection along each axis under which its clipped mask
@@ -37,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,7 +208,9 @@ class NodeCloud:
 
     mirror, if given, holds the generators of the cloud's reflection
     group, one node permutation per row; a single permutation may be
-    given as a vector.
+    given as a vector.  cycles, if given, are the lengths of consecutive
+    runs that split the nodes, each run going once around a closed
+    curve in order; a mirrored cloud records none.
     """
 
     points: np.ndarray
@@ -211,6 +220,7 @@ class NodeCloud:
     components: np.ndarray
     component_names: tuple[str, ...]
     mirror: np.ndarray | None = None
+    cycles: tuple[int, ...] = ()
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -228,6 +238,11 @@ class NodeCloud:
             raise ValidationError("node coordinates must be finite, weights positive")
         if comp.min() < 0 or comp.max() >= len(self.component_names):
             raise ValidationError("component labels out of range")
+        cycles = tuple(int(c) for c in self.cycles)
+        if cycles and (min(cycles) < 1 or sum(cycles) != len(pts) or self.mirror is not None):
+            raise ValidationError(
+                "cycles must split the nodes of an unmirrored cloud into consecutive runs"
+            )
         arrays = [pts, w, comp]
         if self.mirror is not None:
             mirror = np.atleast_2d(np.asarray(self.mirror, dtype=np.int64)).copy()
@@ -240,6 +255,7 @@ class NodeCloud:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", comp)
         object.__setattr__(self, "component_names", tuple(self.component_names))
+        object.__setattr__(self, "cycles", cycles)
 
     @property
     def n_nodes(self) -> int:
@@ -306,6 +322,17 @@ def default_role(alpha: float) -> str:
     return "volume" if alpha < 2.0 else "boundary"
 
 
+class _Placement(NamedTuple):
+    """The fields of a NodeCloud that a placement builds."""
+
+    points: np.ndarray
+    weights: np.ndarray
+    components: np.ndarray
+    component_names: tuple[str, ...]
+    mirror: np.ndarray | None = None
+    cycles: tuple[int, ...] = ()
+
+
 # ---------------------------------------------------------------------------
 # boundary placements
 
@@ -348,11 +375,14 @@ def _round_nodes(center, radius: float, n: int):
 
 
 def _ball_boundary(shape: shp.Ball, n: int):
+    """The sphere lattice, or in the plane one counter-clockwise cycle."""
     pts, w, mirror = _round_nodes(shape.center, shape.radius, n)
-    return pts, w, np.zeros(len(pts), dtype=int), ("boundary",), mirror
+    cycles = (len(pts),) if shape.dim == 2 else ()
+    return _Placement(pts, w, np.zeros(len(pts), dtype=int), ("boundary",), mirror, cycles)
 
 
 def _annulus_boundary(shape: shp.Annulus, n: int):
+    """Both spheres' lattices, or in the plane two cycles: the inner circle's, the outer's."""
     d = shape.dim
     a_in = unit_sphere_area(d) * shape.r_inner ** (d - 1)
     a_out = unit_sphere_area(d) * shape.r_outer ** (d - 1)
@@ -368,10 +398,10 @@ def _annulus_boundary(shape: shp.Annulus, n: int):
     pts = np.vstack([pts_in, pts_out])
     w = np.concatenate([w_in, w_out])
     comp = np.concatenate([np.zeros(len(pts_in), int), np.ones(len(pts_out), int)])
-    mirror = None
-    if mirror_in is not None:
-        mirror = np.concatenate([mirror_in, mirror_out + len(pts_in)])
-    return pts, w, comp, ("inner", "outer"), mirror
+    if d == 2:
+        return _Placement(pts, w, comp, ("inner", "outer"), cycles=(len(pts_in), len(pts_out)))
+    mirror = np.concatenate([mirror_in, mirror_out + len(pts_in)])
+    return _Placement(pts, w, comp, ("inner", "outer"), mirror)
 
 
 def _union_boundary(shape: shp.UnionOfBalls, n: int):
@@ -389,12 +419,8 @@ def _union_boundary(shape: shp.UnionOfBalls, n: int):
         w_list.append(w)
         comp_list.append(np.full(len(p), i, dtype=int))
         names.append(f"ball_{i}")
-    return (
-        np.vstack(pts_list),
-        np.concatenate(w_list),
-        np.concatenate(comp_list),
-        tuple(names),
-        None,
+    return _Placement(
+        np.vstack(pts_list), np.concatenate(w_list), np.concatenate(comp_list), tuple(names)
     )
 
 
@@ -497,16 +523,13 @@ def _box_boundary(shape: shp.Box, n: int):
         for g in mirror[1:]:
             point = g[point]
         mirror = point[None]
-    return (
-        np.vstack(pts_list),
-        np.concatenate(w_list),
-        np.concatenate(comp_list),
-        tuple(names),
-        mirror,
+    return _Placement(
+        np.vstack(pts_list), np.concatenate(w_list), np.concatenate(comp_list), tuple(names), mirror
     )
 
 
 def _polygon_boundary(shape: shp.ConvexPolygon2D, n: int):
+    """Equally spaced midpoints on each edge, edge by edge: one cycle."""
     v = np.array(shape.vertices)
     k = len(v)
     edges = np.roll(v, -1, axis=0) - v
@@ -520,26 +543,24 @@ def _polygon_boundary(shape: shp.ConvexPolygon2D, n: int):
         w_list.append(np.full(m, lengths[i] / m))
         comp_list.append(np.full(m, i, dtype=int))
         names.append(f"edge_{i}")
-    return (
-        np.vstack(pts_list),
-        np.concatenate(w_list),
-        np.concatenate(comp_list),
-        tuple(names),
-        None,
+    pts = np.vstack(pts_list)
+    return _Placement(
+        pts, np.concatenate(w_list), np.concatenate(comp_list), tuple(names), cycles=(len(pts),)
     )
 
 
 def _graph_boundary(shape: shp.NearlySpherical, n: int):
     """The sphere lattice lifted onto the graph r = R(u).
 
-    When every mode has even degree, R(-u) = R(u): the profile is
-    evaluated on the upper half of the lattice alone, the lower half is
-    its exact reflection, and the cloud carries the point mirror.
+    When every mode has even degree, or eps is 0 and the profile is
+    exactly 1, R(-u) = R(u): the profile is evaluated on the upper half
+    of the lattice alone, the lower half is its exact reflection, and
+    the cloud carries the point mirror.
     """
     n = _even_count(n, 8)
     u = _sphere_lattice(n)
     mirror = None
-    if all(l % 2 == 0 for l, _, _ in shape.modes):
+    if shape.eps == 0.0 or all(l % 2 == 0 for l, _, _ in shape.modes):
         u = u[: n // 2]
         mirror = np.roll(np.arange(n), n // 2)
     theta = np.arccos(np.clip(u[:, 2], -1.0, 1.0))
@@ -549,8 +570,7 @@ def _graph_boundary(shape: shp.NearlySpherical, n: int):
     w = (4.0 * np.pi / n) * R * np.sqrt(R * R + gt * gt + gl * gl)
     if mirror is not None:
         pts, w = np.vstack([pts, -pts]), np.concatenate([w, w])
-    comp = np.zeros(n, dtype=int)
-    return pts, w, comp, ("boundary",), mirror
+    return _Placement(pts, w, np.zeros(n, dtype=int), ("boundary",), mirror)
 
 
 _BOUNDARY = {
@@ -635,12 +655,12 @@ def _volume_cloud(shape: shp.Shape, n: int):
             flips.append(point)
             reflected = moved
     if not flips:
-        return pts, w, comp, names, None
+        return _Placement(pts, w, comp, names)
     for i in reflected:
         axes[i] = _symmetrize(axes[i], center[i])
     node = np.cumsum(mask) - 1
     mirror = np.array([node[flip[mask]] for flip in flips])
-    return _grid_points(axes)[mask], w, comp, names, mirror
+    return _Placement(_grid_points(axes)[mask], w, comp, names, mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -660,16 +680,7 @@ def discretize(shape: shp.Shape, n_nodes: int, role: str) -> NodeCloud:
     if role not in _ROLES:
         raise ValidationError(f"role must be one of {_ROLES}, got {role!r}")
     place = _volume_cloud if role == "volume" else _BOUNDARY[type(shape)]
-    pts, w, comp, names, mirror = place(shape, n_nodes)
-    return NodeCloud(
-        points=pts,
-        weights=w,
-        role=role,
-        shape=shape,
-        components=comp,
-        component_names=names,
-        mirror=mirror,
-    )
+    return NodeCloud(role=role, shape=shape, **place(shape, n_nodes)._asdict())
 
 
 # ---------------------------------------------------------------------------

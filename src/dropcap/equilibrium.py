@@ -17,7 +17,8 @@ minimizer is unique, so it is invariant under the cloud's reflection
 group, and the program is solved over orbit masses with the operator's
 trivial-character block E (dropcap.operators).  Each step is one call of the constrained solve in
 dropcap.linalg, E x = lambda 1 with sum(x) = 1, projected conjugate
-gradients for the Riesz and the planar logarithmic kernels alike.
+gradients for the Riesz and the planar logarithmic kernels alike,
+preconditioned where the working set runs around closed curves.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import shapes as shp
 from .clouds import NodeCloud, default_role, discretize
 from .errors import NonConvergenceError, ValidationError, require_finite
 from .kernels import KernelParams
-from .linalg import ScreenedOut, constrained_solve, symv
+from .linalg import ScreenedOut, constrained_solve, curve_preconditioner, symv
 from .operators import KernelOperator, assemble_operator, potential_at
 
 __all__ = [
@@ -120,6 +121,19 @@ def _kkt_residual(v: np.ndarray, m: np.ndarray, lam: float):
     return max(on, off)
 
 
+def _whole_cycles(active: np.ndarray, cycles: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The cycles a working set is the union of, or None if it cuts one or has none."""
+    kept, start = [], 0
+    for length in cycles:
+        part = active[start : start + length]
+        start += length
+        if part.all():
+            kept.append(length)
+        elif part.any():
+            return None
+    return tuple(kept) or None
+
+
 def _negative(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Orbits whose nodes' mass x / (sizes sum(x)) lies below -_NEG_TOL."""
     return x / sizes < -_NEG_TOL * x.sum()
@@ -162,7 +176,11 @@ def equilibrium_measure(
     collapsing alpha = 2 volume ball (2553 nodes, 410 orbits, five
     working sets) that takes 106 products with E instead of 253.  A
     working set that comes round again turns the screen off for the
-    rest of the loop.
+    rest of the loop.  On a cloud that records cycles (a planar circle,
+    polygon or annulus), a working set that is a union of whole cycles
+    is preconditioned by linalg.curve_preconditioner over them, and any
+    other runs without: the random polygons of convex_scan_2d take 18 to
+    32 products per solve at n = 600 to 8000 instead of 130 to 453.
 
     Where K is not positive definite on a working set's zero-sum
     measures (volume clouds at alpha > 2, a thin polygon under the
@@ -216,8 +234,12 @@ def equilibrium_measure(
             return not _negative(x, w).any()
 
         screen = keeps_every_node if screening else None
+        cycles = _whole_cycles(active, op.cloud.cycles)
+        precondition = None if cycles is None else curve_preconditioner(cycles)
         try:
-            m_act, lam = constrained_solve(lambda v: symv(A, v), np.zeros(len(idx)), 1.0, screen)
+            m_act, lam = constrained_solve(
+                lambda v: symv(A, v), np.zeros(len(idx)), 1.0, screen, precondition
+            )
             neg = m_act / w < -_NEG_TOL
         except ScreenedOut as stop:
             neg = _negative(stop.x, w)
@@ -300,19 +322,17 @@ def _directions(dim: int, count: int = 32) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def farfield_check(measure: Measure, params: KernelParams, radii) -> dict:
-    """Monopole far-field decay of a nodal measure's potential.
+def _check_farfield_radii(radii, cloud: NodeCloud) -> list[float]:
+    """The radii as floats, if farfield_check takes them for measures on cloud.
 
-    For each radius, the potential is averaged over a spread of
-    directions and scaled by r^(dim - alpha); the scaled value tends to
-    1 for a unit charge (for the logarithmic kernel, v + log r tends to
-    0 instead).  Radii must be finite, increase, and reach 100 times the
-    measure's characteristic radius.
+    They must be finite, increase strictly, and reach 100 times the
+    cloud's characteristic radius, its largest node distance from the
+    shape's center; otherwise ValidationError.  Nothing here needs a
+    solve, so a caller can check before it assembles.
     """
     radii = [require_finite(r, "far-field radius") for r in radii]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly increasing")
-    cloud = measure.cloud
     center = _shape_center(cloud.shape, cloud)
     char = float(np.linalg.norm(cloud.points - center, axis=1).max())
     if radii[-1] < 100.0 * char:
@@ -320,6 +340,21 @@ def farfield_check(measure: Measure, params: KernelParams, radii) -> dict:
             f"largest radius {radii[-1]} must reach 100 x the characteristic "
             f"radius {char:.3g}"
         )
+    return radii
+
+
+def farfield_check(measure: Measure, params: KernelParams, radii) -> dict:
+    """Monopole far-field decay of a nodal measure's potential.
+
+    For each radius, the potential is averaged over a spread of
+    directions and scaled by r^(dim - alpha); the scaled value tends to
+    1 for a unit charge (for the logarithmic kernel, v + log r tends to
+    0 instead).  Radii must be finite, increase, and reach 100 times the
+    measure's characteristic radius (_check_farfield_radii).
+    """
+    cloud = measure.cloud
+    radii = _check_farfield_radii(radii, cloud)
+    center = _shape_center(cloud.shape, cloud)
     dirs = _directions(cloud.dim)
     rows = []
     for r in radii:

@@ -491,6 +491,24 @@ def test_equilibrium_with_farfield_json_and_csv(capsys):
     assert sum(float(r["mass"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "radii, word",
+    [("nan", "finite"), ("100,inf", "finite"), ("200,100", "increasing"), ("1,2", "reach 100")],
+)
+def test_bad_farfield_radii_exit_two_before_the_assembly(capsys, monkeypatch, radii, word):
+    import dropcap.equilibrium
+    import dropcap.operators
+
+    def never(*args, **kwargs):
+        raise AssertionError("bad far-field radii reached the assembly or the solve")
+
+    monkeypatch.setattr(dropcap.operators, "assemble_operator", never)
+    monkeypatch.setattr(dropcap.equilibrium, "equilibrium_measure", never)
+    code, out, err = run_cli(["equilibrium", "--M", "6000", "--farfield-radii", radii], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and word in err
+
+
 def test_two_balls_subcommand(capsys):
     code, out, _ = run_cli(["family", "two-balls", "--n", "1,2,4", "--M", "300"], capsys)
     assert code == 0

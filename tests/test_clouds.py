@@ -165,3 +165,54 @@ def test_cloud_validation():
             components=cloud.components,
             component_names=cloud.component_names,
         )
+
+
+# (shape, role) -> the cycles its placement records, as a function of the cloud
+CYCLES = {
+    "circle": (dc.Ball((1.0, -0.5), 0.7), "boundary", lambda c: (c.n_nodes,)),
+    "polygon": (
+        dc.ConvexPolygon2D(((0.0, 0.0), (2.0, 0.0), (1.5, 1.0), (0.2, 0.8))),
+        "boundary",
+        lambda c: (c.n_nodes,),
+    ),
+    "planar annulus": (
+        dc.Annulus((0.0, 0.0), 0.5, 1.0),
+        "boundary",
+        lambda c: tuple(np.bincount(c.components)),
+    ),
+    "sphere": (BALL3, "boundary", lambda c: ()),
+    "planar union": (
+        dc.UnionOfBalls((dc.Ball((0.0, 0.0), 1.0), dc.Ball((3.0, 0.0), 0.5))),
+        "boundary",
+        lambda c: (),
+    ),
+    "planar box": (dc.Box((0.0, 0.0), (1.0, 0.5)), "boundary", lambda c: ()),
+    "disk body": (dc.Ball((0.0, 0.0), 1.0), "volume", lambda c: ()),
+}
+
+
+@pytest.mark.parametrize("name", list(CYCLES))
+def test_curve_placements_record_their_cycles(name):
+    shape, role, expected = CYCLES[name]
+    cloud = dc.discretize(shape, 400, role)
+    assert cloud.cycles == expected(cloud)
+    for start, length in zip(np.cumsum((0,) + cloud.cycles), cloud.cycles):
+        run, cells = cloud.points[start : start + length], cloud.weights[start : start + length]
+        # each run goes once around its curve: consecutive nodes (the last
+        # and the first included) are one cell apart, and it turns by 2 pi
+        steps = np.roll(run, -1, axis=0) - run
+        assert np.linalg.norm(steps, axis=1).max() <= 2.0 * cells.max()
+        heading = np.arctan2(steps[:, 1], steps[:, 0])
+        turns = np.angle(np.exp(1j * (np.roll(heading, -1) - heading)))
+        assert abs(turns.sum()) == pytest.approx(2.0 * np.pi, abs=1e-9)
+
+
+def test_cycles_must_split_the_nodes_of_an_unmirrored_cloud():
+    circle = dc.discretize(dc.Ball((0.0, 0.0), 1.0), 100, "boundary")
+    sphere = dc.discretize(BALL3, 100, "boundary")
+    fields = ("points", "weights", "role", "shape", "components", "component_names", "mirror")
+    for cloud, cycles in [(circle, (99,)), (circle, (101,)), (circle, (0, 100)), (sphere, (100,))]:
+        with pytest.raises(ValidationError, match="cycles"):
+            dc.NodeCloud(**{f: getattr(cloud, f) for f in fields}, cycles=cycles)
+    split = dc.NodeCloud(**{f: getattr(circle, f) for f in fields}, cycles=[40, 60])
+    assert split.cycles == (40, 60)

@@ -44,7 +44,7 @@ def _bordered(A, rhs=None, total=1.0):
     return sol[:n], float(sol[n])
 
 
-def _bordered_solve_of(apply, rhs, total=1.0, screen=None):
+def _bordered_solve_of(apply, rhs, total=1.0, screen=None, precondition=None):
     """constrained_solve's answer from _bordered, on the matrix apply forms."""
     A = np.column_stack([apply(e) for e in np.eye(len(rhs))])
     return _bordered(A, rhs, total)
@@ -400,3 +400,186 @@ def test_symmetric_products_match_numpy(ball_op_2000, rng):
     Kx = full_kernel_matrix(ball_op_2000.cloud, COULOMB) @ x
     assert _max_rel(ball_op_2000.apply(x), Kx) <= 1e-12
     assert ball_op_2000.energy(x) == pytest.approx(x @ Kx, rel=1e-12)
+
+
+# closed planar curves whose clouds record cycles: kind, then a seed, an
+# order, or a radius and a center
+CURVES = st.one_of(
+    st.tuples(st.just("random polygon"), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("regular polygon"), st.integers(3, 12)),
+    st.tuples(
+        st.just("disk"),
+        st.tuples(st.floats(0.3, 3.0), st.tuples(*[st.floats(-3.0, 3.0)] * 2)),
+    ),
+)
+
+
+def _curve(kind, value):
+    if kind == "disk":
+        radius, center = value
+        return dc.Ball(center, radius)
+    return _log_shape(kind, value)
+
+
+def _refined_bordered(K):
+    """_bordered(K), then one step of iterative refinement.
+
+    At n in the thousands the plain LU is the less accurate side: on a
+    random polygon at n = 3000 it is 2.9e-12 off CG's masses, with or
+    without P, and refined 3e-13.
+    """
+    from scipy.linalg import lu_factor, lu_solve
+
+    n = len(K)
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = K
+    B[:n, n] = -1.0
+    B[n, :n] = 1.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    lu = lu_factor(B)
+    sol = lu_solve(lu, b)
+    sol += lu_solve(lu, b - B @ sol)
+    return sol[:n], float(sol[n])
+
+
+def _definite_on_zero_sums(K):
+    """Whether K is positive definite on 1^perp: P K P + 11'/n has a Cholesky factor."""
+    PKP = K - K.mean(axis=0) - K.mean(axis=1)[:, None] + K.mean()
+    try:
+        np.linalg.cholesky(PKP + 1.0 / len(K))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@settings(max_examples=10)
+@given(curve=CURVES, M=st.integers(100, 3000))
+@example(curve=("random polygon", 644015297), M=3000)
+def test_preconditioned_curve_solves_agree_with_the_bordered_reference(curve, M):
+    cloud = dc.discretize(_curve(*curve), M, "boundary")
+    assert cloud.cycles == (cloud.n_nodes,)
+    op = dc.assemble_operator(cloud, dc.KernelParams(2, 2.0))
+    res = dc.equilibrium_measure(op)
+    # a convex curve keeps every node: one working set, the whole cycle,
+    # so the reference is the bordered system of the full K
+    assert res.iterations == 1 and res.masses.min() > 0.0
+    K = full_kernel_matrix(cloud, op.params)
+    m_lu, lam_lu = _refined_bordered(K)
+    assert abs(res.energy - lam_lu) <= 1e-12 * max(abs(lam_lu), 1.0)
+    # a direction of negative curvature costs a digit, as above
+    bound = 1e-12 if _definite_on_zero_sums(K) else 1e-11
+    assert _max_rel(res.masses, m_lu) <= bound
+
+
+def _recording_preconditioners(mp):
+    """Record the cycles of each preconditioner equilibrium_measure builds."""
+    built = []
+
+    def recorded(cycles):
+        built.append(cycles)
+        return dropcap.linalg.curve_preconditioner(cycles)
+
+    mp.setattr(dropcap.equilibrium, "curve_preconditioner", recorded)
+    return built
+
+
+def _preconditioned_products(shape, M):
+    """Products with K of one log-kernel equilibrium solve, and its preconditioners' cycles."""
+    op = dc.assemble_operator(dc.discretize(shape, M, "boundary"), dc.KernelParams(2, 2.0))
+    with pytest.MonkeyPatch.context() as mp:
+        built = _recording_preconditioners(mp)
+        res, products = _count_products(op)
+    return op, res, products, built
+
+
+def _seeded_polygon(i):
+    rng = np.random.default_rng(644015297)
+    return [_random_polygon(rng) for _ in range(i + 1)][-1]
+
+
+# the shapes of the count table, with n = 8000 on the slowest
+@pytest.mark.parametrize(
+    "name, shape, M",
+    [
+        ("unit disk", dc.Ball((0.0, 0.0), 1.0), 2000),
+        ("square", _regular_polygon(4), 2000),
+        ("triangle", _regular_polygon(3), 2000),
+        ("random polygon 0", _seeded_polygon(0), 600),
+        ("random polygon 0", _seeded_polygon(0), 2000),
+        ("indefinite polygon 2", _seeded_polygon(2), 600),
+        ("indefinite polygon 2", _seeded_polygon(2), 8000),
+    ],
+)
+def test_a_preconditioned_log_solve_takes_at_most_40_products(name, shape, M):
+    # unpreconditioned these take 48 to 453 products, growing with n
+    op, res, products, built = _preconditioned_products(shape, M)
+    assert built == [(op.n_nodes,)]
+    assert res.iterations == 1
+    assert products <= 40
+
+
+def test_the_unit_circle_chases_round_off_for_a_few_products_only(monkeypatch):
+    # lambda = -log(capacity) is near zero here, so the start residual the
+    # run stops relative to is small, and CG steps on round-off: without P
+    # for 72 products
+    products = 0
+
+    def counted(A, x):
+        nonlocal products
+        products += 1
+        return symv(A, x)
+
+    monkeypatch.setattr(dropcap.equilibrium, "symv", counted)
+    res = dc.solve_shape(dc.Ball((0.0, 0.0), 1.0), 2.0, n_nodes=4000)
+    assert products <= 6
+    assert _max_rel(res.masses, np.full(res.cloud.n_nodes, 1.0 / res.cloud.n_nodes)) <= 1e-12
+
+
+def test_the_planar_annulus_preconditions_both_cycles_then_the_outer_one():
+    op, res, _, built = _preconditioned_products(dc.Annulus((0.3, -0.2), 0.5, 1.0), 600)
+    n_in, n_out = op.cloud.cycles
+    assert built == [(n_in, n_out), (n_out,)]
+    assert res.iterations == 2 and not res.masses[:n_in].any()
+    lu = _bordered_equilibrium(op)
+    assert res.iterations == lu.iterations
+    assert _max_rel(res.masses, lu.masses) <= 1e-12
+    assert abs(res.energy - lu.energy) <= 1e-12 * max(abs(lu.energy), 1.0)
+
+
+def test_a_working_set_that_cuts_a_cycle_is_not_preconditioned():
+    # a start with one node of the polygon inactive: that set has no
+    # whole cycle, and the full set the sweep restores has one
+    shape = _regular_polygon(5)
+    op = dc.assemble_operator(dc.discretize(shape, 300, "boundary"), dc.KernelParams(2, 2.0))
+    start = np.ones(op.n_nodes, dtype=bool)
+    start[7] = False
+    with pytest.MonkeyPatch.context() as mp:
+        built = _recording_preconditioners(mp)
+        res = dc.equilibrium_measure(op, start_active=start)
+    assert res.iterations == 2 and built == [(op.n_nodes,)]
+    assert _max_rel(res.masses, dc.equilibrium_measure(op).masses) <= 1e-12
+
+
+@settings(max_examples=20)
+@given(
+    cycles=st.lists(st.integers(1, 400), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_curve_preconditioner_is_symmetric_and_positive(cycles, seed):
+    P = dropcap.linalg.curve_preconditioner(cycles)
+    n = sum(cycles)
+    rng = np.random.default_rng(seed)
+    y, z = rng.standard_normal((2, n))
+    scale = max(cycles) * np.linalg.norm(y) * np.linalg.norm(z)
+    assert abs(y @ P(z) - z @ P(y)) <= 1e-13 * scale
+    z -= z.mean()
+    assert z @ P(z) >= 0.9 * (z @ z)
+    # on each cycle the circulant with symbol max(|k|, 1)
+    start = 0
+    for length in cycles:
+        k = int(rng.integers(0, length // 2 + 1))
+        mode = np.zeros(n)
+        mode[start : start + length] = np.cos(2.0 * np.pi * k * np.arange(length) / length)
+        np.testing.assert_allclose(P(mode), max(k, 1) * mode, atol=1e-12 * length)
+        start += length

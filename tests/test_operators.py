@@ -43,6 +43,7 @@ def _first_nodes(cloud, n):
         weights=cloud.weights[:n],
         components=cloud.components[:n],
         mirror=None,
+        cycles=(),
     )
 
 

@@ -346,6 +346,23 @@ def test_rayleigh_scan_shapes_of_even_degree_solve_on_half_the_nodes(l, orbits):
     assert (cloud.mirror is None) == (l % 2 == 1)
 
 
+@pytest.mark.parametrize("l", [1, 3, 5])
+def test_a_zero_amplitude_graph_of_odd_degree_carries_the_point_mirror(l):
+    # eps = 0 makes the profile exactly 1, so R(-u) = R(u) whatever the degrees
+    cloud = dc.discretize(_renormalized_mode_shape(l, 0.0), 1200, "boundary")
+    assert cloud.mirror.shape == (1, 1200) and len(cloud.orbits) == 600
+    assert np.array_equal(cloud.points[cloud.mirror[0]], -cloud.points)
+    sphere = dc.discretize(dc.Ball(ORIGIN, 1.0), 1200, "boundary")
+    assert np.array_equal(cloud.points, sphere.points)
+    assert np.array_equal(cloud.weights, sphere.weights)
+    op, op_full = (dc.assemble_operator(c, COULOMB) for c in (cloud, _stripped(cloud)))
+    eq, eq_full = dc.equilibrium_measure(op), dc.equilibrium_measure(op_full)
+    assert eq.energy == pytest.approx(eq_full.energy, rel=1e-13)
+    # the masses of two CG runs on the same sphere differ at 1.3e-13 here;
+    # 1e-12 is the bound of the even-mode graphs above
+    assert _max_rel(eq.masses, eq_full.masses) <= 1e-12
+
+
 def _reflected_cloud(seed, k, with_center):
     """k random nodes and their reflections through a random center."""
     rng = np.random.default_rng(seed)
