@@ -22,7 +22,7 @@ import io
 import sys
 
 from . import __version__
-from .errors import DropcapError, NonConvergenceError, ValidationError
+from .errors import DropcapError, NonConvergenceError, ValidationError, require_tol
 
 _CONVENTIONS = (
     f"dropcap {__version__}\n"
@@ -144,6 +144,7 @@ def _node_rows(cloud, **columns) -> list[dict]:
 
 
 def _run_capacity(args):
+    require_tol(args.tol)
     from .equilibrium import equilibrium_measure
 
     op = _solve_cloud(args, _load_shape(args), args.alpha)
@@ -170,6 +171,7 @@ def _run_capacity(args):
 
 
 def _run_equilibrium(args):
+    require_tol(args.tol)
     from .equilibrium import _check_farfield_radii, equilibrium_measure, farfield_check
 
     def check(cloud):

@@ -6,10 +6,13 @@ ball index, face or edge index).  Boundary clouds of spheres use an
 antipodally symmetric golden-angle lattice, which keeps odd moments of
 the node set at rounding level; circles use equally spaced midpoints;
 boxes get per-face grids; polygons are subdivided by arc length.  Each
-shape class has one boundary placement in _BOUNDARY.  A placement whose
-nodes run around closed curves in order records them as the cloud's
-cycles: a planar circle and a polygon (edge by edge, counter-clockwise)
-one each, a planar annulus two, the inner circle's then the outer's.
+shape class has one boundary placement in _BOUNDARY; spheres and
+circles come from one round piece (_round), and a placement of several
+pieces stacks them (_stack), labeling each node with its piece.  A
+placement whose nodes run around closed curves in order records them as
+the cloud's cycles: a planar circle and a polygon (edge by edge,
+counter-clockwise) one each, a planar annulus two, the inner circle's
+then the outer's, and a planar union one per ball, in ball order.
 Every other placement records none.  The equilibrium solve
 preconditions on the cycles (dropcap.linalg.curve_preconditioner).
 Volume clouds are cell-centered Cartesian grids over the shape's
@@ -22,20 +25,19 @@ being node i's image under reflection g, which negates some coordinates
 about one center and keeps the rest, and mirror[g, i] == i for a node it
 fixes.  The generators commute, and their products form the cloud's
 reflection group G of 2^k elements, k at most MAX_REFLECTIONS = 3.
-Sphere lattices are [upper;
--upper], so balls, both shells of an annulus in 3d, and radial graphs
-whose modes all have even degree, or whose amplitude is 0, carry the
-one point mirror.  Box faces
-carry one reflection per axis: the two faces across an axis swap, and
-each face grid is reflected in itself along the others.  A volume grid
-carries the reflection along each axis under which its clipped mask
-and its weights are symmetric, a property of the shape, and its axes
-are then made exactly symmetric about the center; a grid symmetric
-only under the point mirror carries that one.  Past three dimensions,
-box faces and volume grids carry the point mirror alone, the product
-of the axis reflections.  The operators solve on
-the node orbits {g i : g in G} (Orbits); on the 2553-node volume ball
-that is 410 orbits, where the point mirror alone gives 1277.
+Sphere lattices are [upper; -upper], so balls, both shells of an annulus
+in 3d, and radial graphs whose modes all have even degree, or whose
+amplitude is 0, carry the one point mirror.  Box faces carry one
+reflection per axis: the two faces across an axis swap, and each face
+grid is reflected in itself along the others.  A volume grid's axes are
+made exactly symmetric about the bounding box's center before the grid
+is built, and it carries the reflection along each axis under which its
+clipped mask and its weights are symmetric, a property of the shape; a
+grid symmetric only under the point mirror carries that one.  Past three
+dimensions, box faces and volume grids carry the point mirror alone, the
+product of the axis reflections.  The operators solve on the node orbits
+{g i : g in G} (Orbits); on the 2553-node volume ball that is 410
+orbits, where the point mirror alone gives 1277.
 """
 
 from __future__ import annotations
@@ -352,76 +354,82 @@ def _sphere_lattice(n: int) -> np.ndarray:
     return np.vstack([upper, -upper])
 
 
-def _round_nodes(center, radius: float, n: int):
-    """Nodes, equal weights and mirror on a circle (2D) or a sphere (3D).
+def _round_minimum(d: int) -> int:
+    """The fewest nodes of a round piece in dimension d: 4 on a circle, 8 on a sphere."""
+    if d not in (2, 3):
+        raise DiscretizationError(f"boundary clouds are available in dimensions 2 and 3, not {d}")
+    return 4 if d == 2 else 8
 
-    The sphere lattice pairs node k with node k + n/2 (its negation); the
-    circle's nodes are not built in exact pairs and carry no mirror.
+
+def _round(center, radius: float, n) -> _Placement:
+    """About n nodes of equal weight on a sphere (3D) or a circle (2D).
+
+    The sphere lattice pairs node k with node k + n/2, its negation, and
+    carries that point mirror; the circle's nodes are not built in exact
+    pairs and run once around it counter-clockwise, one cycle.
     """
     d = len(center)
+    minimum = _round_minimum(d)
     if d == 3:
-        n = _even_count(n, 8)
+        n = _even_count(n, minimum)
         pts = np.asarray(center) + radius * _sphere_lattice(n)
-        mirror = np.roll(np.arange(n), n // 2)
-        return pts, np.full(n, unit_sphere_area(3) * radius**2 / n), mirror
-    if d == 2:
-        n = max(4, int(n))
+        mirror, cycles = np.roll(np.arange(n), n // 2), ()
+    else:
+        n = max(minimum, int(round(n)))
         ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         pts = np.asarray(center) + radius * np.column_stack([np.cos(ang), np.sin(ang)])
-        return pts, np.full(n, 2.0 * np.pi * radius / n), None
-    raise DiscretizationError(
-        f"boundary clouds are available in dimensions 2 and 3, not {d}"
+        mirror, cycles = None, (n,)
+    w = np.full(n, unit_sphere_area(d) * radius ** (d - 1) / n)
+    return _Placement(pts, w, np.zeros(n, dtype=int), ("boundary",), mirror, cycles)
+
+
+def _stack(pieces, names, concentric: bool = False) -> _Placement:
+    """One placement of the pieces side by side, the nodes of piece i labeled names[i].
+
+    Reads only each piece's points, weights, mirror and cycles: points,
+    weights and cycles are concatenated.  Pieces reflected through one
+    common center are concentric and keep their mirrors, shifted to the
+    stacked node indices; other stacks carry none.
+    """
+    sizes = [len(p.points) for p in pieces]
+    mirror = None
+    if concentric and pieces[0].mirror is not None:
+        starts = np.cumsum([0] + sizes[:-1])
+        mirror = np.hstack([p.mirror + s for p, s in zip(pieces, starts)])
+    return _Placement(
+        np.vstack([p.points for p in pieces]),
+        np.concatenate([p.weights for p in pieces]),
+        np.repeat(np.arange(len(pieces)), sizes),
+        tuple(names),
+        mirror,
+        sum((p.cycles for p in pieces), ()),
     )
 
 
 def _ball_boundary(shape: shp.Ball, n: int):
-    """The sphere lattice, or in the plane one counter-clockwise cycle."""
-    pts, w, mirror = _round_nodes(shape.center, shape.radius, n)
-    cycles = (len(pts),) if shape.dim == 2 else ()
-    return _Placement(pts, w, np.zeros(len(pts), dtype=int), ("boundary",), mirror, cycles)
+    return _round(shape.center, shape.radius, n)
 
 
 def _annulus_boundary(shape: shp.Annulus, n: int):
-    """Both spheres' lattices, or in the plane two cycles: the inner circle's, the outer's."""
+    """Both round pieces split by area, inner then outer: in the plane two cycles."""
     d = shape.dim
     a_in = unit_sphere_area(d) * shape.r_inner ** (d - 1)
     a_out = unit_sphere_area(d) * shape.r_outer ** (d - 1)
-    share = a_in / (a_in + a_out)
-    if d == 3:
-        n_in = _even_count(n * share, 8)
-        n_out = _even_count(n - n_in, 8)
-    else:
-        n_in = max(4, int(round(n * share)))
-        n_out = max(4, n - n_in)
-    pts_in, w_in, mirror_in = _round_nodes(shape.center, shape.r_inner, n_in)
-    pts_out, w_out, mirror_out = _round_nodes(shape.center, shape.r_outer, n_out)
-    pts = np.vstack([pts_in, pts_out])
-    w = np.concatenate([w_in, w_out])
-    comp = np.concatenate([np.zeros(len(pts_in), int), np.ones(len(pts_out), int)])
-    if d == 2:
-        return _Placement(pts, w, comp, ("inner", "outer"), cycles=(len(pts_in), len(pts_out)))
-    mirror = np.concatenate([mirror_in, mirror_out + len(pts_in)])
-    return _Placement(pts, w, comp, ("inner", "outer"), mirror)
+    inner = _round(shape.center, shape.r_inner, n * (a_in / (a_in + a_out)))
+    outer = _round(shape.center, shape.r_outer, n - len(inner.points))
+    return _stack([inner, outer], ("inner", "outer"), concentric=True)
 
 
 def _union_boundary(shape: shp.UnionOfBalls, n: int):
+    """n // k nodes on each of the k balls, unmirrored: in the plane one cycle per ball."""
     k = len(shape.balls)
-    per = n // k
-    minimum = 8 if shape.dim == 3 else 4
-    if per < minimum:
+    minimum = _round_minimum(shape.dim)
+    if n // k < minimum:
         raise DiscretizationError(
             f"need at least {minimum * k} nodes for {k} balls, got {n}"
         )
-    pts_list, w_list, comp_list, names = [], [], [], []
-    for i, b in enumerate(shape.balls):
-        p, w, _ = _round_nodes(b.center, b.radius, per)
-        pts_list.append(p)
-        w_list.append(w)
-        comp_list.append(np.full(len(p), i, dtype=int))
-        names.append(f"ball_{i}")
-    return _Placement(
-        np.vstack(pts_list), np.concatenate(w_list), np.concatenate(comp_list), tuple(names)
-    )
+    pieces = [_round(b.center, b.radius, n // k) for b in shape.balls]
+    return _stack(pieces, [f"ball_{i}" for i in range(k)])
 
 
 def _symmetrize(axis: np.ndarray, center: float) -> np.ndarray:
@@ -492,9 +500,8 @@ def _box_boundary(shape: shp.Box, n: int):
     for i in range(d):
         areas.append(float(np.prod(np.delete(2.0 * h, i))))
     total = 2.0 * sum(areas)
-    pts_list, w_list, comp_list, names = [], [], [], []
-    mirror_list = []
-    label = start = 0
+    faces, names, mirror_list = [], [], []
+    start = 0
     for i in range(d):
         m_face = max(1, int(round(n * areas[i] / total)))
         face_pts, cell, counts = _box_grid(np.delete(h, i), m_face)
@@ -503,11 +510,8 @@ def _box_boundary(shape: shp.Box, n: int):
             full = np.empty((m, d))
             full[:, np.arange(d) != i] = face_pts
             full[:, i] = sign * h[i]
-            pts_list.append(center + full)
-            w_list.append(np.full(m, cell))
-            comp_list.append(np.full(m, label, dtype=int))
+            faces.append(_Placement(center + full, np.full(m, cell), None, ()))
             names.append(f"face_{i}{tag}")
-            label += 1
         face = np.empty((d, 2 * m), dtype=np.int64)
         for j in range(d):
             if j == i:
@@ -523,30 +527,22 @@ def _box_boundary(shape: shp.Box, n: int):
         for g in mirror[1:]:
             point = g[point]
         mirror = point[None]
-    return _Placement(
-        np.vstack(pts_list), np.concatenate(w_list), np.concatenate(comp_list), tuple(names), mirror
-    )
+    return _stack(faces, names)._replace(mirror=mirror)
 
 
 def _polygon_boundary(shape: shp.ConvexPolygon2D, n: int):
     """Equally spaced midpoints on each edge, edge by edge: one cycle."""
     v = np.array(shape.vertices)
-    k = len(v)
     edges = np.roll(v, -1, axis=0) - v
     lengths = np.linalg.norm(edges, axis=1)
     total = lengths.sum()
-    pts_list, w_list, comp_list, names = [], [], [], []
-    for i in range(k):
+    pieces = []
+    for i in range(len(v)):
         m = max(1, int(round(n * lengths[i] / total)))
         t = (np.arange(m) + 0.5) / m
-        pts_list.append(v[i] + t[:, None] * edges[i])
-        w_list.append(np.full(m, lengths[i] / m))
-        comp_list.append(np.full(m, i, dtype=int))
-        names.append(f"edge_{i}")
-    pts = np.vstack(pts_list)
-    return _Placement(
-        pts, np.concatenate(w_list), np.concatenate(comp_list), tuple(names), cycles=(len(pts),)
-    )
+        pieces.append(_Placement(v[i] + t[:, None] * edges[i], np.full(m, lengths[i] / m), None, ()))
+    stacked = _stack(pieces, [f"edge_{i}" for i in range(len(v))])
+    return stacked._replace(cycles=(len(stacked.points),))
 
 
 def _graph_boundary(shape: shp.NearlySpherical, n: int):
@@ -607,8 +603,11 @@ def _volume_cloud(shape: shp.Shape, n: int):
         )
     counts = [int(c) for c in counts]
     steps = 2.0 * half / counts
+    # Each axis is made exactly symmetric about the box center, so that a
+    # grid reflection maps the grid onto itself, not just up to rounding.
     axes = [
-        center[i] - half[i] + (np.arange(counts[i]) + 0.5) * steps[i] for i in range(d)
+        _symmetrize(center[i] - half[i] + (np.arange(counts[i]) + 0.5) * steps[i], center[i])
+        for i in range(d)
     ]
     pts = _grid_points(axes)
     mask = shape.contains(pts)
@@ -635,10 +634,9 @@ def _volume_cloud(shape: shp.Shape, n: int):
                 )
             w[inside] *= shp.volume(piece) / w[inside].sum()
         names = tuple(f"{piece.variant}_{i}" for i, piece in enumerate(pieces))
-    # A grid reflection maps the grid onto itself up to rounding.  Each
-    # one under which the clipped mask and the weights are symmetric is
-    # recorded, and the axes it negates are made exactly symmetric.  Past
-    # MAX_REFLECTIONS axes only the point mirror is tried.
+    # Each grid reflection under which the clipped mask and the weights
+    # are symmetric is recorded.  Past MAX_REFLECTIONS axes only the point
+    # mirror is tried.
     grid_w = np.zeros(len(mask))
     grid_w[mask] = w
 
@@ -646,21 +644,15 @@ def _volume_cloud(shape: shp.Shape, n: int):
         return np.array_equal(grid_w, grid_w[flip])
 
     moved = [i for i in range(d) if counts[i] > 1]
-    axis_flips = {i: _grid_flip(counts, i) for i in moved} if d <= MAX_REFLECTIONS else {}
-    reflected = [i for i, flip in axis_flips.items() if symmetric(flip)]
-    flips = [axis_flips[i] for i in reflected]
-    if len(reflected) < len(moved):
+    flips = [_grid_flip(counts, i) for i in moved] if d <= MAX_REFLECTIONS else []
+    flips = [flip for flip in flips if symmetric(flip)]
+    if len(flips) < len(moved):
         point = np.arange(len(mask))[::-1]
         if symmetric(point):
             flips.append(point)
-            reflected = moved
-    if not flips:
-        return _Placement(pts, w, comp, names)
-    for i in reflected:
-        axes[i] = _symmetrize(axes[i], center[i])
     node = np.cumsum(mask) - 1
-    mirror = np.array([node[flip[mask]] for flip in flips])
-    return _Placement(_grid_points(axes)[mask], w, comp, names, mirror)
+    mirror = np.array([node[flip[mask]] for flip in flips]) if flips else None
+    return _Placement(pts, w, comp, names, mirror)
 
 
 # ---------------------------------------------------------------------------

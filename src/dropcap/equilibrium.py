@@ -29,7 +29,7 @@ import numpy as np
 
 from . import shapes as shp
 from .clouds import NodeCloud, default_role, discretize
-from .errors import NonConvergenceError, ValidationError, require_finite
+from .errors import NonConvergenceError, ValidationError, require_finite, require_tol
 from .kernels import KernelParams
 from .linalg import ScreenedOut, constrained_solve, curve_preconditioner, symv
 from .operators import KernelOperator, assemble_operator, potential_at
@@ -177,7 +177,7 @@ def equilibrium_measure(
     working sets) that takes 106 products with E instead of 253.  A
     working set that comes round again turns the screen off for the
     rest of the loop.  On a cloud that records cycles (a planar circle,
-    polygon or annulus), a working set that is a union of whole cycles
+    polygon, annulus or union), a working set that is a union of whole cycles
     is preconditioned by linalg.curve_preconditioner over them, and any
     other runs without: the random polygons of convex_scan_2d take 18 to
     32 products per solve at n = 600 to 8000 instead of 130 to 453.
@@ -203,9 +203,7 @@ def equilibrium_measure(
     """
     if not isinstance(op, KernelOperator):
         raise ValidationError("equilibrium_measure expects an assembled operator")
-    tol = float(tol)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    tol = require_tol(tol)
     orbits, K = op.orbits, op.even
     sizes, n = orbits.sizes, len(orbits)
     if start_active is None:

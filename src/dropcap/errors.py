@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the finiteness and seed checks."""
+"""Exception types shared across the toolkit, and the finiteness, tolerance and seed checks."""
 
 import math
 
@@ -41,6 +41,14 @@ def require_finite(value, what: str) -> float:
     v = float(value)
     if not math.isfinite(v):
         raise ValidationError(f"{what} must be finite, got {v}")
+    return v
+
+
+def require_tol(tol) -> float:
+    """tol as a float; a ValidationError unless it is finite and positive."""
+    v = float(tol)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValidationError(f"tol must be finite and positive, got {v}")
     return v
 
 

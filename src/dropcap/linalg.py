@@ -49,7 +49,7 @@ symbol there is 1/(2|k|).  That is operator preconditioning (Steinbach
 and Wendland, Adv. Comput. Math. 9, 1998).  curve_preconditioner
 applies P r = irfft(max(|k|, 1) rfft(r)) on each cycle of nodes that
 runs around a closed curve: one FFT pair per step, no product with K
-and no storage past one symbol per cycle length.  P is a symmetric
+and no storage past one symbol per cycle.  P is a symmetric
 positive-definite circulant on each cycle, so it keeps CG's symmetry
 and stays definite over several cycles.  A preconditioned run takes
 z = P r projected onto 1^perp, beta = r'z / r_old'z_old and
@@ -86,7 +86,6 @@ can cost as much as the solve itself.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -168,18 +167,18 @@ def _conjugate_gradients(apply, x, r, scale: float, zero_sum: bool, screen, prec
     """
     n = len(x)
 
-    def preconditioned(r):
+    def preconditioned(r, rr):
+        """z and r'z, given rr = r'r: without P, r itself and rr."""
+        if precondition is None:
+            return r, rr
         z = precondition(r)
         if zero_sum:
             z -= z.sum() / n
-        return z
+        return z, float(r @ z)
 
     rr = float(r @ r)
-    if precondition is None:
-        p, rz = r.copy(), rr
-    else:
-        z = preconditioned(r)
-        p, rz = z.copy(), float(r @ z)
+    z, rz = preconditioned(r, rr)
+    p = z.copy()
     stop = (CG_RTOL * scale) ** 2
     screen_at = -1.0 if screen is None else (CG_SCREEN_RTOL * scale) ** 2
     for _ in range(max(CG_MAX_ITER, n)):
@@ -206,11 +205,8 @@ def _conjugate_gradients(apply, x, r, scale: float, zero_sum: bool, screen, prec
             # the round-off of r now exceeds the start's residual
             reason = "diverged"
             break
-        if precondition is None:
-            z, rz, rz_old = r, rr, rz
-        else:
-            z = preconditioned(r)
-            rz, rz_old = float(r @ z), rz
+        rz_old = rz
+        z, rz = preconditioned(r, rr)
         p *= rz / rz_old
         p += z
         if zero_sum:
@@ -275,14 +271,6 @@ def constrained_solve(
     return x, float(a @ x) - float(rhs.mean())
 
 
-@functools.lru_cache(maxsize=None)
-def _curve_symbol(n: int) -> np.ndarray:
-    """max(|k|, 1) over the rfft frequencies k = 0 ... n//2 of an n-node cycle."""
-    symbol = np.maximum(np.arange(n // 2 + 1, dtype=float), 1.0)
-    symbol.setflags(write=False)
-    return symbol
-
-
 def curve_preconditioner(cycles):
     """P r for nodes that run around closed curves, the inverse of |D| on each.
 
@@ -295,7 +283,11 @@ def curve_preconditioner(cycles):
     from numpy.fft import irfft, rfft
 
     bounds = np.cumsum((0, *cycles)).tolist()
-    runs = [(a, b, _curve_symbol(b - a)) for a, b in zip(bounds, bounds[1:])]
+    # max(|k|, 1) over the rfft frequencies k = 0 ... m//2 of each m-node run
+    runs = [
+        (a, b, np.maximum(np.arange((b - a) // 2 + 1, dtype=float), 1.0))
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
     def precondition(r):
         z = np.empty_like(r)

@@ -509,6 +509,21 @@ def test_bad_farfield_radii_exit_two_before_the_assembly(capsys, monkeypatch, ra
     assert err.startswith("error:") and word in err
 
 
+@pytest.mark.parametrize("command, tol", [("capacity", "nan"), ("equilibrium", "0")])
+def test_a_bad_tol_exits_two_before_the_cloud(capsys, monkeypatch, command, tol):
+    import dropcap.clouds
+    import dropcap.operators
+
+    def never(*args, **kwargs):
+        raise AssertionError("a bad --tol reached the cloud or the assembly")
+
+    monkeypatch.setattr(dropcap.clouds, "discretize", never)
+    monkeypatch.setattr(dropcap.operators, "assemble_operator", never)
+    code, out, err = run_cli([command, "--M", "6000", "--tol", tol], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "tol" in err
+
+
 def test_two_balls_subcommand(capsys):
     code, out, _ = run_cli(["family", "two-balls", "--n", "1,2,4", "--M", "300"], capsys)
     assert code == 0

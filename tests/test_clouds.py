@@ -1,10 +1,15 @@
 """Node clouds: weights, symmetry, membership, components."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dropcap as dc
 from dropcap.errors import DiscretizationError, ValidationError
+from dropcap.instability import _random_polygon
 
 
 BALL3 = dc.Ball((0.0, 0.0, 0.0), 1.0)
@@ -131,6 +136,16 @@ def test_boundary_clouds_reject_four_dimensional_balls_and_unions():
         assert dc.discretize(shape, 400, "volume").dim == 4
 
 
+@pytest.mark.parametrize("dim, k, minimum", [(2, 5, 4), (3, 3, 8)])
+def test_a_union_boundary_below_its_node_minimum_is_refused(dim, k, minimum):
+    # the 16 nodes discretize accepts leave each ball fewer than a circle's
+    # 4 or a sphere lattice's 8
+    balls = tuple(dc.Ball((3.0 * i,) + (0.0,) * (dim - 1), 1.0) for i in range(k))
+    with pytest.raises(DiscretizationError, match=f"at least {minimum * k} nodes for {k} balls"):
+        dc.discretize(dc.UnionOfBalls(balls), 16, "boundary")
+    assert dc.discretize(dc.UnionOfBalls(balls), minimum * k, "boundary").n_nodes == minimum * k
+
+
 def test_a_volume_grid_past_the_cell_bound_is_refused_before_it_is_built():
     # 5^50 bounding-box cells: numpy could not even index the grid
     with pytest.raises(ValidationError, match="bounding-box cells"):
@@ -184,7 +199,7 @@ CYCLES = {
     "planar union": (
         dc.UnionOfBalls((dc.Ball((0.0, 0.0), 1.0), dc.Ball((3.0, 0.0), 0.5))),
         "boundary",
-        lambda c: (),
+        lambda c: tuple(np.bincount(c.components)),
     ),
     "planar box": (dc.Box((0.0, 0.0), (1.0, 0.5)), "boundary", lambda c: ()),
     "disk body": (dc.Ball((0.0, 0.0), 1.0), "volume", lambda c: ()),
@@ -216,3 +231,62 @@ def test_cycles_must_split_the_nodes_of_an_unmirrored_cloud():
             dc.NodeCloud(**{f: getattr(cloud, f) for f in fields}, cycles=cycles)
     split = dc.NodeCloud(**{f: getattr(circle, f) for f in fields}, cycles=[40, 60])
     assert split.cycles == (40, 60)
+
+
+@st.composite
+def generated_shapes(draw):
+    """A ball, annulus, union of two or three balls, box or (in 2d) convex polygon."""
+    dim = draw(st.sampled_from((2, 3)))
+    center = draw(st.tuples(*[st.floats(-3.0, 3.0)] * dim))
+    radius = st.floats(0.5, 1.5)
+    kind = draw(st.sampled_from(("ball", "annulus", "union", "box", "polygon")[: 4 + (dim == 2)]))
+    if kind == "ball":
+        return dc.Ball(center, draw(radius))
+    if kind == "annulus":
+        r = draw(radius)
+        return dc.Annulus(center, r, r * draw(st.floats(1.2, 3.0)))
+    if kind == "union":
+        # balls in a row along the first axis, each a gap past the last
+        balls, x = [], center[0]
+        for r in draw(st.lists(radius, min_size=2, max_size=3)):
+            balls.append(dc.Ball((x + r,) + center[1:], r))
+            x += 2.0 * r + draw(st.floats(0.1, 1.0))
+        return dc.UnionOfBalls(tuple(balls))
+    if kind == "box":
+        return dc.Box(center, draw(st.tuples(*[radius] * dim)))
+    polygon = _random_polygon(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return dc.ConvexPolygon2D(tuple(tuple(np.add(v, center)) for v in polygon.vertices))
+
+
+def _exact_component_measures(shape, role):
+    """The exact volume or perimeter of each component a cloud of shape labels."""
+    if role == "volume":
+        return [dc.volume(piece) for piece in shape.pieces()]
+    if isinstance(shape, dc.Annulus):
+        return [dc.perimeter(dc.Ball(shape.center, r)) for r in (shape.r_inner, shape.r_outer)]
+    if isinstance(shape, dc.UnionOfBalls):
+        return [dc.perimeter(b) for b in shape.balls]
+    if isinstance(shape, dc.Box):
+        sides = [2.0 * h for h in shape.half_widths]
+        faces = [math.prod(sides[:i] + sides[i + 1 :]) for i in range(len(sides))]
+        return [area for area in faces for _ in "-+"]
+    if isinstance(shape, dc.ConvexPolygon2D):
+        v = np.array(shape.vertices)
+        return list(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1))
+    return [dc.perimeter(shape)]
+
+
+@settings(max_examples=60)
+@given(shape=generated_shapes(), role=st.sampled_from(("boundary", "volume")), M=st.integers(200, 2000))
+def test_generated_clouds_weigh_each_component_exactly(shape, role, M):
+    cloud = dc.discretize(shape, M, role)
+    exact = _exact_component_measures(shape, role)
+    assert len(cloud.component_names) == len(exact)
+    per_component = np.bincount(cloud.components, weights=cloud.weights, minlength=len(exact))
+    np.testing.assert_allclose(per_component, exact, rtol=1e-13, atol=0.0)
+    total = dc.volume(shape) if role == "volume" else dc.perimeter(shape)
+    assert cloud.weights.sum() == pytest.approx(total, rel=1e-13)
+    curves = role == "boundary" and shape.dim == 2 and not isinstance(shape, dc.Box)
+    assert bool(cloud.cycles) == curves
+    if curves:
+        assert sum(cloud.cycles) == cloud.n_nodes

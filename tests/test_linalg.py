@@ -547,6 +547,19 @@ def test_the_planar_annulus_preconditions_both_cycles_then_the_outer_one():
     assert abs(res.energy - lu.energy) <= 1e-12 * max(abs(lu.energy), 1.0)
 
 
+@pytest.mark.parametrize("M", [600, 2000])
+def test_a_planar_union_preconditions_one_cycle_per_ball(M):
+    # unpreconditioned these take 29 products, and 39 at n = 8000
+    shape = dc.UnionOfBalls((dc.Ball((0.0, 0.0), 1.0), dc.Ball((3.0, 0.0), 0.5)))
+    op, res, products, built = _preconditioned_products(shape, M)
+    assert op.cloud.cycles == (M // 2, M // 2)
+    assert built == [op.cloud.cycles]
+    assert res.iterations == 1 and products <= 20
+    m_lu, lam_lu = _refined_bordered(full_kernel_matrix(op.cloud, op.params))
+    assert _max_rel(res.masses, m_lu) <= 1e-11
+    assert abs(res.energy - lam_lu) <= 1e-11 * max(abs(lam_lu), 1.0)
+
+
 def test_a_working_set_that_cuts_a_cycle_is_not_preconditioned():
     # a start with one node of the polygon inactive: that set has no
     # whole cycle, and the full set the sweep restores has one

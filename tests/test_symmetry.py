@@ -304,6 +304,19 @@ def test_group_reduced_union_solves_match_the_stripped_ones(name):
     _assert_group_solves_match_the_stripped_ones(cloud, (1.5, 2.0))
 
 
+def test_an_off_center_volume_annulus_records_a_reflection_per_axis():
+    # the grid axes are exactly symmetric about the off-center midpoint, so
+    # rounding breaks neither the clipped mask nor any of the reflections
+    center = (0.1, 0.2, 0.3)
+    cloud = dc.discretize(dc.Annulus(center, 0.4, 1.3), 1000, "volume")
+    assert cloud.mirror.shape == (3, 1158)
+    for axis, g in enumerate(cloud.mirror):
+        image = cloud.points.copy()
+        image[:, axis] = 2.0 * center[axis] - image[:, axis]
+        np.testing.assert_allclose(cloud.points[g], image, rtol=0.0, atol=1e-15)
+    _assert_group_solves_match_the_stripped_ones(cloud, (1.5,))
+
+
 def test_past_three_dimensions_grids_carry_the_point_mirror_alone():
     d = 12
     union = dc.UnionOfBalls((dc.Ball((0.0,) * d, 1.0), dc.Ball((0.0,) * (d - 1) + (3.0,), 1.0)))
