@@ -79,9 +79,11 @@ share arrays two to one, one below the diagonal and one above
 (dropcap.operators), is multiplied without a copy.
 
 Every matrix product here runs on scipy's BLAS.  numpy links a separate
-OpenBLAS, and a numpy BLAS call made right after a scipy call waits for
-the other library's threads to go idle, which at a few thousand nodes
-can cost as much as the solve itself.
+OpenBLAS, whose calls compete with scipy's idle threads while those
+spin.  On a 2-core box with OpenBLAS's default spin of about 0.1 s, a
+numpy product of a 2000 x 2000 matrix with a vector took 12-13 ms
+around scipy dsymv calls, against 2.5-2.9 ms with the spin capped at
+2^18 cycles, as dropcap sets it with DROPCAP_THREADS (dropcap/__init__).
 """
 
 from __future__ import annotations

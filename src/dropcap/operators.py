@@ -40,20 +40,31 @@ array; under a point mirror that one array holds E and C_1, and an
 unmirrored cloud stores E's rows alone.  All blocks are filled in one
 pass over row blocks of E's lower triangle: each kernel value
 k(rep o, g rep p) is computed once per group element g, |G| h^2/2
-entries for h orbits where K takes n^2/2, into one reused buffer, and a
-Walsh-Hadamard transform over the group turns them into the rows of
-every character's block at once (clouds.character_sums).
-potential_at runs its targets through the same row blocks, holding one
-block of kernel values at a time.  KernelOperator.solve hands the
-trivial part to the one constrained solve of dropcap.linalg, projected
-conjugate gradients with products with E, and every other nonzero part
-to conjugate gradients on its block.
+entries for h orbits where K takes n^2/2, into a buffer its thread
+reuses, and a Walsh-Hadamard transform over the group turns them into
+the rows of every character's block at once (clouds.character_sums).
+A row block writes only its own orbits' rows of each lower triangle
+and their columns of each upper one, so the blocks are independent:
+they run largest first, on WORKERS threads once the operator has
+POOL_MIN_ENTRIES kernel values, and the arrays are the same bit for
+bit in any order and on any number of threads.  potential_at
+runs its targets through the same row blocks on the calling thread,
+holding one block of kernel values at a time.  KernelOperator.solve
+hands the trivial part to the one constrained solve of dropcap.linalg,
+projected conjugate gradients with products with E, and every other
+nonzero part to conjugate gradients on its block.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import copy_context
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -81,9 +92,31 @@ __all__ = [
 # is computed.  Chosen from the assembly times by block height recorded
 # in CHANGES.md.
 BLOCK_ROWS = 128
+# Columns per chunk of an assembly row block, so each thread's slabs are
+# bounded whatever the cloud's size: 1.4 MB under a point mirror.  Whole
+# rows took as long on 2 cores, with 5.5 MB more scratch at 2000 orbits.
+CHUNK_COLS = 512
 # where= masks of a diagonal square's triangles, the diagonal included
 _LOWER = np.tri(BLOCK_ROWS, dtype=bool)
 _UPPER = _LOWER.T
+
+
+def _worker_count() -> int:
+    """DROPCAP_THREADS if it is a positive integer, else the CPUs this process may use."""
+    threads = os.environ.get("DROPCAP_THREADS", "")
+    if threads.isdigit() and int(threads) > 0:
+        return int(threads)
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# Threads that assemble an operator's row blocks: the calling one and
+# WORKERS - 1 of a pool started on first use.  An operator of fewer
+# kernel values than POOL_MIN_ENTRIES, |G| h^2/2 for h orbits, is
+# assembled on the calling thread alone: on 2 cores the hand-offs cost
+# more than the second thread saves on the 600-node clouds of the
+# stability scans, and save 40% of the 4000-node sphere's assembly.
+WORKERS = _worker_count()
+POOL_MIN_ENTRIES = 1 << 20
 
 
 def _product(M: np.ndarray, x: np.ndarray, lower: bool = True) -> np.ndarray:
@@ -258,27 +291,96 @@ def _distance_blocks(rows, cols):
         yield i0, i1, cdist(rows[i0:i1], cols, out=block)
 
 
-def _store(packed, rows, carriers, i0: int, i1: int, lower: bool) -> None:
-    """Write rows i0:i1 of one character's block into its triangle of packed.
+def _store(packed, chunk, carriers, i0: int, i1: int, j0: int, j1: int, lower: bool) -> None:
+    """Write one chunk of a character's block into its triangle of packed.
 
-    rows[k, j] is the block's entry between orbits i0 + k and j < i1;
-    only the orbits that carry the character are kept, at their places
-    among its carriers.
+    chunk[k, j] is the block's entry between orbits i0 + k and j0 + j;
+    the chunk ends left of the row block's diagonal square, j1 <= i0, or
+    with it, j1 = i1, and of the square only the triangle is written.
+    Only the orbits that carry the character are kept, at their places
+    among its carriers, so every entry written lies in the rows of the
+    lower triangle, or the columns of the upper one, that the orbits
+    i0:i1 own.
     """
-    lo, hi = np.searchsorted(carriers, (i0, i1))
-    if lo == hi:
+    lo, hi, c0, c1 = np.searchsorted(carriers, (i0, i1, j0, j1))
+    if lo == hi or c0 == c1:
         return
     if carriers[hi - 1] == hi - 1:  # the carriers are the first orbits
-        block = rows[lo - i0 : hi - i0, :hi]
+        block = chunk[: hi - i0, : c1 - c0]
     else:
-        block = rows[carriers[lo:hi] - i0][:, carriers[:hi]]
-    k = hi - lo
+        block = chunk[carriers[lo:hi] - i0][:, carriers[c0:c1] - j0]
+    mid, k = min(lo, c1), hi - lo  # the square starts at carrier lo
+    left, square = block[:, : mid - c0], block[:, mid - c0 :]
     if lower:
-        packed[1 + lo : 1 + hi, :lo] = block[:, :lo]
-        np.copyto(packed[1 + lo : 1 + hi, lo:hi], block[:, lo:], where=_LOWER[:k, :k])
+        packed[1 + lo : 1 + hi, c0:mid] = left
+        if square.size:
+            np.copyto(packed[1 + lo : 1 + hi, lo:hi], square, where=_LOWER[:k, :k])
     else:
-        packed[:lo, lo:hi] = block[:, :lo].T
-        np.copyto(packed[lo:hi, lo:hi], block[:, lo:].T, where=_UPPER[:k, :k])
+        packed[c0:mid, lo:hi] = left.T
+        if square.size:
+            np.copyto(packed[lo:hi, lo:hi], square.T, where=_UPPER[:k, :k])
+
+
+def _mapped(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialized float array in pages mapped for it alone.
+
+    The pages go back to the system when the array is freed, so the
+    threads' scratch never stays in the heap, or splits it, past the
+    call that used it: on the heap it raised the peak memory of the
+    4000-node sphere's solves by 3 MB more than its own size.  Fresh
+    pages cost a fault each, about 0.3 ms for a 600-node cloud's
+    scratch, so a one-thread assembly takes its scratch from the heap.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), dtype=float).reshape(shape)
+
+
+def _row_blocks(h: int) -> list[tuple[int, int]]:
+    """The row blocks (i0, i1) of a lower triangle of size h, largest first."""
+    return [(i0, min(i0 + BLOCK_ROWS, h)) for i0 in reversed(range(0, h, BLOCK_ROWS))]
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max(WORKERS - 1, 1), thread_name_prefix="dropcap-assembly")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but not its threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_blocks(work, blocks, scratch) -> None:
+    """work(i0, i1, buffer) for each row block, on one thread per scratch buffer.
+
+    This thread takes the first buffer and the pool's threads the rest;
+    each takes the next block until none is left.  The first error
+    stops every thread from taking another block and is raised once all
+    have returned.
+    """
+    todo = queue.SimpleQueue()
+    for block in blocks:
+        todo.put(block)
+    failed = threading.Event()
+
+    def drain(buffer):
+        try:
+            while not failed.is_set():
+                try:
+                    i0, i1 = todo.get_nowait()
+                except queue.Empty:
+                    return
+                work(i0, i1, buffer)
+        except BaseException:
+            failed.set()
+            raise
+
+    # each in a copy of this thread's context, so np.errstate holds there too
+    futures = [_pool().submit(copy_context().run, drain, buffer) for buffer in scratch[1:]]
+    try:
+        drain(scratch[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _character_blocks(cloud: NodeCloud, params: KernelParams) -> tuple[np.ndarray, ...]:
@@ -288,12 +390,13 @@ def _character_blocks(cloud: NodeCloud, params: KernelParams) -> tuple[np.ndarra
     lower triangle over the orbits, X[a] holds k(rep o, g_a rep p)/|G|
     for each group element g_a, with the self-energy where g_a fixes
     rep o, and character_sums turns them into the rows of C_s, one per
-    character s.  E's go straight into whole rows of the first array:
-    the part of those rows above the diagonal belongs to the array's
-    upper block, whose entries there come from this row block or later
-    ones.  Each other character keeps the rows and columns of the
-    orbits that carry it; the upper triangles past a smaller block's
-    size are zeroed.
+    character s.  A row block goes in chunks of CHUNK_COLS columns, the
+    last with the diagonal square, so each thread's slabs stay small
+    whatever h.  Each row block writes only into its own orbits' rows of
+    the lower triangles and their columns of the upper ones, so the
+    blocks run in any order, largest first, on WORKERS threads past
+    POOL_MIN_ENTRIES.  The upper triangles past a smaller block's size
+    are zeroed.
     """
     from scipy.spatial.distance import cdist
 
@@ -305,34 +408,63 @@ def _character_blocks(cloud: NodeCloud, params: KernelParams) -> tuple[np.ndarra
     fixed = o.images == o.reps
     pairs = _pairs(o)
     packed = [np.empty((len(o.carriers[s]) + 1, len(o.carriers[s]))) for s, _ in pairs]
-    # X and, past one butterfly, the free slab of the transform
-    slabs = size + (size > 2)
-    buf = np.empty(slabs * min(h, BLOCK_ROWS) * h)
-    for i0 in range(0, h, BLOCK_ROWS):
-        i1 = min(i0 + BLOCK_ROWS, h)
-        X = buf[: slabs * (i1 - i0) * i1].reshape(slabs, i1 - i0, i1)
-        for a in range(size):
-            cdist(rows[i0:i1], cols[a, :i1], out=X[a])
-        # the self terms, where g_a fixes rep o: on the whole diagonal for
-        # the identity, at the orbits' fixed points for the others
-        square = X[0, :, i0:i1]  # a view: fill_diagonal writes into X
-        g, r = np.nonzero(fixed[1:, i0:i1])
-        np.fill_diagonal(square, 1.0)
-        X[1 + g, r, i0 + r] = 1.0
-        K = X[:size]
-        kernel_of_distance(params, K, out=K)
-        np.fill_diagonal(square, diag[i0:i1])
-        X[1 + g, r, i0 + r] = diag[i0 + r]
-        if not np.isfinite(K).all():
-            raise ValidationError("operator has non-finite entries; nodes may coincide")
-        if size > 1:
-            K *= 1.0 / size
-        sums = character_sums(K, packed[0][1 + i0 : 1 + i1, :i1], X[size] if size > 2 else None)
-        for m, (s, t) in zip(packed, pairs):
-            if s != 0:
-                _store(m, sums[s], o.carriers[s], i0, i1, True)
-            if t is not None:
-                _store(m, sums[t], o.carriers[t], i0, i1, False)
+    blocks = _row_blocks(h)
+    workers = min(WORKERS, len(blocks)) if size * h * h >= 2 * POOL_MIN_ENTRIES else 1
+    # per thread: X and, past one butterfly, the free slab of the
+    # transform, as wide as a chunk and the square, then a square for E's
+    # sums on the diagonal
+    slabs, height = size + (size > 2), min(h, BLOCK_ROWS)
+    width = min(h, CHUNK_COLS + BLOCK_ROWS)
+    shape = (workers, (slabs * width + height) * height)
+    scratch = _mapped(shape) if workers > 1 else np.empty(shape)
+
+    # E's sums go straight into its rows.  On the diagonal square those
+    # rows also cover the upper triangle of the array's other block; when
+    # its carriers are the first orbits, those entries are this row
+    # block's own, and its _store overwrites them.  Otherwise they are a
+    # later block's, so the square is a chunk of its own, and E's
+    # triangle of it goes through scratch.
+    t = pairs[0][1]
+    shared = t is not None and bool(o.carriers[t][-1] != len(o.carriers[t]) - 1)
+
+    def work(i0, i1, buffer):
+        k = i1 - i0
+        # the self terms, where g_a fixes rep o: the whole diagonal for the
+        # identity, the orbits' fixed points for the others
+        g, r = np.nonzero(fixed[:, i0:i1])
+        starts = list(range(0, i0, CHUNK_COLS))
+        chunks = list(zip(starts, starts[1:] + [i0]))
+        if shared or not chunks:
+            chunks.append((i0, i1))
+        else:  # the last chunk takes the square
+            chunks[-1] = (chunks[-1][0], i1)
+        for j0, j1 in chunks:
+            X = buffer[: slabs * k * (j1 - j0)].reshape(slabs, k, j1 - j0)
+            for a in range(size):
+                cdist(rows[i0:i1], cols[a, j0:j1], out=X[a])
+            K = X[:size]
+            self_terms = (g, r, i0 - j0 + r) if j1 == i1 else None
+            if self_terms:
+                X[self_terms] = 1.0
+            kernel_of_distance(params, K, out=K)
+            if self_terms:
+                X[self_terms] = diag[i0 + r]
+            if not np.isfinite(K).all():
+                raise ValidationError("operator has non-finite entries; nodes may coincide")
+            if size > 1:
+                K *= 1.0 / size
+            through_scratch = shared and j0 == i0
+            out = packed[0][1 + i0 : 1 + i1, j0:j1]
+            if through_scratch:
+                out = buffer[-k * k :].reshape(k, k)
+            sums = character_sums(K, out, X[size] if size > 2 else None)
+            for m, (s, t) in zip(packed, pairs):
+                if s != 0 or through_scratch:
+                    _store(m, sums[s], o.carriers[s], i0, i1, j0, j1, True)
+                if t is not None:
+                    _store(m, sums[t], o.carriers[t], i0, i1, j0, j1, False)
+
+    _run_blocks(work, blocks, scratch)
     for m, (_, t) in zip(packed, pairs):
         if t is not None:
             for c in range(len(o.carriers[t]), m.shape[1]):

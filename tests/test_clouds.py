@@ -233,6 +233,38 @@ def test_cycles_must_split_the_nodes_of_an_unmirrored_cloud():
     assert split.cycles == (40, 60)
 
 
+# (field of a valid 4-node planar cloud, or the masses given to its
+# component_masses, the bad value, the message it raises)
+BAD_FIELDS = [
+    ("points", np.zeros(4), "points must be a nonempty"),
+    ("points", np.zeros((0, 2)), "points must be a nonempty"),
+    ("weights", np.ones(3), "weights must be one scalar per node"),
+    ("components", np.zeros(5, dtype=int), "components must give one label per node"),
+    ("role", "surface", "role must be one of"),
+    ("points", [[0.0, 0.0], [1.0, 0.0], [0.0, np.nan], [1.0, 1.0]], "coordinates must be finite"),
+    ("weights", [1.0, 1.0, 0.0, 1.0], "weights positive"),
+    ("components", [0, 0, 1, 0], "component labels out of range"),
+    ("masses", np.ones(3), "need one value per node"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_FIELDS)
+def test_a_cloud_with_a_bad_field_is_refused(field, value, message):
+    fields = {
+        "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        "weights": np.ones(4),
+        "role": "volume",
+        "shape": dc.Box((0.5, 0.5), (0.5, 0.5)),
+        "components": np.zeros(4, dtype=int),
+        "component_names": ("body",),
+    }
+    with pytest.raises(ValidationError, match=message):
+        if field == "masses":
+            dc.NodeCloud(**fields).component_masses(value)
+        else:
+            dc.NodeCloud(**{**fields, field: value})
+
+
 @st.composite
 def generated_shapes(draw):
     """A ball, annulus, union of two or three balls, box or (in 2d) convex polygon."""

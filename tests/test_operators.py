@@ -1,5 +1,9 @@
 """Kernel operator assembly: symmetry, positivity, scaling, diagonals."""
 
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import dropcap as dc
+import dropcap.operators as operators
 from dropcap.errors import UnsupportedConfigurationError, ValidationError
 from dropcap.kernels import kernel_of_distance, uniform_ball_self_energy
 from dropcap.operators import BLOCK_ROWS, diagonal_self_energy, potential_at
@@ -212,3 +217,139 @@ def test_coincident_nodes_are_rejected():
         )
         with np.errstate(divide="ignore"), pytest.raises(ValidationError, match="nodes may coincide"):
             dc.assemble_operator(cloud, params)
+
+
+# (shape, n, role, kernel, |G|) of the clouds the pooled assembly is pinned on
+POOLED_CASES = {
+    "log polygon": (ASSEMBLY_CASES["log_polygon"][0], 1000, "boundary", LOG2, 1),
+    "sphere lattice": (BALL3, 2000, "boundary", COULOMB, 2),
+    "planar volume disk": (dc.Ball((0.0, 0.0), 1.0), 2600, "volume", LOG2, 4),
+    "volume ball": (BALL3, 2550, "volume", COULOMB, 8),
+    "off-center annulus": (dc.Annulus((0.1, 0.2, 0.3), 0.4, 1.3), 1000, "volume", COULOMB, 8),
+    "volume box": (ASSEMBLY_CASES["box"][0], 2000, "volume", COULOMB, 8),
+}
+
+
+def _triangles(op):
+    """The parts of op.packed its products read: all of it, or E's lower triangle alone."""
+    if op.orbits.images.shape[0] == 1:
+        return [np.tril(op.packed[0][1:])]
+    return list(op.packed)
+
+
+@pytest.mark.parametrize("case", list(POOLED_CASES))
+def test_pooled_assembly_is_the_one_worker_assembly_in_any_order(case, monkeypatch):
+    shape, n, role, params, group = POOLED_CASES[case]
+    cloud = dc.discretize(shape, n, role)
+    assert cloud.orbits.images.shape[0] == group
+    monkeypatch.setattr(operators, "POOL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(operators, "WORKERS", 3)
+    pooled = _triangles(dc.assemble_operator(cloud, params))
+    monkeypatch.setattr(operators, "WORKERS", 1)
+    serial = _triangles(dc.assemble_operator(cloud, params))
+    # smallest block first, in narrower chunks
+    row_blocks = operators._row_blocks
+    monkeypatch.setattr(operators, "_row_blocks", lambda h: row_blocks(h)[::-1])
+    monkeypatch.setattr(operators, "CHUNK_COLS", 100)
+    reversed_ = _triangles(dc.assemble_operator(cloud, params))
+    for a, b, c in zip(pooled, serial, reversed_):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_more_threads_than_cores_switching_often_assemble_the_same_arrays(monkeypatch):
+    for case in ("sphere lattice", "volume box"):
+        shape, n, role, params, _ = POOLED_CASES[case]
+        cloud = dc.discretize(shape, n, role)
+        monkeypatch.setattr(operators, "WORKERS", 1)
+        serial = dc.assemble_operator(cloud, params).packed
+        monkeypatch.setattr(operators, "WORKERS", 8)
+        monkeypatch.setattr(operators, "POOL_MIN_ENTRIES", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(7) as pool:
+                monkeypatch.setattr(operators, "_pool", lambda: pool)
+                pooled = dc.assemble_operator(cloud, params).packed
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+
+
+@pytest.mark.parametrize("n, min_entries", [(2 * BLOCK_ROWS, 0), (1200, 2**20)])
+def test_a_small_operator_is_assembled_on_the_calling_thread(monkeypatch, n, min_entries):
+    """One row block, or fewer kernel values than POOL_MIN_ENTRIES: no pool."""
+
+    def no_pool():
+        raise AssertionError("the pool was used")
+
+    monkeypatch.setattr(operators, "WORKERS", 4)
+    monkeypatch.setattr(operators, "POOL_MIN_ENTRIES", min_entries)
+    monkeypatch.setattr(operators, "_pool", no_pool)
+    cloud = dc.discretize(BALL3, n, "boundary")  # one orbit per mirrored pair
+    h = len(cloud.orbits)
+    assert h == BLOCK_ROWS or (h > BLOCK_ROWS and 2 * h * h < 2 * min_entries)
+    op = dc.assemble_operator(cloud, COULOMB)
+    assert np.isfinite(op.packed[0]).all()
+
+
+def test_the_row_blocks_run_on_the_pool_at_once_under_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(operators, "WORKERS", 2)
+    both = threading.Barrier(2, timeout=10)
+    seen = {}
+
+    def work(i0, i1, buffer):
+        seen[threading.get_ident()] = np.geterr()["divide"]
+        both.wait()  # breaks, and raises, unless the other block is running too
+
+    with np.errstate(divide="ignore"):
+        operators._run_blocks(work, [(0, 1), (1, 2)], np.empty((2, 1)))
+    assert list(seen.values()) == ["ignore", "ignore"]
+
+
+def test_an_error_on_a_pool_thread_stops_the_rest_and_is_raised(monkeypatch):
+    monkeypatch.setattr(operators, "WORKERS", 2)
+    caller = threading.get_ident()
+    taken = threading.Event()
+    done = []
+
+    def work(i0, i1, buffer):
+        if threading.get_ident() == caller:
+            assert taken.wait(10)  # hold this block until the pool's thread has one
+            done.append(i0)
+        else:
+            taken.set()
+            raise ValidationError("operator has non-finite entries; nodes may coincide")
+
+    blocks = [(i, i + 1) for i in range(10)]
+    with pytest.raises(ValidationError, match="nodes may coincide"):
+        operators._run_blocks(work, blocks, np.empty((2, 1)))
+    assert len(done) == 1  # no thread took a block after the error
+    # and the pool's thread is free again
+    assert operators._pool().submit(lambda: 7).result(timeout=10) == 7
+
+
+def test_coincident_nodes_on_every_thread_leave_the_pool_working(monkeypatch):
+    monkeypatch.setattr(operators, "WORKERS", 3)
+    monkeypatch.setattr(operators, "POOL_MIN_ENTRIES", 0)
+    n = 3 * BLOCK_ROWS
+    points = _spread_with_a_twin(n, 3, 5, 2 * BLOCK_ROWS + 7)
+    points[BLOCK_ROWS + 3] = points[BLOCK_ROWS + 1]
+    cloud = dc.NodeCloud(
+        points=points,
+        weights=np.full(n, 0.1),
+        role="volume",
+        shape=BALL3,
+        components=np.zeros(n, dtype=int),
+        component_names=("body",),
+    )
+    # the caller's errstate holds on the pool's threads: no warning from them
+    with np.errstate(divide="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="nodes may coincide"):
+            dc.assemble_operator(cloud, COULOMB)
+    points = points.copy()
+    points[[BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 7]] += 0.25
+    fixed = replace(cloud, points=points)
+    pooled = _triangles(dc.assemble_operator(fixed, COULOMB))
+    monkeypatch.setattr(operators, "WORKERS", 1)
+    assert np.array_equal(pooled[0], _triangles(dc.assemble_operator(fixed, COULOMB))[0])

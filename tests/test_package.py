@@ -62,18 +62,45 @@ def test_every_submodule_is_listed_and_loads_on_first_use(fresh_python):
 
 _THREADS_CODE = """
 import json, os, sys
-for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+for var, value in json.loads({env!r}).items():
     os.environ.pop(var, None)
-os.environ["DROPCAP_THREADS"] = "1"
+    if value is not None:
+        os.environ[var] = value
 import dropcap as dc
-seen = ["numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")]
+def seen():
+    return [
+        "numpy" in sys.modules,
+        os.environ.get("OPENBLAS_NUM_THREADS"),
+        os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
+    ]
+before = seen()
 dc.discretize(dc.Ball((0.0, 0.0, 0.0), 1.0), 100, "boundary")
-print(json.dumps(seen + ["numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")]))
+print(json.dumps([before, seen()]))
 """
 
 
+def _threads_seen(fresh_python, **env):
+    """What a fresh interpreter sees at import dropcap and after its first numpy work."""
+    unset = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
+    unset.update(DROPCAP_THREADS=None, OPENBLAS_THREAD_TIMEOUT=None)
+    code = _THREADS_CODE.format(env=json.dumps({**unset, **env}))
+    return json.loads(fresh_python(code).splitlines()[-1])
+
+
 def test_dropcap_threads_is_set_before_numpy_loads(fresh_python):
-    before, threads, after, threads_after = json.loads(fresh_python(_THREADS_CODE).splitlines()[-1])
-    assert not before, "import dropcap loaded numpy"
-    assert threads == "1"
-    assert after and threads_after == "1"
+    before, after = _threads_seen(fresh_python, DROPCAP_THREADS="1")
+    assert before == [False, "1", "18"], "import dropcap loaded numpy, or set no thread count"
+    assert after == [True, "1", "18"]
+
+
+@pytest.mark.parametrize(
+    "env, seen",
+    [
+        ({"DROPCAP_THREADS": "1", "OPENBLAS_THREAD_TIMEOUT": "4"}, [False, "1", "4"]),
+        ({}, [False, None, None]),
+    ],
+    ids=["a user's timeout is kept", "nothing without DROPCAP_THREADS"],
+)
+def test_the_blas_spin_timeout_is_set_only_with_dropcap_threads(fresh_python, env, seen):
+    before, _ = _threads_seen(fresh_python, **env)
+    assert before == seen
