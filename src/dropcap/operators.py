@@ -68,6 +68,7 @@ from functools import cache, partial
 
 import numpy as np
 
+from . import _threads
 from .clouds import NodeCloud, Orbits, character_sums
 from .errors import NonConvergenceError, UnsupportedConfigurationError, ValidationError
 from .kernels import (
@@ -93,7 +94,7 @@ __all__ = [
 # in CHANGES.md.
 BLOCK_ROWS = 128
 # Columns per chunk of an assembly row block, so each thread's slabs are
-# bounded whatever the cloud's size: 1.4 MB under a point mirror.  Whole
+# bounded whatever the cloud's size: 1.2 MB under a point mirror.  Whole
 # rows took as long on 2 cores, with 5.5 MB more scratch at 2000 orbits.
 CHUNK_COLS = 512
 # where= masks of a diagonal square's triangles, the diagonal included
@@ -101,21 +102,17 @@ _LOWER = np.tri(BLOCK_ROWS, dtype=bool)
 _UPPER = _LOWER.T
 
 
-def _worker_count() -> int:
-    """DROPCAP_THREADS if it is a positive integer, else the CPUs this process may use."""
-    threads = os.environ.get("DROPCAP_THREADS", "")
-    if threads.isdigit() and int(threads) > 0:
-        return int(threads)
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 # Threads that assemble an operator's row blocks: the calling one and
-# WORKERS - 1 of a pool started on first use.  An operator of fewer
-# kernel values than POOL_MIN_ENTRIES, |G| h^2/2 for h orbits, is
-# assembled on the calling thread alone: on 2 cores the hand-offs cost
-# more than the second thread saves on the 600-node clouds of the
-# stability scans, and save 40% of the 4000-node sphere's assembly.
-WORKERS = _worker_count()
+# WORKERS - 1 of a pool started on first use.  There is a pool only with
+# DROPCAP_THREADS, which also caps the idle spin of the BLAS threads
+# (dropcap/__init__): at OpenBLAS's default spin, threads still spinning
+# after a solve's last product left a pooled assembly slower than one
+# thread.  An operator of fewer kernel values than POOL_MIN_ENTRIES,
+# |G| h^2/2 for h orbits, is assembled on the calling thread alone: on
+# 2 cores the hand-offs cost more than the second thread saves on the
+# 600-node clouds of the stability scans, and save 40% of the 4000-node
+# sphere's assembly.
+WORKERS = _threads or 1
 POOL_MIN_ENTRIES = 1 << 20
 
 
@@ -295,8 +292,8 @@ def _store(packed, chunk, carriers, i0: int, i1: int, j0: int, j1: int, lower: b
     """Write one chunk of a character's block into its triangle of packed.
 
     chunk[k, j] is the block's entry between orbits i0 + k and j0 + j;
-    the chunk ends left of the row block's diagonal square, j1 <= i0, or
-    with it, j1 = i1, and of the square only the triangle is written.
+    the chunk lies left of the row block's diagonal square, j1 <= i0, or
+    is that square, and of the square only the triangle is written.
     Only the orbits that carry the character are kept, at their places
     among its carriers, so every entry written lies in the rows of the
     lower triangle, or the columns of the upper one, that the orbits
@@ -309,16 +306,16 @@ def _store(packed, chunk, carriers, i0: int, i1: int, j0: int, j1: int, lower: b
         block = chunk[: hi - i0, : c1 - c0]
     else:
         block = chunk[carriers[lo:hi] - i0][:, carriers[c0:c1] - j0]
-    mid, k = min(lo, c1), hi - lo  # the square starts at carrier lo
-    left, square = block[:, : mid - c0], block[:, mid - c0 :]
-    if lower:
-        packed[1 + lo : 1 + hi, c0:mid] = left
-        if square.size:
-            np.copyto(packed[1 + lo : 1 + hi, lo:hi], square, where=_LOWER[:k, :k])
+    k = hi - lo
+    if j0 < i0:
+        if lower:
+            packed[1 + lo : 1 + hi, c0:c1] = block
+        else:
+            packed[c0:c1, lo:hi] = block.T
+    elif lower:
+        np.copyto(packed[1 + lo : 1 + hi, lo:hi], block, where=_LOWER[:k, :k])
     else:
-        packed[c0:mid, lo:hi] = left.T
-        if square.size:
-            np.copyto(packed[lo:hi, lo:hi], square.T, where=_UPPER[:k, :k])
+        np.copyto(packed[lo:hi, lo:hi], block.T, where=_UPPER[:k, :k])
 
 
 def _mapped(shape: tuple[int, int]) -> np.ndarray:
@@ -390,9 +387,9 @@ def _character_blocks(cloud: NodeCloud, params: KernelParams) -> tuple[np.ndarra
     lower triangle over the orbits, X[a] holds k(rep o, g_a rep p)/|G|
     for each group element g_a, with the self-energy where g_a fixes
     rep o, and character_sums turns them into the rows of C_s, one per
-    character s.  A row block goes in chunks of CHUNK_COLS columns, the
-    last with the diagonal square, so each thread's slabs stay small
-    whatever h.  Each row block writes only into its own orbits' rows of
+    character s.  A row block goes in chunks of CHUNK_COLS columns left
+    of its diagonal square and then the square, so each thread's slabs
+    stay small whatever h.  Each row block writes only into its own orbits' rows of
     the lower triangles and their columns of the upper ones, so the
     blocks run in any order, largest first, on WORKERS threads past
     POOL_MIN_ENTRIES.  The upper triangles past a smaller block's size
@@ -411,21 +408,12 @@ def _character_blocks(cloud: NodeCloud, params: KernelParams) -> tuple[np.ndarra
     blocks = _row_blocks(h)
     workers = min(WORKERS, len(blocks)) if size * h * h >= 2 * POOL_MIN_ENTRIES else 1
     # per thread: X and, past one butterfly, the free slab of the
-    # transform, as wide as a chunk and the square, then a square for E's
+    # transform, as wide as a chunk or the square, then a square for E's
     # sums on the diagonal
     slabs, height = size + (size > 2), min(h, BLOCK_ROWS)
-    width = min(h, CHUNK_COLS + BLOCK_ROWS)
+    width = min(h, max(CHUNK_COLS, BLOCK_ROWS))
     shape = (workers, (slabs * width + height) * height)
     scratch = _mapped(shape) if workers > 1 else np.empty(shape)
-
-    # E's sums go straight into its rows.  On the diagonal square those
-    # rows also cover the upper triangle of the array's other block; when
-    # its carriers are the first orbits, those entries are this row
-    # block's own, and its _store overwrites them.  Otherwise they are a
-    # later block's, so the square is a chunk of its own, and E's
-    # triangle of it goes through scratch.
-    t = pairs[0][1]
-    shared = t is not None and bool(o.carriers[t][-1] != len(o.carriers[t]) - 1)
 
     def work(i0, i1, buffer):
         k = i1 - i0
@@ -433,33 +421,30 @@ def _character_blocks(cloud: NodeCloud, params: KernelParams) -> tuple[np.ndarra
         # identity, the orbits' fixed points for the others
         g, r = np.nonzero(fixed[:, i0:i1])
         starts = list(range(0, i0, CHUNK_COLS))
-        chunks = list(zip(starts, starts[1:] + [i0]))
-        if shared or not chunks:
-            chunks.append((i0, i1))
-        else:  # the last chunk takes the square
-            chunks[-1] = (chunks[-1][0], i1)
-        for j0, j1 in chunks:
+        # E's sums go straight into its rows left of the diagonal square.
+        # On the square those rows also hold the upper triangle of the
+        # array's other block, which may be another row block's columns,
+        # so there E's sums go through scratch and only its triangle is
+        # copied, as _store does for every other character.
+        for j0, j1 in [*zip(starts, starts[1:] + [i0]), (i0, i1)]:
+            on_square = j0 == i0
             X = buffer[: slabs * k * (j1 - j0)].reshape(slabs, k, j1 - j0)
             for a in range(size):
                 cdist(rows[i0:i1], cols[a, j0:j1], out=X[a])
             K = X[:size]
-            self_terms = (g, r, i0 - j0 + r) if j1 == i1 else None
-            if self_terms:
-                X[self_terms] = 1.0
+            if on_square:
+                X[g, r, r] = 1.0
             kernel_of_distance(params, K, out=K)
-            if self_terms:
-                X[self_terms] = diag[i0 + r]
+            if on_square:
+                X[g, r, r] = diag[i0 + r]
             if not np.isfinite(K).all():
                 raise ValidationError("operator has non-finite entries; nodes may coincide")
             if size > 1:
                 K *= 1.0 / size
-            through_scratch = shared and j0 == i0
-            out = packed[0][1 + i0 : 1 + i1, j0:j1]
-            if through_scratch:
-                out = buffer[-k * k :].reshape(k, k)
+            out = buffer[-k * k :].reshape(k, k) if on_square else packed[0][1 + i0 : 1 + i1, j0:j1]
             sums = character_sums(K, out, X[size] if size > 2 else None)
             for m, (s, t) in zip(packed, pairs):
-                if s != 0 or through_scratch:
+                if s != 0 or on_square:
                     _store(m, sums[s], o.carriers[s], i0, i1, j0, j1, True)
                 if t is not None:
                     _store(m, sums[t], o.carriers[t], i0, i1, j0, j1, False)

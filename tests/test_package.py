@@ -75,12 +75,13 @@ def seen():
     ]
 before = seen()
 dc.discretize(dc.Ball((0.0, 0.0, 0.0), 1.0), 100, "boundary")
-print(json.dumps([before, seen()]))
+print(json.dumps([before, seen(), dc.operators.WORKERS]))
 """
 
 
 def _threads_seen(fresh_python, **env):
-    """What a fresh interpreter sees at import dropcap and after its first numpy work."""
+    """What a fresh interpreter sees at import dropcap and after its first
+    numpy work, and how many threads assemble its operators."""
     unset = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
     unset.update(DROPCAP_THREADS=None, OPENBLAS_THREAD_TIMEOUT=None)
     code = _THREADS_CODE.format(env=json.dumps({**unset, **env}))
@@ -88,9 +89,10 @@ def _threads_seen(fresh_python, **env):
 
 
 def test_dropcap_threads_is_set_before_numpy_loads(fresh_python):
-    before, after = _threads_seen(fresh_python, DROPCAP_THREADS="1")
-    assert before == [False, "1", "18"], "import dropcap loaded numpy, or set no thread count"
-    assert after == [True, "1", "18"]
+    before, after, workers = _threads_seen(fresh_python, DROPCAP_THREADS="3")
+    assert before == [False, "3", "18"], "import dropcap loaded numpy, or set no thread count"
+    assert after == [True, "3", "18"]
+    assert workers == 3
 
 
 @pytest.mark.parametrize(
@@ -98,9 +100,18 @@ def test_dropcap_threads_is_set_before_numpy_loads(fresh_python):
     [
         ({"DROPCAP_THREADS": "1", "OPENBLAS_THREAD_TIMEOUT": "4"}, [False, "1", "4"]),
         ({}, [False, None, None]),
+        ({"DROPCAP_THREADS": "abc"}, [False, None, None]),
+        ({"DROPCAP_THREADS": "0"}, [False, None, None]),
     ],
-    ids=["a user's timeout is kept", "nothing without DROPCAP_THREADS"],
+    ids=[
+        "a user's timeout is kept",
+        "nothing without DROPCAP_THREADS",
+        "nothing for a DROPCAP_THREADS that is not a count",
+        "nothing for zero threads",
+    ],
 )
 def test_the_blas_spin_timeout_is_set_only_with_dropcap_threads(fresh_python, env, seen):
-    before, _ = _threads_seen(fresh_python, **env)
+    """Without the cap, operators assemble on the calling thread alone."""
+    before, _, workers = _threads_seen(fresh_python, **env)
     assert before == seen
+    assert workers == 1
