@@ -9,14 +9,14 @@ replaced on its submodule is seen here at once.
 import importlib as _importlib
 import os as _os
 
-# Thread budget: DROPCAP_THREADS if it is a positive integer, else None.
-# It sets the BLAS thread counts, which must land before numpy loads,
-# and the threads of the operator assembly (dropcap.operators).  An idle
-# OpenBLAS worker then spins for 2^18 cycles (about 0.1 ms) before it
-# sleeps, not the default ~0.1 s, so it does not hold a core the
-# assembly's threads need.
+# Thread budget: DROPCAP_THREADS as a count, 0 where it is unset or not
+# one.  It sets the BLAS thread counts, which must land before numpy
+# loads, and the threads of the operator assembly (dropcap.operators).
+# An idle OpenBLAS worker then spins for 2^18 cycles (about 0.1 ms)
+# before it sleeps, not the default ~0.1 s, so it does not hold a core
+# the assembly's threads need.
 _threads = _os.environ.get("DROPCAP_THREADS", "")
-_threads = int(_threads) if _threads.isdecimal() and int(_threads) > 0 else None
+_threads = int(_threads) if _threads.isdecimal() else 0
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, str(_threads))
