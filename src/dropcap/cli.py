@@ -3,11 +3,11 @@
 One subcommand per solver or experiment family, batch-driven, with
 machine-readable JSON or CSV artifacts.  Every JSON artifact embeds the
 fully resolved configuration so a run can be reproduced byte for byte.
-Exit codes: 0 on success, 2 on a validation error (single-line
-diagnostic on stderr), 3 on solver non-convergence (single-line
-diagnostic on stderr; capacity and equilibrium still write their best
-iterate, and stability rayleigh its table with the failed amplitudes
-flagged).
+Exit codes: 0 on success, 2 on a validation error or an --output that
+cannot be written (single-line diagnostic on stderr), 3 on solver
+non-convergence (single-line diagnostic on stderr; capacity and
+equilibrium still write their best iterate, and stability rayleigh its
+table with the failed amplitudes flagged).
 
 Only the standard library, the version and the error types load with
 this module, so --version, --help and argument errors answer without
@@ -475,7 +475,11 @@ def main(argv=None) -> int:
         msg = " ".join(str(err).split())
         print(f"error: {msg}", file=sys.stderr)
         return 3 if isinstance(err, NonConvergenceError) else 2
-    _emit(args, result, rows)
+    try:
+        _emit(args, result, rows)
+    except OSError as err:
+        print(f"error: cannot write {args.output}: {err.strerror or err}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -96,7 +96,7 @@ def solve_entropic(cloud: NodeCloud) -> DensityResult:
         )
     params = KernelParams(3, 2.0)
     op = assemble_operator(cloud, params)
-    orbits = op.orbits
+    orbits = op.cloud.orbits
     # the minimizer is invariant: solve over orbit masses u, each
     # orbit's volume W taking the place of a node's
     W = orbits.sums(cloud.weights)

@@ -31,7 +31,7 @@ from . import shapes as shp
 from .clouds import NodeCloud, default_role, discretize
 from .errors import NonConvergenceError, ValidationError, require_finite, require_tol
 from .kernels import KernelParams
-from .linalg import ScreenedOut, constrained_solve, curve_preconditioner, symv
+from .linalg import ScreenedOut, constrained_solve, curve_preconditioner
 from .operators import KernelOperator, assemble_operator, potential_at
 
 __all__ = [
@@ -167,8 +167,8 @@ def equilibrium_measure(
     potentials E u are the node potentials.
     Each node of an orbit holds u / size, and the loop judges those node
     masses, so its decisions are those of the unreduced program.  Each
-    working set runs the constrained solve (dropcap.linalg) on E, or on a
-    copy of E[idx, idx] for a restricted set, and its CG run is screened:
+    working set runs the constrained solve (dropcap.linalg) on E[idx, idx]
+    (KernelOperator.restricted), and its CG run is screened:
     if the iterate at CG_SCREEN_RTOL has node masses below -_NEG_TOL,
     the run stops and the set loses exactly those orbits.  A set that
     passes finishes the same recurrence, so the accepted set's masses
@@ -204,7 +204,7 @@ def equilibrium_measure(
     if not isinstance(op, KernelOperator):
         raise ValidationError("equilibrium_measure expects an assembled operator")
     tol = require_tol(tol)
-    orbits, K = op.orbits, op.even
+    orbits = op.cloud.orbits
     sizes, n = orbits.sizes, len(orbits)
     if start_active is None:
         active = np.ones(n, dtype=bool)
@@ -224,9 +224,7 @@ def equilibrium_measure(
         seen.add(key)
         idx = np.flatnonzero(active)
         w = sizes[idx]
-        # K holds E in its lower triangle only, and symv reads only the
-        # copy's lower triangle; idx is ascending, so that comes from E's
-        A = K if len(idx) == n else K[np.ix_(idx, idx)]
+        product = op.restricted(idx)
 
         def keeps_every_node(x):
             return not _negative(x, w).any()
@@ -235,9 +233,7 @@ def equilibrium_measure(
         cycles = _whole_cycles(active, op.cloud.cycles)
         precondition = None if cycles is None else curve_preconditioner(cycles)
         try:
-            m_act, lam = constrained_solve(
-                lambda v: symv(A, v), np.zeros(len(idx)), 1.0, screen, precondition
-            )
+            m_act, lam = constrained_solve(product, np.zeros(len(idx)), 1.0, screen, precondition)
             neg = m_act / w < -_NEG_TOL
         except ScreenedOut as stop:
             neg = _negative(stop.x, w)
@@ -252,7 +248,7 @@ def equilibrium_measure(
         m = np.zeros(n)
         m[idx] = np.clip(m_act, 0.0, None)
         scale = max(abs(lam), 1.0)
-        v = symv(K, m)
+        v = op.apply_block(0, m)
         gap = lam - v
         gap[active] = -np.inf
         viol = gap > tol * scale
@@ -269,7 +265,7 @@ def equilibrium_measure(
                 iterations=it,
             )
         active[viol] = True
-    v = symv(K, m)
+    v = op.apply_block(0, m)
     lam = float(m @ v)
     resid = _kkt_residual(v, m, lam)
     raise NonConvergenceError(

@@ -156,13 +156,14 @@ def solve_external(op: KernelOperator, field) -> FieldResult:
     (KernelOperator.solve).  field is a LinearPotential or a callable
     mapping points to potential values.
     """
-    if op.params.alpha != 2.0 or op.params.is_log:
-        raise UnsupportedConfigurationError(
-            "the external-field problem is Coulombic: alpha must equal 2"
-        )
+    # the dimension first: in 2d, alpha = 2 is the log kernel
     if op.params.dim < 3:
         raise UnsupportedConfigurationError(
             "the external-field problem is posed in dimension >= 3"
+        )
+    if op.params.alpha != 2.0:
+        raise UnsupportedConfigurationError(
+            "the external-field problem is Coulombic: alpha must equal 2"
         )
     phi = _potential_of(field, op.cloud.points)
     w, lam = op.solve(-0.5 * phi)

@@ -73,9 +73,10 @@ including the start's product; on the 1000 orbits of the 2000-node
 annulus, 54 + 50 = 104 and 15 + 50 = 65.  A working set that keeps all
 its nodes takes exactly as many products as unscreened.
 
-symv and symm read one triangle of a symmetric C-ordered matrix, the
-lower one unless told otherwise, so an operator whose character blocks
-share arrays two to one, one below the diagonal and one above
+symv multiplies a vector, or each row of a block of rows, by a
+symmetric C-ordered matrix and reads one triangle of it, the lower one
+unless told otherwise, so an operator whose character blocks share
+arrays two to one, one below the diagonal and one above
 (dropcap.operators), is multiplied without a copy.
 
 Every matrix product here runs on scipy's BLAS.  numpy links a separate
@@ -100,7 +101,6 @@ __all__ = [
     "CG_MAX_ITER",
     "ScreenedOut",
     "symv",
-    "symm",
     "cg_solve",
     "constrained_solve",
     "curve_preconditioner",
@@ -130,30 +130,21 @@ _dsymv = _dsymm = None
 def symv(A: np.ndarray, x, lower: bool = True) -> np.ndarray:
     """A @ x for a symmetric C-ordered A given by one triangle, without copying A.
 
-    Only A's lower triangle, or with lower=False its upper one, is read,
-    the diagonal included.
+    x is a vector, or a C-ordered block of rows, each multiplied by A
+    (x @ A).  Only A's lower triangle, or with lower=False its upper
+    one, is read, the diagonal included.
     """
-    global _dsymv
+    global _dsymv, _dsymm
     if _dsymv is None:
-        from scipy.linalg.blas import dsymv
+        from scipy.linalg.blas import dsymm, dsymv
 
-        _dsymv = dsymv
+        _dsymv, _dsymm = dsymv, dsymm
+    x = np.asarray(x, dtype=float)
     # A.T is the Fortran-ordered view of A; A's lower triangle is its upper
-    return _dsymv(1.0, A.T, np.asarray(x, dtype=float), lower=not lower)
-
-
-def symm(A: np.ndarray, X: np.ndarray, lower: bool = True) -> np.ndarray:
-    """X @ A for a symmetric C-ordered A: A times each row of a C-ordered X.
-
-    Reads one triangle of A, as symv does.
-    """
-    global _dsymm
-    if _dsymm is None:
-        from scipy.linalg.blas import dsymm
-
-        _dsymm = dsymm
-    # both transposes are Fortran-ordered views; so is the (n, k) product
-    return _dsymm(1.0, A.T, np.ascontiguousarray(X, dtype=float).T, lower=not lower).T
+    if x.ndim == 1:
+        return _dsymv(1.0, A.T, x, lower=not lower)
+    # so is x.T, and the (n, k) product is the transpose of the rows' products
+    return _dsymm(1.0, A.T, np.ascontiguousarray(x).T, lower=not lower).T
 
 
 def _conjugate_gradients(apply, x, r, scale: float, zero_sum: bool, screen, precondition=None):

@@ -217,12 +217,12 @@ def full_kernel_matrix(cloud, params) -> np.ndarray:
     """The package's full n x n kernel matrix of a cloud, in node order.
 
     The operator of the cloud with its mirror dropped: the lower triangle
-    of its even block is the unreduced K's, which tests compare the orbit
-    blocks and the solves with.
+    of E, packed[0][1:], is the unreduced K's, which tests compare the
+    orbit blocks and the solves with.
     """
     from dataclasses import replace
 
     import dropcap
 
-    E = dropcap.assemble_operator(replace(cloud, mirror=None), params).even
+    E = dropcap.assemble_operator(replace(cloud, mirror=None), params).packed[0][1:]
     return np.tril(E) + np.tril(E, -1).T

@@ -475,20 +475,38 @@ def test_startup_loads_scipy_only_where_used(fresh_python, argv, numpy, uses, un
     assert not set(unloaded) & set(modules)
 
 
+_TWO_BALLS_JSON = (
+    '{"variant": "union_of_balls", "balls": ['
+    '{"variant": "ball", "center": [0, 0, 0], "radius": 1.0}, '
+    '{"variant": "ball", "center": [3, 0, 0], "radius": 0.5}]}'
+)
+# the ball; past 3d, where the far-field directions are random unit
+# vectors; and a union, which has no center, so the far field is taken
+# about the node mean
+_FARFIELD_CASES = [
+    (["--shape", BALL_JSON, "--M", "300"], [100.0, 200.0]),
+    (["--dim", "4", "--alpha", "1.5", "--M", "400"], [300.0, 600.0]),
+    (["--shape", _TWO_BALLS_JSON, "--M", "600"], [500.0, 1000.0]),
+]
+
+
 def test_equilibrium_with_farfield_json_and_csv(capsys):
-    args = ["equilibrium", "--shape", BALL_JSON, "--M", "300", "--farfield-radii", "100,200"]
-    code, out, _ = run_cli(args, capsys)
-    assert code == 0
-    result = json.loads(out)["result"]
-    assert result["converged"] is True
-    assert [row["radius"] for row in result["farfield"]["rows"]] == [100.0, 200.0]
-    assert result["farfield"]["deviation"] < 1e-6
-    code, out, _ = run_cli([*args, "--format", "csv"], capsys)
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == result["n_nodes"]
-    assert set(rows[0]) == {"x0", "x1", "x2", "weight", "mass", "potential"}
-    assert sum(float(r["mass"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+    for case, radii in _FARFIELD_CASES:
+        args = ["equilibrium", *case, "--farfield-radii", ",".join(map(str, radii))]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0, case
+        payload = json.loads(out)
+        result = payload["result"]
+        assert result["converged"] is True
+        assert [row["radius"] for row in result["farfield"]["rows"]] == radii
+        assert result["farfield"]["deviation"] < 1e-6, case
+        code, out, _ = run_cli([*args, "--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == result["n_nodes"]
+        coords = {f"x{i}" for i in range(payload["config"]["dim"] or 3)}
+        assert set(rows[0]) == coords | {"weight", "mass", "potential"}
+        assert sum(float(r["mass"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -598,6 +616,11 @@ BAD_NUMBERS = {
         ["stability", "lemma-ratio", "--samples", "2", "--seed", "-1", "--M", "100"],
         "seed",
     ),
+    # in 2d alpha = 2 is the log kernel, so the dimension is checked first
+    "external_field_2d": (
+        ["external-field", "--dim", "2", "--field", "1,0", "--M", "100"],
+        "dimension",
+    ),
     "convex_2d_seed_neg": (
         [*_CONVEX, "--Q", "1", "--m-gons", "4", "--seed", "-1"],
         "seed",
@@ -614,6 +637,15 @@ def test_bad_numbers_exit_two(capsys, argv, word):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "\n" not in err.strip()
     assert word in err
+
+
+def test_an_unwritable_output_exits_two_with_one_line(capsys, tmp_path):
+    path = tmp_path / "missing" / "out.json"
+    argv = ["stability", "fuglede", "--modes", "2,0,1.0", "--eps", "0.1", "--output", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}:") and err.count("\n") == 1
+    assert not path.parent.exists()
 
 
 def test_missing_shape_means_the_unit_ball(capsys):

@@ -150,7 +150,7 @@ def test_equilibrium_measure_rejects_a_tolerance_not_finite_and_positive(ball_op
 
 def test_equilibrium_measure_rejects_bad_arguments(ball_op_2000):
     with pytest.raises(ValidationError, match="assembled operator"):
-        dc.equilibrium_measure(ball_op_2000.even)
+        dc.equilibrium_measure(ball_op_2000.packed[0][1:])
     n = ball_op_2000.n_nodes
     for start in (np.zeros(n, dtype=bool), np.ones(n - 1, dtype=bool)):
         with pytest.raises(ValidationError, match="start_active"):

@@ -232,7 +232,7 @@ POOLED_CASES = {
 
 def _triangles(op):
     """The parts of op.packed its products read: all of it, or E's lower triangle alone."""
-    if op.orbits.images.shape[0] == 1:
+    if op.cloud.orbits.images.shape[0] == 1:
         return [np.tril(op.packed[0][1:])]
     return list(op.packed)
 

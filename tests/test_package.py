@@ -1,8 +1,10 @@
 """The package's export lists and its import on use."""
 
+import ast
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,20 @@ def test_names_resolve_on_their_module_at_every_access(monkeypatch):
     monkeypatch.undo()
     assert dropcap.equilibrium_measure is dropcap.equilibrium.equilibrium_measure
     assert "equilibrium_measure" not in vars(dropcap)
+
+
+def test_only_operators_reads_the_packed_storage():
+    # the storage layout stays behind KernelOperator, so a new back-end
+    # changes one module
+    readers, imported = set(), set()
+    for path in sorted(Path(dropcap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "packed":
+                readers.add(path.name)
+            if path.name == "equilibrium.py" and isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+    assert readers == {"operators.py"}
+    assert imported and "symv" not in imported
 
 
 _SUBMODULES_CODE = """

@@ -125,7 +125,7 @@ def test_character_sums_are_the_signed_sums_over_the_group(rng):
 
 def _block(op, s):
     """Character s's block, read back through its products with unit vectors."""
-    return op.apply_block(s, np.eye(len(op.orbits.carriers[s])))
+    return op.apply_block(s, np.eye(len(op.cloud.orbits.carriers[s])))
 
 
 def test_operator_blocks_are_orbit_sums_of_the_full_matrix(rng):
@@ -160,12 +160,12 @@ def test_operator_blocks_are_orbit_sums_of_the_full_matrix(rng):
 def test_an_unmirrored_operator_is_its_full_matrix():
     cloud = dc.discretize(UNMIRRORED["off-center two-ball union"], 300, "boundary")
     op = dc.assemble_operator(cloud, COULOMB)
-    assert np.array_equal(np.tril(op.even), np.tril(_reference_matrix(cloud, COULOMB)))
+    assert np.array_equal(np.tril(op.packed[0][1:]), np.tril(_reference_matrix(cloud, COULOMB)))
 
 
 def test_both_blocks_share_one_buffer_and_a_field_solve_adds_none():
     op = dc.assemble_operator(dc.discretize(MIRRORED["ball"], 2000, "boundary"), COULOMB)
-    h = len(op.orbits)
+    h = len(op.cloud.orbits)
     # under the point mirror E and C_1 share one array
     assert len(op.packed) == 1
     assert op.packed[0].nbytes == 8 * (h + 1) * h
@@ -427,7 +427,7 @@ def test_reflected_random_clouds_solve_like_their_stripped_copies(seed, k, with_
     for params in (COULOMB, dc.KernelParams(3, 1.5)):
         op = dc.assemble_operator(cloud, params)
         op_full = dc.assemble_operator(_stripped(cloud), params)
-        if np.linalg.eigvalsh(op_full.even)[0] < 0.0:
+        if np.linalg.eigvalsh(op_full.packed[0][1:])[0] < 0.0:
             # random weights can leave K indefinite and the program not
             # convex: both copies raise with a feasible iterate, or both
             # reach a KKT point with the same energy
